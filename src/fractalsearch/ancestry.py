@@ -32,6 +32,7 @@ from .errors import (
 from .patterns import (
     WILDCARD,
     Direction,
+    GridIndex,
     Pattern,
     is_trimmed,
     word_to_pattern,
@@ -115,7 +116,7 @@ class AncestrySearcher:
         self._mask_options: dict[int, tuple[str, ...]] = {}
         self._parents: dict[Pattern, tuple[tuple[Pattern, tuple[int, int]], ...]] = {}
         self._grounds: dict[Pattern, tuple[tuple[int, int], ...]] = {}
-        self._l1_lines = l1.lines() if l1 is not None else None
+        self._l1_index = GridIndex(l1) if l1 is not None else None
 
     # -- parent enumeration -------------------------------------------------
 
@@ -211,24 +212,16 @@ class AncestrySearcher:
     # -- grounding -----------------------------------------------------------
 
     def ground_positions(self, pattern: Pattern) -> tuple[tuple[int, int], ...]:
-        """1-indexed positions where the pattern occurs in the start grid,
-        row-major; cached per pattern."""
-        if self._l1_lines is None:
+        """1-indexed positions where the trimmed pattern occurs in the start
+        grid, row-major; matched through the start grid's letter index
+        and cached per pattern."""
+        if self._l1_index is None:
             raise ValueError("searcher was built without a start grid")
         cached = self._grounds.get(pattern)
-        if cached is not None:
-            return cached
-        lines = self._l1_lines
-        grows, gcols = len(lines), len(lines[0])
-        cells = list(pattern.concrete_cells())
-        found: list[tuple[int, int]] = []
-        for r0 in range(grows - pattern.rows + 1):
-            for c0 in range(gcols - pattern.cols + 1):
-                if all(lines[r0 + r][c0 + c] == ch for r, c, ch in cells):
-                    found.append((r0 + 1, c0 + 1))
-        result = tuple(found)
-        self._grounds[pattern] = result
-        return result
+        if cached is None:
+            cached = tuple(self._l1_index.positions(pattern))
+            self._grounds[pattern] = cached
+        return cached
 
     # -- search ---------------------------------------------------------------
 

@@ -144,18 +144,52 @@ def is_trimmed(pattern: Pattern) -> bool:
     return set(first_col) != {WILDCARD} and set(last_col) != {WILDCARD}
 
 
+class GridIndex:
+    """Occurrence matcher for one concrete grid.
+
+    The grid is indexed once as letter -> that letter's cells in
+    row-major order.  A pattern is matched by anchoring on its concrete
+    cell whose letter is rarest in the grid: only the top-left positions
+    that anchor implies are tried, so a pattern using a letter the grid
+    lacks costs one lookup.  Translating row-major anchor cells by a
+    fixed offset keeps them row-major, so positions come out in that
+    order without sorting.
+    """
+
+    def __init__(self, grid: Grid):
+        self.rows = grid.rows
+        self.cols = grid.cols
+        self._lines = grid.lines()
+        cells: dict[str, list[tuple[int, int]]] = {}
+        for r, line in enumerate(self._lines):
+            for c, ch in enumerate(line):
+                cells.setdefault(ch, []).append((r, c))
+        self._cells = cells
+
+    def positions(self, pattern: Pattern) -> list[tuple[int, int]]:
+        """All 1-indexed top-left positions where the trimmed pattern's box
+        fits in the grid and every concrete cell matches, row-major."""
+        rmax = self.rows - pattern.rows
+        cmax = self.cols - pattern.cols
+        if rmax < 0 or cmax < 0:
+            return []
+        index = self._cells
+        concrete = list(pattern.concrete_cells())
+        ar, ac, letter = min(concrete, key=lambda cell: len(index.get(cell[2], ())))
+        lines = self._lines
+        out: list[tuple[int, int]] = []
+        for r, c in index.get(letter, ()):
+            r0, c0 = r - ar, c - ac
+            if (0 <= r0 <= rmax and 0 <= c0 <= cmax
+                    and all(lines[r0 + pr][c0 + pc] == ch for pr, pc, ch in concrete)):
+                out.append((r0 + 1, c0 + 1))
+        return out
+
+
 def occurrences(pattern: Pattern, grid: Grid) -> list[tuple[int, int]]:
     """All 1-indexed top-left positions where the pattern's box fits in
     the grid and every concrete cell matches, in row-major order."""
-    boxed = trim(pattern)
-    cells = list(boxed.concrete_cells())
-    lines = grid.lines()
-    out: list[tuple[int, int]] = []
-    for r0 in range(grid.rows - boxed.rows + 1):
-        for c0 in range(grid.cols - boxed.cols + 1):
-            if all(lines[r0 + r][c0 + c] == ch for r, c, ch in cells):
-                out.append((r0 + 1, c0 + 1))
-    return out
+    return GridIndex(grid).positions(trim(pattern))
 
 
 def bounding_subgrid(grid: Grid, cells: list[tuple[int, int]]) -> Grid:

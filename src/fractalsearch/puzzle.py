@@ -168,14 +168,16 @@ def load_puzzle(path: str) -> PuzzleSpec:
 # ---------------------------------------------------------------------------
 
 def _place_word(searcher: AncestrySearcher, spec: PuzzleSpec, raw: str,
-                word: str) -> tuple[Placement, list[SearchResult]]:
+                word: str, cross_all: bool) -> tuple[Placement, list[SearchResult]]:
     """Earliest placement of one word over the allowed directions.
 
     All direction searches advance in lockstep one depth layer at a
     time, so the first grounded layer is the global minimum level and
     the losing directions stop there instead of running to their
     fixpoints.  Ties at the same depth go to the direction order, then
-    to the in-grid witness tie-break.
+    to the in-grid witness tie-break.  With ``cross_all`` every other
+    grounding at the winning depth is returned as well; otherwise the
+    extras list is empty.
     """
     ordered = [d for d in DIRECTION_ORDER if d in spec.allowed_directions]
     runs: list[tuple[Direction, LayeredSearch]] = []
@@ -210,13 +212,12 @@ def _place_word(searcher: AncestrySearcher, spec: PuzzleSpec, raw: str,
         offsets=result.offsets, addresses=tuple(addresses),
         nodes_expanded=nodes, patterns_seen=seen,
     )
-    # For cross-all mode the caller also wants every other grounding at
-    # the winning depth.
     extras: list[SearchResult] = []
-    for dd, rr in live:
-        for pat in rr.frontier:
-            for pos in searcher.ground_positions(pat):
-                extras.append(rr.result_found(word, dd, (pos, pat)))
+    if cross_all:
+        for dd, rr in live:
+            for pat in rr.frontier:
+                for pos in searcher.ground_positions(pat):
+                    extras.append(rr.result_found(word, dd, (pos, pat)))
     return placement, extras
 
 
@@ -293,17 +294,16 @@ def answer_window(spec: PuzzleSpec, target_level: int, window_radius: int = 4,
 
 def _solve_one(searcher: AncestrySearcher, spec: PuzzleSpec, raw: str,
                word: str, cross_all: bool) -> tuple[Placement, list[Placement]]:
-    placement, extras = _place_word(searcher, spec, raw, word)
+    placement, extras = _place_word(searcher, spec, raw, word, cross_all)
     cross = [placement]
-    if cross_all:
-        for res in extras:
-            addresses = witness_coordinates(res, spec.l1, spec.rules)
-            cross.append(Placement(
-                raw=raw, word=word, direction=res.direction,
-                level=res.level, ancestor=res.ancestor, anchor=res.anchor,
-                offsets=res.offsets, addresses=tuple(addresses),
-                nodes_expanded=0, patterns_seen=0,
-            ))
+    for res in extras:
+        addresses = witness_coordinates(res, spec.l1, spec.rules)
+        cross.append(Placement(
+            raw=raw, word=word, direction=res.direction,
+            level=res.level, ancestor=res.ancestor, anchor=res.anchor,
+            offsets=res.offsets, addresses=tuple(addresses),
+            nodes_expanded=0, patterns_seen=0,
+        ))
     return placement, cross
 
 

@@ -4,7 +4,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fractalsearch import (
@@ -28,6 +28,7 @@ from fractalsearch import (
     parse_pattern,
     tree_to_dot,
     tree_to_json,
+    trim,
     witness_coordinates,
     word_to_pattern,
 )
@@ -263,6 +264,26 @@ class TestFirstAppearance:
         assert res.level == searcher.search("BB", Direction.SE).level
         addrs = witness_coordinates(res, Grid.from_text("A"), abc_2d)
         assert len(addrs) == 2
+
+
+class TestGrounding:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_ground_positions_equal_occurrences(self, data):
+        rules = data.draw(rule_sets())
+        l1 = data.draw(grids_for(rules, max_side=6))
+        rows = data.draw(st.integers(1, 3))
+        cols = data.draw(st.integers(1, 3))
+        cells = data.draw(st.text(alphabet=rules.alphabet.letters + (WILDCARD,),
+                                  min_size=rows * cols, max_size=rows * cols))
+        assume(cells.count(WILDCARD) < len(cells))
+        pattern = trim(Pattern(rows, cols, cells))
+        searcher = AncestrySearcher(rules, l1)
+        assert list(searcher.ground_positions(pattern)) == occurrences(pattern, l1)
+
+    def test_ground_positions_need_a_start_grid(self, abc_1d):
+        with pytest.raises(ValueError):
+            AncestrySearcher(abc_1d).ground_positions(parse_pattern("A"))
 
 
 class TestParentLevelShift:

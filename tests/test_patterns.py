@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fractalsearch import (
+    WILDCARD,
     Direction,
     Grid,
     Pattern,
@@ -21,6 +22,46 @@ from fractalsearch import (
 from tests.conftest import grids_for, rule_sets
 
 WORDS = st.text(alphabet="ABCD", min_size=1, max_size=5)
+
+
+def scan_occurrences(pattern: Pattern, grid: Grid) -> list[tuple[int, int]]:
+    """Reference matcher: try every top-left window of the grid in
+    row-major order."""
+    boxed = trim(pattern)
+    cells = list(boxed.concrete_cells())
+    lines = grid.lines()
+    return [
+        (r0 + 1, c0 + 1)
+        for r0 in range(grid.rows - boxed.rows + 1)
+        for c0 in range(grid.cols - boxed.cols + 1)
+        if all(lines[r0 + r][c0 + c] == ch for r, c, ch in cells)
+    ]
+
+
+@st.composite
+def grid_and_pattern(draw):
+    """A 1D or 2D grid over ABC with sides up to 6, and an untrimmed
+    pattern that may use the absent letter D, be taller or wider than the
+    grid, or be cut from the grid itself so that it matches somewhere."""
+    rows = 1 if draw(st.booleans()) else draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    grid = Grid(rows, cols, draw(st.text(alphabet="ABC", min_size=rows * cols,
+                                         max_size=rows * cols)))
+    prows = draw(st.integers(1, rows + 1))
+    pcols = draw(st.integers(1, cols + 1))
+    if prows <= rows and pcols <= cols and draw(st.booleans()):
+        r0 = draw(st.integers(0, rows - prows))
+        c0 = draw(st.integers(0, cols - pcols))
+        letters = "".join(line[c0:c0 + pcols]
+                          for line in grid.lines()[r0:r0 + prows])
+    else:
+        letters = draw(st.text(alphabet="ABCD", min_size=prows * pcols,
+                               max_size=prows * pcols))
+    mask = draw(st.lists(st.booleans(), min_size=prows * pcols,
+                         max_size=prows * pcols))
+    cells = "".join(WILDCARD if hide else ch for ch, hide in zip(letters, mask))
+    assume(cells.count(WILDCARD) < len(cells))
+    return grid, Pattern(prows, pcols, cells)
 
 
 class TestWordToPattern:
@@ -132,6 +173,12 @@ class TestOccurrences:
                           (Direction.SE, Direction.NW), (Direction.NE, Direction.SW)):
             assert occurrences(word_to_pattern(word, back), grid) == \
                 occurrences(word_to_pattern(word[::-1], fwd), grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_and_pattern())
+    def test_indexed_matcher_equals_window_scan(self, case):
+        grid, pattern = case
+        assert occurrences(pattern, grid) == scan_occurrences(pattern, grid)
 
 
 class TestBoundingSubgrid:

@@ -262,6 +262,16 @@ class TestSolveInvariants:
         spec = load_puzzle(puzzle_path)
         assert solve(spec, jobs=2) == solve(spec)
 
+    def test_cross_all_on_shipped_puzzle_keeps_message(self, puzzle_path):
+        # Every extra grounding at a word's winning depth falls on a cell
+        # the default witnesses already cross out.
+        spec = load_puzzle(puzzle_path)
+        base = solve(spec)
+        every = solve(spec, cross_all=True)
+        assert every.message == "SUMEACHWORDSLEVELXMARKSSPOT"
+        assert len(every.crossed_cells) == 138
+        assert every.crossed_cells == base.crossed_cells
+
     def test_direction_order_cannot_change_levels(self, puzzle_path):
         import dataclasses
 
