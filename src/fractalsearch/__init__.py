@@ -20,7 +20,6 @@ from .core import (
     Grid,
     RuleSet,
     address_to_path,
-    all_rule_sets,
     contract,
     descendant_block_range,
     expand,

@@ -262,7 +262,11 @@ class AncestrySearcher:
     def closure(self, target: Pattern, *,
                 max_patterns: int | None = None) -> dict[Pattern, int]:
         """Minimal depth of every ancestor pattern reachable from the
-        target, target included at depth 0.  No grounding involved."""
+        target, target included at depth 0.  No grounding involved.
+
+        Keeps its own walk rather than driving a :class:`LayeredSearch`:
+        a closure built on that class measured about 40% slower over the
+        n=3 sweep inputs (median 0.185 -> 0.255 s)."""
         depths = {target: 0}
         frontier = [target]
         while frontier:
@@ -498,6 +502,11 @@ def ancestor_tree(word: str, direction: Direction, rules: RuleSet,
     (whatever lies above it is already charted there); a parent first
     seen on the same layer is shown once more as a ``repeat`` leaf.
     Grounded and parentless patterns stop their branch.
+
+    This walk cannot be read off a :class:`LayeredSearch` link map: the
+    tree stops only the grounded branch and draws every same-layer edge
+    as a ``repeat`` leaf, while the search stops the whole walk at the
+    first grounded layer and keeps one link per pattern.
     """
     searcher = AncestrySearcher(rules, l1, product_cap=product_cap)
     root = TreeNode(word_to_pattern(word, direction), 0)

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import bounds as bounds_mod
 from .ancestry import (
@@ -25,7 +24,7 @@ from .ancestry import (
 from .core import Grid, expand as expand_grid, contract as contract_grid
 from .errors import FractalSearchError, ResourceLimitError, UnresolvedSearchError
 from .files import grid_argument, load_rules
-from .oracle import DEFAULT_CELL_CAP, run_agreement, sweep_max_latest
+from .oracle import run_agreement, sweep_max_latest
 from .patterns import Direction, parse_pattern, trim
 from .puzzle import (
     load_puzzle,
@@ -37,26 +36,15 @@ from .puzzle import (
 USAGE_EXIT = 64
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation settings shared by the subcommands."""
-
-    subcommand: str
-    paths: list[str] = field(default_factory=list)
-    directions: list[Direction] = field(default_factory=list)
-    depth_cap: int | None = None
-    product_cap: int = DEFAULT_PRODUCT_CAP
-    cell_cap: int = DEFAULT_CELL_CAP
-    output_format: str = "text"
-    jobs: int = 1
-    seed: int = 2013
-
-    def __post_init__(self):
-        for cap in (self.product_cap, self.cell_cap, self.jobs):
-            if cap is not None and cap < 1:
-                raise ValueError("caps and job counts must be positive")
-        if self.depth_cap is not None and self.depth_cap < 0:
-            raise ValueError("depth cap must be >= 0")
+def _int_at_least(minimum: int):
+    """argparse ``type=`` for integers >= minimum; violations exit 64."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names it in "invalid int value"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,17 +54,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _add_common(sp, *, rules=True, l1=False, grid=False, fmt=("text", "json")):
+def _add_common(sp, *, rules=True, l1=False, grid=False, fmt=("text", "json"),
+                product_cap=False):
     if rules:
         sp.add_argument("--rules", required=True, help="rules file")
     if l1:
         sp.add_argument("--l1", required=True,
-                        help="level-1 grid, inline (A or AB/CB) or a grid file")
+                        help="level-1 grid, inline (A or AB/CB) or @FILE")
     if grid:
         sp.add_argument("--grid", required=True,
-                        help="grid, inline rows or a grid file")
+                        help="grid, inline rows or @FILE")
     sp.add_argument("--format", choices=fmt, default=fmt[0])
-    sp.add_argument("--product-cap", type=int, default=DEFAULT_PRODUCT_CAP)
+    if product_cap:
+        sp.add_argument("--product-cap", type=_int_at_least(1),
+                        default=DEFAULT_PRODUCT_CAP)
 
 
 def build_parser() -> _Parser:
@@ -96,14 +87,14 @@ def build_parser() -> _Parser:
                     help="level tag of the input grid (default: steps + 1)")
 
     sp = sub.add_parser("search", help="earliest level of a word or pattern")
-    _add_common(sp, l1=True)
+    _add_common(sp, l1=True, product_cap=True)
     sp.add_argument("--word", default=None)
     sp.add_argument("--direction", default="E",
                     choices=[d.name for d in Direction])
     sp.add_argument("--pattern", default=None,
                     help="letter/wildcard pattern like C**/*A*/**T "
                          "(alternative to --word)")
-    sp.add_argument("--depth-cap", type=int, default=None)
+    sp.add_argument("--depth-cap", type=_int_at_least(0), default=None)
     sp.add_argument("--expect-found", action="store_true",
                     help="exit 1 when the word can never appear")
 
@@ -123,7 +114,7 @@ def build_parser() -> _Parser:
     ssp.add_argument("--b", type=int, default=2)
     ssp.add_argument("--dim", type=int, default=1, choices=(1, 2))
     ssp.add_argument("--len-cap", type=int, default=2)
-    ssp.add_argument("--jobs", type=int, default=1)
+    ssp.add_argument("--jobs", type=_int_at_least(1), default=1)
     ssp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     asp = osub.add_parser("agree", help="randomized backward/forward audit")
     asp.add_argument("--instances", type=int, default=1000)
@@ -139,17 +130,17 @@ def build_parser() -> _Parser:
                     help="cross out every grounding at each word's earliest level")
     sp.add_argument("--tree-dir", default=None,
                     help="write per-word ancestor trees (json + dot) here")
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=_int_at_least(1), default=1,
                     help="worker processes for per-word searches")
-    sp.add_argument("--product-cap", type=int, default=DEFAULT_PRODUCT_CAP)
 
     sp = sub.add_parser("tree", help="export a word's ancestor tree")
-    _add_common(sp, fmt=("text", "json", "dot"))
+    _add_common(sp, fmt=("text", "json", "dot"), product_cap=True)
     sp.add_argument("--word", required=True)
     sp.add_argument("--direction", default="E",
                     choices=[d.name for d in Direction])
     sp.add_argument("--l1", default=None,
-                    help="optional level-1 grid for grounded leaves")
+                    help="optional level-1 grid (inline or @FILE) for "
+                         "grounded leaves")
 
     return parser
 
@@ -340,33 +331,9 @@ _COMMANDS = {
 }
 
 
-def _config_from_args(args) -> RunConfig:
-    paths = [p for p in (getattr(args, "rules", None),
-                         getattr(args, "puzzle", None)) if p]
-    directions = []
-    if getattr(args, "direction", None):
-        directions = [Direction[args.direction]]
-    return RunConfig(
-        subcommand=args.subcommand,
-        paths=paths,
-        directions=directions,
-        depth_cap=getattr(args, "depth_cap", None),
-        product_cap=getattr(args, "product_cap", DEFAULT_PRODUCT_CAP),
-        output_format=("json" if getattr(args, "json", False)
-                       else getattr(args, "format", "text")),
-        jobs=getattr(args, "jobs", 1),
-        seed=getattr(args, "seed", 2013),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        _config_from_args(args)
-    except ValueError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     try:
         return _COMMANDS[args.subcommand](args)
     except (ResourceLimitError, UnresolvedSearchError) as exc:

@@ -17,7 +17,6 @@ Python integers everywhere, never floats.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -111,12 +110,6 @@ class RuleSet:
     @property
     def n(self) -> int:
         return self.alphabet.n
-
-    def block(self, letter: str) -> tuple[str, ...]:
-        try:
-            return self.rules[letter]
-        except KeyError:
-            raise UnknownLetterError(f"no rule for letter {letter!r}") from None
 
     def duplicate_blocks(self) -> tuple[tuple[str, ...], ...]:
         """Groups of letters sharing an identical replacement block."""
@@ -354,15 +347,3 @@ def descendant_block_range(
     rspan = rules.rule_rows ** (level - 1)
     cspan = rules.b ** (level - 1)
     return ((r - 1) * rspan + 1, r * rspan), ((c - 1) * cspan + 1, c * cspan)
-
-
-def all_rule_sets(alphabet: Alphabet, b: int, dimension: int = 1):
-    """Yield every rule assignment for the alphabet, in a deterministic
-    lexicographic order.  There are n**(b*n) of them in one dimension;
-    use only at small n."""
-    rh = 1 if dimension == 1 else b
-    rows = ["".join(p) for p in itertools.product(alphabet.letters, repeat=b)]
-    blocks = [tuple(block) for block in itertools.product(rows, repeat=rh)]
-    for combo in itertools.product(blocks, repeat=alphabet.n):
-        yield RuleSet(alphabet, dimension, b,
-                      dict(zip(alphabet.letters, combo)))

@@ -134,9 +134,9 @@ def load_grid(path: str | os.PathLike) -> Grid:
     return parse_grid_section(sections["grid"])
 
 
-def grid_argument(value: str, level: int = 1) -> Grid:
-    """CLI helper: a grid given either inline (``ABAC/CBBB``) or as a
-    path to a grid file."""
-    if os.path.exists(value):
-        return load_grid(value)
-    return Grid.from_text(value, level)
+def grid_argument(value: str) -> Grid:
+    """CLI helper: ``@path`` loads a grid file; anything else is an inline
+    level-1 grid (``ABAC/CBBB``), even when a file of that name exists."""
+    if value.startswith("@"):
+        return load_grid(value[1:])
+    return Grid.from_text(value)

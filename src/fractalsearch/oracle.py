@@ -251,6 +251,19 @@ def _sweep_words(letters: tuple[str, ...], word_len_cap: int):
             yield "".join(combo)
 
 
+def _witness_rank(key: tuple) -> tuple:
+    """Order of sweep witness keys (level, rules text, word, l1 text,
+    index, direction): the latest level first, then the smallest rules
+    text, word and start grid; of equal ranks the first seen wins."""
+    return (-key[0], *key[1:4])
+
+
+def _keep_best(best: dict[int, tuple], length: int, key: tuple) -> None:
+    prev = best.get(length)
+    if prev is None or _witness_rank(key) < _witness_rank(prev):
+        best[length] = key
+
+
 def _sweep_chunk(args) -> tuple[list[int], dict]:
     """Worker: latest levels for every (rule set, word) in an index range.
 
@@ -275,13 +288,10 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
                 if got.level is None:
                     continue
                 rs_max = max(rs_max, got.level)
-                prev = best.get(len(word))
                 if rs_text is None:
                     rs_text = rules.text()
-                key = (got.level, rs_text, word, got.l1.text(), idx, direction.name)
-                if (prev is None or key[0] > prev[0]
-                        or (key[0] == prev[0] and key[1:4] < prev[1:4])):
-                    best[len(word)] = key
+                _keep_best(best, len(word), (got.level, rs_text, word,
+                                             got.l1.text(), idx, direction.name))
         per_ruleset.append(rs_max)
     return per_ruleset, best
 
@@ -359,15 +369,8 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
     for chunk_max, chunk_best in parts:
         per_ruleset.extend(chunk_max)
         for length, key in chunk_best.items():
-            prev = best.get(length)
-            if (prev is None or key[0] > prev[0]
-                    or (key[0] == prev[0] and key[1:4] < prev[1:4])):
-                best[length] = key
-    global_key = None
-    for key in best.values():
-        if (global_key is None or key[0] > global_key[0]
-                or (key[0] == global_key[0] and key[1:4] < global_key[1:4])):
-            global_key = key
+            _keep_best(best, length, key)
+    global_key = min(best.values(), key=_witness_rank, default=None)
     if global_key is None:
         raise ResourceLimitError("sweep produced no witness")
     level, rules_text, word, l1_text, idx, direction_name = global_key

@@ -31,6 +31,7 @@ from .patterns import (
 )
 
 DEFAULT_MARKER = "X"
+ANSWER_WINDOW_RADIUS = 4
 
 
 @dataclass(frozen=True)
@@ -167,17 +168,28 @@ def load_puzzle(path: str) -> PuzzleSpec:
 # solving
 # ---------------------------------------------------------------------------
 
+def _placement(spec: PuzzleSpec, raw: str, result: SearchResult,
+               nodes_expanded: int = 0, patterns_seen: int = 0) -> Placement:
+    addresses = witness_coordinates(result, spec.l1, spec.rules)
+    return Placement(
+        raw=raw, word=result.word, direction=result.direction,
+        level=result.level, ancestor=result.ancestor, anchor=result.anchor,
+        offsets=result.offsets, addresses=tuple(addresses),
+        nodes_expanded=nodes_expanded, patterns_seen=patterns_seen,
+    )
+
+
 def _place_word(searcher: AncestrySearcher, spec: PuzzleSpec, raw: str,
-                word: str, cross_all: bool) -> tuple[Placement, list[SearchResult]]:
+                word: str, cross_all: bool) -> tuple[Placement, list[Placement]]:
     """Earliest placement of one word over the allowed directions.
 
     All direction searches advance in lockstep one depth layer at a
     time, so the first grounded layer is the global minimum level and
     the losing directions stop there instead of running to their
     fixpoints.  Ties at the same depth go to the direction order, then
-    to the in-grid witness tie-break.  With ``cross_all`` every other
-    grounding at the winning depth is returned as well; otherwise the
-    extras list is empty.
+    to the in-grid witness tie-break.  Returns the placement and the
+    placements to cross out: the placement alone, or with ``cross_all``
+    every grounding at the winning depth.
     """
     ordered = [d for d in DIRECTION_ORDER if d in spec.allowed_directions]
     runs: list[tuple[Direction, LayeredSearch]] = []
@@ -204,21 +216,16 @@ def _place_word(searcher: AncestrySearcher, spec: PuzzleSpec, raw: str,
         raise SolveError(
             f"word {word!r} cannot appear on any level for this start grid")
     d, run, grounded = winner
-    result = run.result_found(word, d, grounded)
-    addresses = witness_coordinates(result, spec.l1, spec.rules)
-    placement = Placement(
-        raw=raw, word=word, direction=d, level=result.level,
-        ancestor=result.ancestor, anchor=result.anchor,
-        offsets=result.offsets, addresses=tuple(addresses),
-        nodes_expanded=nodes, patterns_seen=seen,
-    )
-    extras: list[SearchResult] = []
+    placement = _placement(spec, raw, run.result_found(word, d, grounded),
+                           nodes, seen)
+    cross = [placement]
     if cross_all:
         for dd, rr in live:
             for pat in rr.frontier:
                 for pos in searcher.ground_positions(pat):
-                    extras.append(rr.result_found(word, dd, (pos, pat)))
-    return placement, extras
+                    cross.append(_placement(
+                        spec, raw, rr.result_found(word, dd, (pos, pat))))
+    return placement, cross
 
 
 def crossed_out_l1_cells(placements, rules: RuleSet) -> frozenset[tuple[int, int]]:
@@ -236,30 +243,30 @@ def crossed_out_l1_cells(placements, rules: RuleSet) -> frozenset[tuple[int, int
     return frozenset(crossed)
 
 
-def answer_window(spec: PuzzleSpec, target_level: int, window_radius: int = 4,
-                  *, marker: str = DEFAULT_MARKER) -> AnswerWindow:
+def answer_window(spec: PuzzleSpec, target_level: int) -> AnswerWindow:
     """Read the answer region on ``target_level``.
 
     Locates the unique marker letter on level one, takes the central
-    2*radius window of its descendant block (clamped to the level), and
-    reads the marker-shaped arrangement at the block's exact center: the
-    two diagonals of the central (answer_length/2)-sized box, main
-    diagonal top-down then anti-diagonal bottom-up.  When the block is
-    too small for that box the raw window is returned unread.
+    2 * ANSWER_WINDOW_RADIUS window of its descendant block (clamped to
+    the level), and reads the marker-shaped arrangement at the block's
+    exact center: the two diagonals of the central (answer_length/2)-sized
+    box, main diagonal top-down then anti-diagonal bottom-up.  When the
+    block is too small for that box the raw window is returned unread.
     """
-    marks = occurrences(pattern_from_rows([marker]), spec.l1)
+    marks = occurrences(pattern_from_rows([DEFAULT_MARKER]), spec.l1)
     if len(marks) != 1:
         raise SolveError(
-            f"marker {marker!r} occurs {len(marks)} times on level one, need exactly 1")
+            f"marker {DEFAULT_MARKER!r} occurs {len(marks)} times on level one,"
+            " need exactly 1")
     (rows_range, cols_range) = descendant_block_range(
         marks[0], target_level, spec.rules)
     max_rows, max_cols = level_shape(spec.l1, spec.rules, target_level)
     mid_r = rows_range[0] + (rows_range[1] - rows_range[0] + 1) // 2
     mid_c = cols_range[0] + (cols_range[1] - cols_range[0] + 1) // 2
-    top = max(1, mid_r - window_radius)
-    bottom = min(max_rows, mid_r + window_radius - 1)
-    left = max(1, mid_c - window_radius)
-    right = min(max_cols, mid_c + window_radius - 1)
+    top = max(1, mid_r - ANSWER_WINDOW_RADIUS)
+    bottom = min(max_rows, mid_r + ANSWER_WINDOW_RADIUS - 1)
+    left = max(1, mid_c - ANSWER_WINDOW_RADIUS)
+    right = min(max_cols, mid_c + ANSWER_WINDOW_RADIUS - 1)
     window = tuple(
         "".join(
             letter_at(spec.l1, spec.rules, CellAddress(target_level, r, c))
@@ -292,31 +299,15 @@ def answer_window(spec: PuzzleSpec, target_level: int, window_radius: int = 4,
     )
 
 
-def _solve_one(searcher: AncestrySearcher, spec: PuzzleSpec, raw: str,
-               word: str, cross_all: bool) -> tuple[Placement, list[Placement]]:
-    placement, extras = _place_word(searcher, spec, raw, word, cross_all)
-    cross = [placement]
-    for res in extras:
-        addresses = witness_coordinates(res, spec.l1, spec.rules)
-        cross.append(Placement(
-            raw=raw, word=word, direction=res.direction,
-            level=res.level, ancestor=res.ancestor, anchor=res.anchor,
-            offsets=res.offsets, addresses=tuple(addresses),
-            nodes_expanded=0, patterns_seen=0,
-        ))
-    return placement, cross
-
-
 def _solve_one_task(args) -> tuple[Placement, list[Placement]]:
     # Worker entry point: per-word searches share nothing, so each worker
     # builds its own searcher.
     spec, raw, word, cross_all = args
-    return _solve_one(AncestrySearcher(spec.rules, spec.l1), spec, raw, word,
-                      cross_all)
+    return _place_word(AncestrySearcher(spec.rules, spec.l1), spec, raw, word,
+                       cross_all)
 
 
 def solve(spec: PuzzleSpec, *, cross_all: bool = False,
-          window_radius: int = 4, marker: str = DEFAULT_MARKER,
           jobs: int = 1) -> SolveReport:
     """Full solution: per-word placements, the crossed-out message, the
     level sum, and the answer window on the summed level.
@@ -335,7 +326,7 @@ def solve(spec: PuzzleSpec, *, cross_all: bool = False,
             results = pool.map(_solve_one_task, tasks)
     else:
         searcher = AncestrySearcher(spec.rules, spec.l1)
-        results = [_solve_one(searcher, spec, raw, word, cross_all)
+        results = [_place_word(searcher, spec, raw, word, cross_all)
                    for raw, word in zip(spec.raw_words, spec.words)]
     placements: list[Placement] = [placement for placement, _ in results]
     cross_sources: list[Placement] = [p for _, cross in results for p in cross]
@@ -348,9 +339,8 @@ def solve(spec: PuzzleSpec, *, cross_all: bool = False,
         if (r + 1, c + 1) not in crossed
     )
     level_sum = sum(p.level for p in placements)
-    marks = occurrences(pattern_from_rows([marker]), spec.l1)
-    window = (answer_window(spec, level_sum, window_radius, marker=marker)
-              if len(marks) == 1 else None)
+    marks = occurrences(pattern_from_rows([DEFAULT_MARKER]), spec.l1)
+    window = answer_window(spec, level_sum) if len(marks) == 1 else None
     return SolveReport(
         placements=tuple(placements),
         level_counts=dict(sorted(Counter(p.level for p in placements).items())),

@@ -199,8 +199,26 @@ class TestUsageErrors:
         assert err.value.code == 64
 
     def test_bad_cap_exits_64(self, capsys):
-        code, _, err = run(capsys, "search", "--rules", RULES_1D, "--l1", "A",
-                           "--word", "CAB", "--product-cap", "0")
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--rules", RULES_1D, "--l1", "A",
+                  "--word", "CAB", "--product-cap", "0"])
+        assert err.value.code == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--rules", RULES_1D, "--l1", "A", "--word", "CAB",
+         "--depth-cap", "-1"],
+        ["tree", "--rules", RULES_1D, "--word", "CAB", "--product-cap", "0"],
+        ["solve", "src/fractalsearch/data/in_the_details.puzzle", "--jobs", "0"],
+        ["oracle", "sweep", "--n", "2", "--jobs", "0"],
+        # expand and contract never read a product cap, so they take none
+        ["expand", "--rules", RULES_1D, "--grid", "A", "--product-cap", "5"],
+    ], ids=["depth-cap", "tree-product-cap", "solve-jobs", "sweep-jobs",
+            "expand-product-cap"])
+    def test_bad_value_exits_64(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
         assert code == 64
 
     def test_tiny_product_cap_exits_2(self, capsys):

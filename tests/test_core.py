@@ -14,7 +14,6 @@ from fractalsearch import (
     RuleSet,
     UnknownLetterError,
     address_to_path,
-    all_rule_sets,
     contract,
     descendant_block_range,
     expand,
@@ -22,6 +21,7 @@ from fractalsearch import (
     level_shape,
     path_to_address,
 )
+from fractalsearch.oracle import _ruleset_by_index, _sweep_blocks
 from tests.conftest import grids_for, rule_sets
 
 
@@ -212,5 +212,9 @@ class TestThueMorse:
 
 
 def test_all_rule_sets_enumeration_count():
-    count = sum(1 for _ in all_rule_sets(Alphabet.from_string("AB"), 2))
-    assert count == 2 ** 4
+    letters = ("A", "B")
+    blocks = _sweep_blocks(letters, 2, 1)
+    texts = [_ruleset_by_index(i, letters, 2, 1, blocks).text()
+             for i in range(len(blocks) ** len(letters))]
+    assert len(set(texts)) == 2 ** 4
+    assert texts == sorted(texts)

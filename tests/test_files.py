@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalsearch import Grid, PuzzleFormatError, grid_argument, load_grid, load_rules
 from fractalsearch.files import parse_grid_section, parse_rules_section, scan_sections
@@ -93,10 +95,38 @@ class TestLoaders:
         assert grid_argument("AB/BA") == Grid(2, 2, "ABBA", 1)
         path = tmp_path / "demo.grid"
         path.write_text("[grid]\nAB\n")
-        assert grid_argument(str(path)) == Grid(1, 2, "AB", 1)
+        assert grid_argument(f"@{path}") == Grid(1, 2, "AB", 1)
+
+    def test_inline_grid_never_reads_a_file(self, tmp_path, monkeypatch):
+        (tmp_path / "A").write_text("[grid]\nBB\n")
+        monkeypatch.chdir(tmp_path)
+        assert grid_argument("A") == Grid(1, 1, "A", 1)
 
     def test_shipped_rules_files_load(self):
         for name, n, dim in (("abc_1d.rules", 3, 1), ("abc_2d.rules", 3, 2),
                              ("thue_morse.rules", 2, 1)):
             rules = load_rules(f"src/fractalsearch/data/{name}")
             assert rules.n == n and rules.dimension == dim
+
+
+# Section syntax, rule and grid symbols, digits, whitespace, one
+# non-ASCII letter.
+_FUZZ_TOKENS = ("[", "]", "=", "/", "#", "*", " ", "\t", "\n", "level",
+                "alphabet", "grid", "A", "B", "é", *"0123456789")
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=40).map("".join))
+    def test_only_format_errors_escape(self, text):
+        try:
+            sections = scan_sections(text)
+        except PuzzleFormatError:
+            sections = {}
+        raw_lines = list(enumerate(text.splitlines(), start=1))
+        for parse in (parse_rules_section, parse_grid_section):
+            for lines in (raw_lines, *sections.values()):
+                try:
+                    parse(lines)
+                except PuzzleFormatError:
+                    pass
