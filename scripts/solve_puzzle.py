@@ -23,12 +23,11 @@ def main() -> int:
     parser.add_argument("puzzle", nargs="?", default=default_puzzle())
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--cross-all", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     spec = load_puzzle(args.puzzle)
     started = time.monotonic()
-    report = solve(spec, cross_all=args.cross_all, jobs=args.jobs)
+    report = solve(spec, cross_all=args.cross_all)
     elapsed = time.monotonic() - started
     if args.json:
         print(json.dumps(report_to_json_dict(report)))

@@ -39,6 +39,7 @@ from .patterns import (
 )
 
 DEFAULT_PRODUCT_CAP = 10 ** 6
+CLOSURE_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,8 @@ class SearchResult:
     the per-step alignment offsets from the ancestor down to the target
     (enough to reconstruct exact coordinates on any level).  A negative
     result means the frontier reached a fixpoint: the word can never
-    appear for this start grid.
+    appear for this start grid.  ``visited`` lists every pattern the
+    search discovered, in discovery order.
     """
 
     word: str
@@ -69,7 +71,7 @@ class SearchResult:
     target: Pattern
     max_depth: int
     stats: SearchStats
-    visited: tuple[tuple[Pattern, int], ...] | None = None
+    visited: tuple[Pattern, ...]
 
     def __post_init__(self):
         if self.found and self.level != len(self.offsets) + 1:
@@ -226,43 +228,28 @@ class AncestrySearcher:
     # -- search ---------------------------------------------------------------
 
     def search(self, word: str, direction: Direction, *,
-               depth_cap: int | None = None,
-               keep_visited: bool = False) -> SearchResult:
+               depth_cap: int | None = None) -> SearchResult:
         """Earliest level on which the word appears for the start grid."""
         return self._run_search(word, direction, word_to_pattern(word, direction),
-                                depth_cap, keep_visited)
+                                depth_cap)
 
     def search_pattern(self, target: Pattern, *,
-                       depth_cap: int | None = None,
-                       keep_visited: bool = False) -> SearchResult:
+                       depth_cap: int | None = None) -> SearchResult:
         """Earliest level of an arbitrary letter/wildcard pattern."""
-        return self._run_search(target.text(), None, target,
-                                depth_cap, keep_visited)
+        return self._run_search(target.text(), None, target, depth_cap)
 
     def _run_search(self, word: str, direction: Direction | None,
-                    target: Pattern, depth_cap: int | None,
-                    keep_visited: bool) -> SearchResult:
+                    target: Pattern, depth_cap: int | None) -> SearchResult:
         run = LayeredSearch(self, target)
-        while True:
-            grounded = run.check_grounding()
-            if grounded is not None:
-                return run.result_found(word, direction, grounded, keep_visited)
-            explored = run.depth
-            if not run.advance():
-                return run.result_never(word, direction, explored, keep_visited)
-            if depth_cap is not None and run.depth > depth_cap:
-                raise UnresolvedSearchError(
-                    f"depth cap {depth_cap} reached with "
-                    f"{len(run.frontier)} open patterns for {word!r}",
-                    depth=run.depth,
-                    nodes_expanded=run.nodes_expanded,
-                    patterns_seen=len(run.links),
-                )
+        won = first_grounded([run], word, depth_cap)
+        if won is None:
+            return run.result_never(word, direction)
+        return run.result_found(word, direction, won[1])
 
-    def closure(self, target: Pattern, *,
-                max_patterns: int | None = None) -> dict[Pattern, int]:
+    def closure(self, target: Pattern) -> dict[Pattern, int]:
         """Minimal depth of every ancestor pattern reachable from the
-        target, target included at depth 0.  No grounding involved.
+        target, target included at depth 0.  No grounding involved;
+        more than ``CLOSURE_CAP`` patterns raise ResourceLimitError.
 
         Keeps its own walk rather than driving a :class:`LayeredSearch`:
         a closure built on that class measured about 40% slower over the
@@ -277,9 +264,9 @@ class AncestrySearcher:
                     if q not in depths:
                         depths[q] = d
                         nxt.append(q)
-            if max_patterns is not None and len(depths) > max_patterns:
+            if len(depths) > CLOSURE_CAP:
                 raise ResourceLimitError(
-                    f"ancestor closure exceeds {max_patterns} patterns"
+                    f"ancestor closure exceeds {CLOSURE_CAP} patterns"
                 )
             frontier = nxt
         return depths
@@ -288,10 +275,9 @@ class AncestrySearcher:
 class LayeredSearch:
     """One backward search, advanced a depth layer at a time.
 
-    Split out from :meth:`AncestrySearcher.search` so that several
-    directions can be stepped in lockstep and stopped at the first
-    grounded depth (the puzzle solver wants the minimum level over
-    directions without exhausting the losers).
+    :func:`first_grounded` steps one or more of these in lockstep, so the
+    puzzle solver gets the minimum level over directions without
+    exhausting the losers, and a plain search is the one-run case.
     """
 
     def __init__(self, searcher: AncestrySearcher, target: Pattern):
@@ -321,7 +307,8 @@ class LayeredSearch:
         return best[1], best[2]
 
     def advance(self) -> bool:
-        """Expand the frontier one level up; False once exhausted."""
+        """Expand the frontier one level up; False once exhausted, which
+        leaves ``depth`` at the last non-empty layer."""
         links = self.links
         nxt: list[Pattern] = []
         for pat in sorted(self.frontier):
@@ -331,8 +318,10 @@ class LayeredSearch:
                     nxt.append(q)
         self.nodes_expanded += len(self.frontier)
         self.frontier = nxt
+        if not nxt:
+            return False
         self.depth += 1
-        return bool(nxt)
+        return True
 
     def _chain(self, ancestor: Pattern) -> tuple[tuple[int, int], ...]:
         offsets: list[tuple[int, int]] = []
@@ -351,42 +340,55 @@ class LayeredSearch:
     def _stats(self) -> SearchStats:
         return SearchStats(self.nodes_expanded, len(self.links))
 
-    def _visited(self) -> tuple[tuple[Pattern, int], ...]:
-        depth_of: dict[Pattern, int] = {self.target: 0}
-        order: list[Pattern] = [self.target]
-        # links only ever point from a pattern to the strictly shallower
-        # pattern it was discovered from, so depths resolve in one pass
-        # over insertion order.
-        for pat, link in self.links.items():
-            if link is None:
-                continue
-            child, _ = link
-            depth_of[pat] = depth_of[child] + 1
-            order.append(pat)
-        return tuple((pat, depth_of[pat]) for pat in order)
-
     def result_found(self, word: str, direction: Direction | None,
-                     grounded: tuple[tuple[int, int], Pattern],
-                     keep_visited: bool = False) -> SearchResult:
+                     grounded: tuple[tuple[int, int], Pattern]) -> SearchResult:
         anchor, ancestor = grounded
         offsets = self._chain(ancestor)
         return SearchResult(
             word=word, direction=direction, found=True,
             level=self.depth + 1, ancestor=ancestor, anchor=anchor,
             offsets=offsets, target=self.target, max_depth=self.depth,
-            stats=self._stats(),
-            visited=self._visited() if keep_visited else None,
+            stats=self._stats(), visited=tuple(self.links),
         )
 
-    def result_never(self, word: str, direction: Direction | None, explored: int,
-                     keep_visited: bool = False) -> SearchResult:
+    def result_never(self, word: str, direction: Direction | None) -> SearchResult:
         return SearchResult(
             word=word, direction=direction, found=False,
             level=None, ancestor=None, anchor=None,
-            offsets=(), target=self.target, max_depth=explored,
-            stats=self._stats(),
-            visited=self._visited() if keep_visited else None,
+            offsets=(), target=self.target, max_depth=self.depth,
+            stats=self._stats(), visited=tuple(self.links),
         )
+
+
+def first_grounded(runs: list[LayeredSearch], word: str,
+                   depth_cap: int | None = None,
+                   ) -> tuple[LayeredSearch, tuple[tuple[int, int], Pattern]] | None:
+    """Step the runs in lockstep until one grounds in the start grid.
+
+    Every live run's frontier is checked before any run advances, so the
+    first grounded layer is the minimum depth over all runs; ties at
+    that depth go to the earlier run in the list.  A run whose frontier
+    empties stops advancing.  Returns the winning run with its grounding
+    (anchor, ancestor), or None once every run is exhausted.  Advancing
+    past ``depth_cap`` raises UnresolvedSearchError.
+    """
+    live = list(runs)
+    while live:
+        for run in live:
+            grounded = run.check_grounding()
+            if grounded is not None:
+                return run, grounded
+        live = [run for run in live if run.advance()]
+        if depth_cap is not None and live and live[0].depth > depth_cap:
+            raise UnresolvedSearchError(
+                f"depth cap {depth_cap} reached with "
+                f"{sum(len(run.frontier) for run in live)} open patterns "
+                f"for {word!r}",
+                depth=live[0].depth,
+                nodes_expanded=sum(run.nodes_expanded for run in runs),
+                patterns_seen=sum(len(run.links) for run in runs),
+            )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +406,11 @@ def enumerate_parents(pattern: Pattern, rules: RuleSet, *,
 
 def first_appearance(word: str, direction: Direction, l1: Grid,
                      rules: RuleSet, depth_cap: int | None = None, *,
-                     product_cap: int = DEFAULT_PRODUCT_CAP,
-                     keep_visited: bool = False) -> SearchResult:
+                     product_cap: int = DEFAULT_PRODUCT_CAP) -> SearchResult:
     """Earliest level on which ``word`` (read along ``direction``) appears
     when starting from ``l1``, found without materializing any level."""
     searcher = AncestrySearcher(rules, l1, product_cap=product_cap)
-    return searcher.search(word, direction, depth_cap=depth_cap,
-                           keep_visited=keep_visited)
+    return searcher.search(word, direction, depth_cap=depth_cap)
 
 
 def witness_coordinates(result: SearchResult, l1: Grid,

@@ -130,8 +130,6 @@ def build_parser() -> _Parser:
                     help="cross out every grounding at each word's earliest level")
     sp.add_argument("--tree-dir", default=None,
                     help="write per-word ancestor trees (json + dot) here")
-    sp.add_argument("--jobs", type=_int_at_least(1), default=1,
-                    help="worker processes for per-word searches")
 
     sp = sub.add_parser("tree", help="export a word's ancestor tree")
     _add_common(sp, fmt=("text", "json", "dot"), product_cap=True)
@@ -279,7 +277,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_solve(args) -> int:
     spec = load_puzzle(args.puzzle)
-    report = solve_puzzle(spec, cross_all=args.cross_all, jobs=args.jobs)
+    report = solve_puzzle(spec, cross_all=args.cross_all)
     fmt = "json" if args.json else args.format
     if fmt == "json":
         print(json.dumps(report_to_json_dict(report)))
@@ -339,10 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, UnresolvedSearchError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except FractalSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (FractalSearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,7 +76,7 @@ class RuleSet:
     alphabet: Alphabet
     dimension: int
     b: int
-    rules: dict[str, tuple[str, ...]] = field(compare=False)
+    rules: dict[str, tuple[str, ...]] = field(hash=False)
 
     def __post_init__(self):
         if self.dimension not in (1, 2):

@@ -38,8 +38,7 @@ from .patterns import (
 )
 
 DEFAULT_CELL_CAP = 10 ** 8
-DEFAULT_CLOSURE_CAP = 10 ** 6
-DEFAULT_FILL_CAP = 10 ** 6
+FILL_CAP = 10 ** 6
 SWEEP_RULESET_CAP = 10 ** 6
 
 
@@ -147,13 +146,14 @@ class LatestResult:
     l1: Grid | None          # a start grid attaining the level
 
 
-def _fills(pattern: Pattern, letters: tuple[str, ...], cap: int):
+def _fills(pattern: Pattern, letters: tuple[str, ...]):
     """All concrete grids obtained by filling the pattern's wildcards,
-    in lexicographic fill order."""
+    in lexicographic fill order; more than ``FILL_CAP`` raise."""
     holes = [i for i, ch in enumerate(pattern.cells) if ch == WILDCARD]
-    if len(letters) ** len(holes) > cap:
+    if len(letters) ** len(holes) > FILL_CAP:
         raise ResourceLimitError(
-            f"{len(letters) ** len(holes)} fills of {pattern.text()!r} exceed cap {cap}")
+            f"{len(letters) ** len(holes)} fills of {pattern.text()!r} "
+            f"exceed cap {FILL_CAP}")
     chars = list(pattern.cells)
     for combo in itertools.product(letters, repeat=len(holes)):
         for i, ch in zip(holes, combo):
@@ -174,9 +174,7 @@ def _occurs_in(pattern: Pattern, grid: Grid) -> bool:
 
 
 def latest_with_searcher(searcher: AncestrySearcher, word: str,
-                         direction: Direction, *,
-                         closure_cap: int = DEFAULT_CLOSURE_CAP,
-                         fill_cap: int = DEFAULT_FILL_CAP) -> LatestResult:
+                         direction: Direction) -> LatestResult:
     """Worst-case first-appearance level of a word over all start grids.
 
     The candidate start grids are exactly the concrete fills of the
@@ -191,7 +189,7 @@ def latest_with_searcher(searcher: AncestrySearcher, word: str,
     if bad:
         raise UnknownLetterError(f"word uses letters outside the alphabet: {sorted(bad)}")
     target = word_to_pattern(word, direction)
-    depths = searcher.closure(target, max_patterns=closure_cap)
+    depths = searcher.closure(target)
     by_depth_asc: list[list[Pattern]] = [[] for _ in range(max(depths.values()) + 1)]
     for pat, d in depths.items():
         by_depth_asc[d].append(pat)
@@ -203,7 +201,7 @@ def latest_with_searcher(searcher: AncestrySearcher, word: str,
         if best.level is not None and d + 1 <= best.level:
             break
         for pat in by_depth_asc[d]:
-            for candidate in _fills(pat, letters, fill_cap):
+            for candidate in _fills(pat, letters):
                 first = None
                 for d2, group in enumerate(by_depth_asc):
                     if any(_occurs_in(p, candidate) for p in group):
@@ -214,14 +212,10 @@ def latest_with_searcher(searcher: AncestrySearcher, word: str,
     return best
 
 
-def latest_first_appearance(word: str, direction: Direction, rules: RuleSet, *,
-                            closure_cap: int = DEFAULT_CLOSURE_CAP,
-                            fill_cap: int = DEFAULT_FILL_CAP) -> int | None:
+def latest_first_appearance(word: str, direction: Direction,
+                            rules: RuleSet) -> int | None:
     """Level form of :func:`latest_with_searcher` for one-off calls."""
-    searcher = AncestrySearcher(rules)
-    return latest_with_searcher(searcher, word, direction,
-                                closure_cap=closure_cap,
-                                fill_cap=fill_cap).level
+    return latest_with_searcher(AncestrySearcher(rules), word, direction).level
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +331,7 @@ class SweepReport:
 
 
 def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
-                     word_len_cap: int = 2, *, jobs: int = 1,
-                     ruleset_cap: int = SWEEP_RULESET_CAP) -> SweepReport:
+                     word_len_cap: int = 2, *, jobs: int = 1) -> SweepReport:
     """Global latest first-appearance level over every rule assignment
     for an n-letter alphabet, all words up to ``word_len_cap``.
 
@@ -351,9 +344,9 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
     letters = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:n])
     blocks = _sweep_blocks(letters, b, dimension)
     count = len(blocks) ** n
-    if count > ruleset_cap:
+    if count > SWEEP_RULESET_CAP:
         raise ResourceLimitError(
-            f"{count} rule sets exceed the sweep cap {ruleset_cap}")
+            f"{count} rule sets exceed the sweep cap {SWEEP_RULESET_CAP}")
     chunk_size = max(1, count // (jobs * 8) if jobs > 1 else count)
     chunks = [
         (letters, b, dimension, word_len_cap, lo, min(lo + chunk_size, count))
@@ -470,7 +463,7 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
     outcome classification.
     """
     searcher = AncestrySearcher(rules, l1)
-    res = searcher.search(word, direction, keep_visited=True)
+    res = searcher.search(word, direction)
     fwd = forward_first_appearance(word, direction, l1, rules, max_level)
     desc = (f"dim={rules.dimension} n={rules.n} rules={rules.text()} "
             f"l1={l1.text()} word={word} dir={direction.name}")
@@ -499,7 +492,7 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
             issues["bound"].append(f"{desc}: level {res.level} > bound {limit}")
     anti = direction in ANTIDIAGONALS
     shapes = _L_SHAPES_ANTI if anti else _L_SHAPES_MAIN
-    for pat, _depth in res.visited:
+    for pat in res.visited:
         for q in searcher.parent_patterns(pat):
             if (q.rows > bounds.max_parent_len(pat.rows, rules.b)
                     or q.cols > bounds.max_parent_len(pat.cols, rules.b)):

@@ -16,6 +16,7 @@ from .ancestry import (
     AncestrySearcher,
     LayeredSearch,
     SearchResult,
+    first_grounded,
     witness_coordinates,
 )
 from .core import CellAddress, Grid, RuleSet, contract, descendant_block_range, letter_at, level_shape
@@ -183,48 +184,36 @@ def _place_word(searcher: AncestrySearcher, spec: PuzzleSpec, raw: str,
                 word: str, cross_all: bool) -> tuple[Placement, list[Placement]]:
     """Earliest placement of one word over the allowed directions.
 
-    All direction searches advance in lockstep one depth layer at a
-    time, so the first grounded layer is the global minimum level and
-    the losing directions stop there instead of running to their
-    fixpoints.  Ties at the same depth go to the direction order, then
-    to the in-grid witness tie-break.  Returns the placement and the
-    placements to cross out: the placement alone, or with ``cross_all``
-    every grounding at the winning depth.
+    One search per direction, stepped in lockstep by
+    :func:`first_grounded`, so the first grounded layer is the global
+    minimum level and the losing directions stop there instead of
+    running to their fixpoints.  Ties at the same depth go to the
+    direction order, then to the in-grid witness tie-break.  Returns the
+    placement and the placements to cross out: the placement alone, or
+    with ``cross_all`` every grounding at the winning depth.
     """
-    ordered = [d for d in DIRECTION_ORDER if d in spec.allowed_directions]
-    runs: list[tuple[Direction, LayeredSearch]] = []
-    targets: set[Pattern] = set()
-    for d in ordered:
-        target = word_to_pattern(word, d)
-        if target in targets:
-            continue    # a 1-letter word is the same pattern in all directions
-        targets.add(target)
-        runs.append((d, LayeredSearch(searcher, target)))
-    live = list(runs)
-    winner: tuple[Direction, LayeredSearch, tuple] | None = None
-    while live and winner is None:
-        for d, run in live:
-            grounded = run.check_grounding()
-            if grounded is not None:
-                winner = (d, run, grounded)
-                break
-        if winner is None:
-            live = [(d, run) for d, run in live if run.advance()]
-    nodes = sum(run.nodes_expanded for _, run in runs)
-    seen = sum(len(run.links) for _, run in runs)
-    if winner is None:
+    direction_of: dict[Pattern, Direction] = {}
+    for d in DIRECTION_ORDER:
+        if d in spec.allowed_directions:
+            # a 1-letter word is the same pattern in all directions
+            direction_of.setdefault(word_to_pattern(word, d), d)
+    runs = [LayeredSearch(searcher, target) for target in direction_of]
+    won = first_grounded(runs, word)
+    if won is None:
         raise SolveError(
             f"word {word!r} cannot appear on any level for this start grid")
-    d, run, grounded = winner
-    placement = _placement(spec, raw, run.result_found(word, d, grounded),
-                           nodes, seen)
+    run, grounded = won
+    placement = _placement(
+        spec, raw, run.result_found(word, direction_of[run.target], grounded),
+        sum(rr.nodes_expanded for rr in runs), sum(len(rr.links) for rr in runs))
     cross = [placement]
     if cross_all:
-        for dd, rr in live:
+        # an exhausted run's frontier is empty
+        for rr in runs:
             for pat in rr.frontier:
                 for pos in searcher.ground_positions(pat):
-                    cross.append(_placement(
-                        spec, raw, rr.result_found(word, dd, (pos, pat))))
+                    cross.append(_placement(spec, raw, rr.result_found(
+                        word, direction_of[rr.target], (pos, pat))))
     return placement, cross
 
 
@@ -299,35 +288,17 @@ def answer_window(spec: PuzzleSpec, target_level: int) -> AnswerWindow:
     )
 
 
-def _solve_one_task(args) -> tuple[Placement, list[Placement]]:
-    # Worker entry point: per-word searches share nothing, so each worker
-    # builds its own searcher.
-    spec, raw, word, cross_all = args
-    return _place_word(AncestrySearcher(spec.rules, spec.l1), spec, raw, word,
-                       cross_all)
-
-
-def solve(spec: PuzzleSpec, *, cross_all: bool = False,
-          jobs: int = 1) -> SolveReport:
+def solve(spec: PuzzleSpec, *, cross_all: bool = False) -> SolveReport:
     """Full solution: per-word placements, the crossed-out message, the
     level sum, and the answer window on the summed level.
 
     With ``cross_all`` every grounding found at a word's earliest level
     contributes to the crossed-out set, not just the deterministic
-    witness.  ``jobs`` > 1 fans the per-word searches out to worker
-    processes; the report is identical whatever the degree.
+    witness.
     """
-    if jobs > 1:
-        import multiprocessing
-
-        tasks = [(spec, raw, word, cross_all)
-                 for raw, word in zip(spec.raw_words, spec.words)]
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_solve_one_task, tasks)
-    else:
-        searcher = AncestrySearcher(spec.rules, spec.l1)
-        results = [_place_word(searcher, spec, raw, word, cross_all)
-                   for raw, word in zip(spec.raw_words, spec.words)]
+    searcher = AncestrySearcher(spec.rules, spec.l1)
+    results = [_place_word(searcher, spec, raw, word, cross_all)
+               for raw, word in zip(spec.raw_words, spec.words)]
     placements: list[Placement] = [placement for placement, _ in results]
     cross_sources: list[Placement] = [p for _, cross in results for p in cross]
     crossed = crossed_out_l1_cells(cross_sources, spec.rules)

@@ -32,6 +32,7 @@ from fractalsearch import (
     witness_coordinates,
     word_to_pattern,
 )
+from fractalsearch.ancestry import LayeredSearch, first_grounded
 from tests.conftest import grids_for, rule_sets
 
 
@@ -284,6 +285,68 @@ class TestGrounding:
     def test_ground_positions_need_a_start_grid(self, abc_1d):
         with pytest.raises(ValueError):
             AncestrySearcher(abc_1d).ground_positions(parse_pattern("A"))
+
+
+class TestLockstep:
+    """The one search loop shared by ``search`` and the puzzle solver."""
+
+    @staticmethod
+    def runs(rules, l1, *words):
+        searcher = AncestrySearcher(rules, Grid.from_text(l1))
+        return [LayeredSearch(searcher, word_to_pattern(w, Direction.E))
+                for w in words]
+
+    @pytest.mark.parametrize("words", [("BA", "AC"), ("AC", "BA")])
+    def test_tie_at_the_same_depth_goes_to_the_earlier_run(self, abc_1d, words):
+        # From "A": A, AB, ABAC -- both words first appear on level 3.
+        runs = self.runs(abc_1d, "A", *words)
+        won = first_grounded(runs, "tie")
+        assert won is not None
+        run, (anchor, ancestor) = won
+        assert run is runs[0]
+        assert [r.depth for r in runs] == [2, 2]
+        assert run.result_found(words[0], Direction.E, (anchor, ancestor)).level == 3
+
+    def test_exhausted_run_stops_while_the_other_continues(self, abc_1d):
+        # CC never appears (its frontier empties at once); CACABA is on level 6.
+        never, found = self.runs(abc_1d, "A", "CC", "CACABA")
+        run, _ = first_grounded([never, found], "CACABA")
+        assert run is found and found.depth == 5
+        assert never.frontier == [] and never.depth == 0
+        assert never.nodes_expanded == 1
+
+    def test_all_runs_exhausted_gives_none(self, abc_1d):
+        assert first_grounded(self.runs(abc_1d, "A", "CC", "BBAC"), "x") is None
+
+    def test_depth_cap_raises_with_the_search_effort(self, abc_1d):
+        runs = self.runs(abc_1d, "A", "CACABA", "CC")
+        with pytest.raises(UnresolvedSearchError) as err:
+            first_grounded(runs, "CACABA", depth_cap=2)
+        assert err.value.depth == 3
+        assert err.value.nodes_expanded == sum(r.nodes_expanded for r in runs) > 0
+        assert err.value.patterns_seen == sum(len(r.links) for r in runs) > 0
+        assert "depth cap 2" in str(err.value)
+
+    @pytest.mark.parametrize("word,found,max_depth", [
+        ("CACABA", True, 5), ("BBAC", False, 2)])
+    def test_search_agrees_with_driving_one_run(self, abc_1d, word, found,
+                                                max_depth):
+        searcher = AncestrySearcher(abc_1d, Grid.from_text("A"))
+        run = LayeredSearch(searcher, word_to_pattern(word, Direction.E))
+        while True:
+            grounded = run.check_grounding()
+            if grounded is not None:
+                direct = run.result_found(word, Direction.E, grounded)
+                break
+            if not run.advance():
+                direct = run.result_never(word, Direction.E)
+                break
+        res = searcher.search(word, Direction.E)
+        assert res == direct
+        assert (res.found, res.max_depth) == (found, max_depth)
+        assert res.visited == tuple(run.links)
+        assert res.visited[0] == res.target
+        assert len(res.visited) == res.stats.patterns_seen
 
 
 class TestParentLevelShift:

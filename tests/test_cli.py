@@ -208,11 +208,10 @@ class TestUsageErrors:
         ["search", "--rules", RULES_1D, "--l1", "A", "--word", "CAB",
          "--depth-cap", "-1"],
         ["tree", "--rules", RULES_1D, "--word", "CAB", "--product-cap", "0"],
-        ["solve", "src/fractalsearch/data/in_the_details.puzzle", "--jobs", "0"],
         ["oracle", "sweep", "--n", "2", "--jobs", "0"],
         # expand and contract never read a product cap, so they take none
         ["expand", "--rules", RULES_1D, "--grid", "A", "--product-cap", "5"],
-    ], ids=["depth-cap", "tree-product-cap", "solve-jobs", "sweep-jobs",
+    ], ids=["depth-cap", "tree-product-cap", "sweep-jobs",
             "expand-product-cap"])
     def test_bad_value_exits_64(self, capsys, argv):
         try:
@@ -220,6 +219,17 @@ class TestUsageErrors:
         except SystemExit as exc:
             code = exc.code
         assert code == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "nonexistent.puzzle"],
+        ["search", "--rules", "missing.rules", "--l1", "A", "--word", "AB"],
+        ["search", "--rules", RULES_1D, "--l1", "@missing.grid", "--word", "AB"],
+    ], ids=["puzzle", "rules", "grid"])
+    def test_missing_input_file_is_a_one_line_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and out == ""
 
     def test_tiny_product_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "search", "--rules", RULES_2D,

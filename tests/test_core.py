@@ -46,6 +46,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             RuleSet(Alphabet.from_string("A"), 2, 2, {"A": ("AA",)})
 
+    def test_ruleset_equality_compares_the_rules(self):
+        ab = Alphabet.from_string("AB")
+        swap = RuleSet(ab, 1, 2, {"A": ("AB",), "B": ("BA",)})
+        same = RuleSet(ab, 1, 2, {"A": ("AA",), "B": ("BB",)})
+        assert swap != same
+        assert len({swap, same}) == 2
+
+    def test_equal_rulesets_hash_equal(self):
+        ab = Alphabet.from_string("AB")
+        first = RuleSet(ab, 1, 2, {"A": ("AB",), "B": ("BA",)})
+        second = RuleSet(ab, 1, 2, {"B": ("BA",), "A": ("AB",)})
+        assert first == second
+        assert hash(first) == hash(second)
+
     def test_grid_shape_must_match_cells(self):
         with pytest.raises(ValueError):
             Grid(2, 2, "ABC")

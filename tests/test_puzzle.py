@@ -258,10 +258,6 @@ class TestSolveInvariants:
         assert expand(spec.l1, spec.rules, spec.given_grid.level - 1) == \
             spec.given_grid
 
-    def test_parallel_solve_is_identical(self, puzzle_path):
-        spec = load_puzzle(puzzle_path)
-        assert solve(spec, jobs=2) == solve(spec)
-
     def test_cross_all_on_shipped_puzzle_keeps_message(self, puzzle_path):
         # Every extra grounding at a word's winning depth falls on a cell
         # the default witnesses already cross out.
