@@ -55,7 +55,6 @@ from .patterns import (
     WILDCARD,
     Direction,
     Pattern,
-    bounding_subgrid,
     is_trimmed,
     occurrences,
     parse_pattern,

@@ -22,7 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .core import CellAddress, Grid, RuleSet, letter_at
+from .core import CellAddress, Grid, RuleSet, check_letters, letter_at, path_to_address
 from .errors import (
     ResourceLimitError,
     UnknownLetterError,
@@ -35,10 +35,11 @@ from .patterns import (
     GridIndex,
     Pattern,
     is_trimmed,
+    word_cells,
     word_to_pattern,
 )
 
-DEFAULT_PRODUCT_CAP = 10 ** 6
+PRODUCT_CAP = 10 ** 6
 CLOSURE_CAP = 10 ** 6
 
 
@@ -89,20 +90,13 @@ class AncestrySearcher:
     grid (the deep ancestor space overlaps heavily between words).
     """
 
-    def __init__(self, rules: RuleSet, l1: Grid | None = None, *,
-                 product_cap: int = DEFAULT_PRODUCT_CAP):
-        if product_cap < 1:
-            raise ValueError("product cap must be positive")
+    def __init__(self, rules: RuleSet, l1: Grid | None = None):
         if l1 is not None:
             if l1.level != 1:
                 raise ValueError("start grid must be tagged level 1")
-            bad = set(l1.cells) - set(rules.alphabet.letters)
-            if bad:
-                raise UnknownLetterError(
-                    f"start grid uses letters outside the alphabet: {sorted(bad)}")
+            check_letters(l1.cells, rules, "start grid")
         self.rules = rules
         self.l1 = l1
-        self.product_cap = product_cap
         self._letters = rules.alphabet.letters
         self._letter_ok = frozenset(self._letters) | {WILDCARD}
         # Bitmask of parent letters whose block has `ch` at (br, bc);
@@ -193,9 +187,9 @@ class AncestrySearcher:
                 total = 1
                 for opt in options:
                     total *= len(opt)
-                if total > self.product_cap:
+                if total > PRODUCT_CAP:
                     raise ResourceLimitError(
-                        f"parent product {total} exceeds cap {self.product_cap} "
+                        f"parent product {total} exceeds cap {PRODUCT_CAP} "
                         f"for pattern {pattern.text()!r} at offset ({dr}, {dc})"
                     )
                 off = (dr, dc)
@@ -395,57 +389,41 @@ def first_grounded(runs: list[LayeredSearch], word: str,
 # module-level convenience wrappers
 # ---------------------------------------------------------------------------
 
-def enumerate_parents(pattern: Pattern, rules: RuleSet, *,
-                      product_cap: int = DEFAULT_PRODUCT_CAP) -> set[Pattern]:
+def enumerate_parents(pattern: Pattern, rules: RuleSet) -> set[Pattern]:
     """Every trimmed pattern whose expansion can contain ``pattern``."""
     if not is_trimmed(pattern):
         raise ValueError(f"pattern {pattern.text()!r} is not trimmed")
-    searcher = AncestrySearcher(rules, product_cap=product_cap)
+    searcher = AncestrySearcher(rules)
     return searcher.parent_patterns(pattern)
 
 
 def first_appearance(word: str, direction: Direction, l1: Grid,
-                     rules: RuleSet, depth_cap: int | None = None, *,
-                     product_cap: int = DEFAULT_PRODUCT_CAP) -> SearchResult:
+                     rules: RuleSet, depth_cap: int | None = None) -> SearchResult:
     """Earliest level on which ``word`` (read along ``direction``) appears
     when starting from ``l1``, found without materializing any level."""
-    searcher = AncestrySearcher(rules, l1, product_cap=product_cap)
+    searcher = AncestrySearcher(rules, l1)
     return searcher.search(word, direction, depth_cap=depth_cap)
 
 
 def witness_coordinates(result: SearchResult, l1: Grid,
                         rules: RuleSet) -> list[CellAddress]:
     """Absolute addresses of the word's letters on its level, in word
-    order, rebuilt from the grounded anchor and the offset chain.  Every
-    address is re-checked against the coordinate oracle; a mismatch is a
-    bug, not bad input."""
+    order.  The word's corner is the grounded anchor followed by the
+    offset chain read as a digit path.  Every address is re-checked
+    against the coordinate oracle; a mismatch is a bug, not bad input."""
     if not result.found:
         raise ValueError("witness coordinates exist only for found results")
-    rh, b = rules.rule_rows, rules.b
-    r, c = result.anchor
-    level = 1
-    for dr, dc in result.offsets:
-        r = (r - 1) * rh + 1 + dr
-        c = (c - 1) * b + 1 + dc
-        level += 1
-    if level != result.level:
+    corner = path_to_address(result.anchor, result.offsets, rules)
+    if corner.level != result.level:
         raise WitnessError("offset chain length disagrees with found level")
     if result.direction is None:
         # Raw pattern search: report concrete cells in reading order.
-        walk = list(result.target.concrete_cells())
+        walk = result.target.concrete_cells()
     else:
-        n = len(result.word)
-        dr, dc = result.direction.value
-        rr = n - 1 if dr < 0 else 0
-        cc = n - 1 if dc < 0 else 0
-        walk = []
-        for ch in result.word:
-            walk.append((rr, cc, ch))
-            rr += dr
-            cc += dc
+        walk = word_cells(result.word, result.direction)
     addrs: list[CellAddress] = []
     for rr, cc, ch in walk:
-        addr = CellAddress(level, r + rr, c + cc)
+        addr = CellAddress(corner.level, corner.row + rr, corner.col + cc)
         got = letter_at(l1, rules, addr)
         if got != ch:
             raise WitnessError(
@@ -494,8 +472,7 @@ class TreeNode:
 
 
 def ancestor_tree(word: str, direction: Direction, rules: RuleSet,
-                  l1: Grid | None = None, *,
-                  product_cap: int = DEFAULT_PRODUCT_CAP) -> TreeNode:
+                  l1: Grid | None = None) -> TreeNode:
     """Full backward exploration tree for a word.
 
     A parent already seen on a strictly shallower layer is ignored
@@ -508,7 +485,7 @@ def ancestor_tree(word: str, direction: Direction, rules: RuleSet,
     as a ``repeat`` leaf, while the search stops the whole walk at the
     first grounded layer and keeps one link per pattern.
     """
-    searcher = AncestrySearcher(rules, l1, product_cap=product_cap)
+    searcher = AncestrySearcher(rules, l1)
     root = TreeNode(word_to_pattern(word, direction), 0)
     seen: dict[Pattern, int] = {root.pattern: 0}
     layer = [root]

@@ -14,7 +14,6 @@ import sys
 
 from . import bounds as bounds_mod
 from .ancestry import (
-    DEFAULT_PRODUCT_CAP,
     AncestrySearcher,
     ancestor_tree,
     tree_to_dot,
@@ -54,8 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _add_common(sp, *, rules=True, l1=False, grid=False, fmt=("text", "json"),
-                product_cap=False):
+def _add_common(sp, *, rules=True, l1=False, grid=False, fmt=("text", "json")):
     if rules:
         sp.add_argument("--rules", required=True, help="rules file")
     if l1:
@@ -65,9 +63,6 @@ def _add_common(sp, *, rules=True, l1=False, grid=False, fmt=("text", "json"),
         sp.add_argument("--grid", required=True,
                         help="grid, inline rows or @FILE")
     sp.add_argument("--format", choices=fmt, default=fmt[0])
-    if product_cap:
-        sp.add_argument("--product-cap", type=_int_at_least(1),
-                        default=DEFAULT_PRODUCT_CAP)
 
 
 def build_parser() -> _Parser:
@@ -87,7 +82,7 @@ def build_parser() -> _Parser:
                     help="level tag of the input grid (default: steps + 1)")
 
     sp = sub.add_parser("search", help="earliest level of a word or pattern")
-    _add_common(sp, l1=True, product_cap=True)
+    _add_common(sp, l1=True)
     sp.add_argument("--word", default=None)
     sp.add_argument("--direction", default="E",
                     choices=[d.name for d in Direction])
@@ -132,7 +127,7 @@ def build_parser() -> _Parser:
                     help="write per-word ancestor trees (json + dot) here")
 
     sp = sub.add_parser("tree", help="export a word's ancestor tree")
-    _add_common(sp, fmt=("text", "json", "dot"), product_cap=True)
+    _add_common(sp, fmt=("text", "json", "dot"))
     sp.add_argument("--word", required=True)
     sp.add_argument("--direction", default="E",
                     choices=[d.name for d in Direction])
@@ -182,7 +177,7 @@ def _cmd_search(args) -> int:
         return USAGE_EXIT
     rules = load_rules(args.rules)
     l1 = grid_argument(args.l1)
-    searcher = AncestrySearcher(rules, l1, product_cap=args.product_cap)
+    searcher = AncestrySearcher(rules, l1)
     if args.pattern is not None:
         result = searcher.search_pattern(trim(parse_pattern(args.pattern)),
                                          depth_cap=args.depth_cap)
@@ -307,8 +302,7 @@ def _render_tree_text(node, indent: int = 0) -> list[str]:
 def _cmd_tree(args) -> int:
     rules = load_rules(args.rules)
     l1 = grid_argument(args.l1) if args.l1 else None
-    tree = ancestor_tree(args.word, Direction[args.direction], rules, l1,
-                         product_cap=args.product_cap)
+    tree = ancestor_tree(args.word, Direction[args.direction], rules, l1)
     if args.format == "json":
         print(tree_to_json(tree))
     elif args.format == "dot":

@@ -190,10 +190,12 @@ class CellAddress:
             raise AddressRangeError(f"address ({self.row}, {self.col}) not positive")
 
 
-def _check_grid_letters(grid: Grid, rules: RuleSet) -> None:
-    bad = set(grid.cells) - set(rules.alphabet.letters)
+def check_letters(text: str, rules: RuleSet, what: str) -> None:
+    """Raise UnknownLetterError, naming ``what``, when ``text`` uses a
+    letter outside the rules' alphabet."""
+    bad = set(text) - set(rules.alphabet.letters)
     if bad:
-        raise UnknownLetterError(f"grid uses letters outside the alphabet: {sorted(bad)}")
+        raise UnknownLetterError(f"{what} uses letters outside the alphabet: {sorted(bad)}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +210,7 @@ def expand(grid: Grid, rules: RuleSet, steps: int = 1) -> Grid:
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_grid_letters(grid, rules)
+    check_letters(grid.cells, rules, "grid")
     rh, b = rules.rule_rows, rules.b
     lines = list(grid.lines())
     for _ in range(steps):
@@ -243,7 +245,7 @@ def contract(grid: Grid, rules: RuleSet) -> Grid:
         )
     if grid.level < 2:
         raise ContractionError("cannot contract below level 1")
-    _check_grid_letters(grid, rules)
+    check_letters(grid.cells, rules, "grid")
     owner = {rules.rules[ch]: ch for ch in rules.alphabet}
     lines = grid.lines()
     out_rows: list[str] = []
@@ -319,7 +321,7 @@ def letter_at(l1: Grid, rules: RuleSet, addr: CellAddress) -> str:
     """
     if l1.level != 1:
         raise ValueError("start grid must be tagged level 1")
-    _check_grid_letters(l1, rules)
+    check_letters(l1.cells, rules, "grid")
     max_rows, max_cols = level_shape(l1, rules, addr.level)
     if not (addr.row <= max_rows and addr.col <= max_cols):
         raise AddressRangeError(

@@ -41,7 +41,7 @@ class AmbiguousRulesError(FractalSearchError):
 
 
 class ResourceLimitError(FractalSearchError):
-    """A configured guard was exceeded (parent product cap, materialization
+    """A resource guard was exceeded (parent product cap, materialization
     cell cap, closure size cap)."""
 
 

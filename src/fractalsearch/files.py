@@ -116,22 +116,25 @@ def parse_grid_section(lines: list[tuple[int, str]]) -> Grid:
         raise PuzzleFormatError(str(exc), first_row_line) from exc
 
 
-def load_rules(path: str | os.PathLike) -> RuleSet:
-    """Read a rules file (must contain an [alphabet] section)."""
+def read_sections(path: str | os.PathLike,
+                  *required: str) -> dict[str, list[tuple[int, str]]]:
+    """Read a file's sections; each name in ``required`` must be present."""
     with open(path, encoding="utf-8") as fh:
         sections = scan_sections(fh.read())
-    if "alphabet" not in sections:
-        raise PuzzleFormatError(f"{path}: no [alphabet] section")
-    return parse_rules_section(sections["alphabet"])
+    for name in required:
+        if name not in sections:
+            raise PuzzleFormatError(f"{path}: missing [{name}] section")
+    return sections
+
+
+def load_rules(path: str | os.PathLike) -> RuleSet:
+    """Read a rules file (must contain an [alphabet] section)."""
+    return parse_rules_section(read_sections(path, "alphabet")["alphabet"])
 
 
 def load_grid(path: str | os.PathLike) -> Grid:
     """Read a grid file (must contain a [grid] section)."""
-    with open(path, encoding="utf-8") as fh:
-        sections = scan_sections(fh.read())
-    if "grid" not in sections:
-        raise PuzzleFormatError(f"{path}: no [grid] section")
-    return parse_grid_section(sections["grid"])
+    return parse_grid_section(read_sections(path, "grid")["grid"])
 
 
 def grid_argument(value: str) -> Grid:

@@ -20,12 +20,13 @@ import itertools
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import bounds
 from .ancestry import AncestrySearcher
-from .core import Alphabet, Grid, RuleSet
+from .core import Alphabet, Grid, RuleSet, check_letters
 from .errors import ResourceLimitError, UnknownLetterError
 from .patterns import (
     ANTIDIAGONALS,
@@ -37,7 +38,7 @@ from .patterns import (
     word_to_pattern,
 )
 
-DEFAULT_CELL_CAP = 10 ** 8
+CELL_CAP = 10 ** 8
 FILL_CAP = 10 ** 6
 SWEEP_RULESET_CAP = 10 ** 6
 
@@ -75,6 +76,19 @@ class _Materializer:
             out.transpose(0, 2, 1, 3).reshape(h * self.rh, w * self.b)
         )
 
+    def levels(self, l1: Grid, max_level: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (level, array) for levels 1 .. max_level of the start
+        grid; a level over ``CELL_CAP`` cells raises before it is built."""
+        arr = self.to_array(l1)
+        yield 1, arr
+        for level in range(2, max_level + 1):
+            cells = arr.size * self.rh * self.b
+            if cells > CELL_CAP:
+                raise ResourceLimitError(
+                    f"level {level} needs {cells} cells, cap is {CELL_CAP}")
+            arr = self.expand_once(arr)
+            yield level, arr
+
     def to_grid(self, arr: np.ndarray, level: int) -> Grid:
         flat = "".join(self.letters[i] for i in arr.ravel())
         return Grid(arr.shape[0], arr.shape[1], flat, level)
@@ -93,44 +107,26 @@ class _Materializer:
         return bool(mask.any())
 
 
-def materialize(l1: Grid, rules: RuleSet, level: int, *,
-                cell_cap: int = DEFAULT_CELL_CAP) -> Grid:
+def materialize(l1: Grid, rules: RuleSet, level: int) -> Grid:
     """Explicitly build the given level; independent of core.expand."""
-    rows, cols = l1.rows, l1.cols
     eng = _Materializer(rules)
-    arr = eng.to_array(l1)
-    for _ in range(level - 1):
-        rows, cols = rows * eng.rh, cols * eng.b
-        if rows * cols > cell_cap:
-            raise ResourceLimitError(
-                f"level needs {rows * cols} cells, cap is {cell_cap}")
-        arr = eng.expand_once(arr)
+    for _, arr in eng.levels(l1, level):
+        pass
     return eng.to_grid(arr, level)
 
 
 def forward_first_appearance(word: str, direction: Direction, l1: Grid,
-                             rules: RuleSet, max_level: int, *,
-                             cell_cap: int = DEFAULT_CELL_CAP) -> int | None:
+                             rules: RuleSet, max_level: int) -> int | None:
     """First level (<= max_level) containing the word, by expanding and
     scanning every level; None if absent throughout."""
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     if l1.level != 1:
         raise ValueError("start grid must be tagged level 1")
-    bad = set(word) - set(rules.alphabet.letters)
-    if bad:
-        raise UnknownLetterError(f"word uses letters outside the alphabet: {sorted(bad)}")
+    check_letters(word, rules, "word")
     pattern = word_to_pattern(word, direction)
     eng = _Materializer(rules)
-    arr = eng.to_array(l1)
-    rows, cols = l1.rows, l1.cols
-    for level in range(1, max_level + 1):
-        if level > 1:
-            rows, cols = rows * eng.rh, cols * eng.b
-            if rows * cols > cell_cap:
-                raise ResourceLimitError(
-                    f"level {level} needs {rows * cols} cells, cap is {cell_cap}")
-            arr = eng.expand_once(arr)
+    for level, arr in eng.levels(l1, max_level):
         if eng.contains(arr, pattern):
             return level
     return None
@@ -185,9 +181,7 @@ def latest_with_searcher(searcher: AncestrySearcher, word: str,
     and the scan stops once no remaining depth can improve the best.
     """
     rules = searcher.rules
-    bad = set(word) - set(rules.alphabet.letters)
-    if bad:
-        raise UnknownLetterError(f"word uses letters outside the alphabet: {sorted(bad)}")
+    check_letters(word, rules, "word")
     target = word_to_pattern(word, direction)
     depths = searcher.closure(target)
     by_depth_asc: list[list[Pattern]] = [[] for _ in range(max(depths.values()) + 1)]

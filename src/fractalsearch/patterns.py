@@ -90,6 +90,17 @@ def parse_pattern(text: str) -> Pattern:
     return pattern_from_rows(text.strip().split("/"))
 
 
+def word_cells(word: str, direction: Direction) -> list[tuple[int, int, str]]:
+    """(row, col, letter) of each letter of the word laid out along
+    ``direction``, 0-indexed inside its bounding box, in reading order."""
+    n = len(word)
+    dr, dc = direction.value
+    # Start corner such that the walk stays inside the bounding box.
+    r = n - 1 if dr < 0 else 0
+    c = n - 1 if dc < 0 else 0
+    return [(r + i * dr, c + i * dc, ch) for i, ch in enumerate(word)]
+
+
 def word_to_pattern(word: str, direction: Direction) -> Pattern:
     """Lay a word out along a compass direction and box it.
 
@@ -103,17 +114,12 @@ def word_to_pattern(word: str, direction: Direction) -> Pattern:
         raise ValueError("words cannot contain the wildcard symbol")
     n = len(word)
     dr, dc = direction.value
-    # Start corner such that the walk stays inside the bounding box.
-    r = n - 1 if dr < 0 else 0
-    c = n - 1 if dc < 0 else 0
     rows = n if dr else 1
     cols = n if dc else 1
-    grid = [[WILDCARD] * cols for _ in range(rows)]
-    for ch in word:
-        grid[r][c] = ch
-        r += dr
-        c += dc
-    return pattern_from_rows(["".join(row) for row in grid])
+    cells = [WILDCARD] * (rows * cols)
+    for r, c, ch in word_cells(word, direction):
+        cells[r * cols + c] = ch
+    return Pattern(rows, cols, "".join(cells))
 
 
 def trim(pattern: Pattern) -> Pattern:
@@ -190,21 +196,6 @@ def occurrences(pattern: Pattern, grid: Grid) -> list[tuple[int, int]]:
     """All 1-indexed top-left positions where the pattern's box fits in
     the grid and every concrete cell matches, in row-major order."""
     return GridIndex(grid).positions(trim(pattern))
-
-
-def bounding_subgrid(grid: Grid, cells: list[tuple[int, int]]) -> Grid:
-    """Smallest rectangle of the grid containing the given 1-indexed
-    cells, returned with the grid's letters filled in."""
-    if not cells:
-        raise ValueError("need at least one cell")
-    r0 = min(r for r, _ in cells)
-    r1 = max(r for r, _ in cells)
-    c0 = min(c for _, c in cells)
-    c1 = max(c for _, c in cells)
-    lines = grid.lines()
-    return Grid.from_rows(
-        [lines[r - 1][c0 - 1:c1] for r in range(r0, r1 + 1)], grid.level
-    )
 
 
 def two_diagonal_support(pattern: Pattern, anti: bool = False) -> bool:

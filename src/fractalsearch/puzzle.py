@@ -19,9 +19,10 @@ from .ancestry import (
     first_grounded,
     witness_coordinates,
 )
-from .core import CellAddress, Grid, RuleSet, contract, descendant_block_range, letter_at, level_shape
-from .errors import PuzzleFormatError, SolveError
-from .files import parse_grid_section, parse_rules_section, scan_sections
+from .core import (CellAddress, Grid, RuleSet, check_letters, contract,
+                   descendant_block_range, letter_at, level_shape)
+from .errors import PuzzleFormatError, SolveError, UnknownLetterError
+from .files import parse_grid_section, parse_rules_section, read_sections
 from .patterns import (
     DIRECTION_ORDER,
     Direction,
@@ -108,11 +109,7 @@ def normalize_word(raw: str) -> str:
 def load_puzzle(path: str) -> PuzzleSpec:
     """Parse and validate a puzzle file; contracts the given grid down
     to level one eagerly so bad transcriptions fail at load time."""
-    with open(path, encoding="utf-8") as fh:
-        sections = scan_sections(fh.read())
-    for required in ("alphabet", "grid", "words"):
-        if required not in sections:
-            raise PuzzleFormatError(f"{path}: missing [{required}] section")
+    sections = read_sections(path, "alphabet", "grid", "words")
     rules = parse_rules_section(sections["alphabet"])
     grid = parse_grid_section(sections["grid"])
     raw_words: list[str] = []
@@ -120,13 +117,9 @@ def load_puzzle(path: str) -> PuzzleSpec:
     for lineno, line in sections["words"]:
         try:
             word = normalize_word(line)
-        except ValueError as exc:
+            check_letters(word, rules, f"word {word!r}")
+        except (ValueError, UnknownLetterError) as exc:
             raise PuzzleFormatError(str(exc), lineno) from None
-        bad = set(word) - set(rules.alphabet.letters)
-        if bad:
-            raise PuzzleFormatError(
-                f"word {word!r} uses letters outside the alphabet: {sorted(bad)}",
-                lineno)
         raw_words.append(line)
         words.append(word)
     if not words:
@@ -310,8 +303,10 @@ def solve(spec: PuzzleSpec, *, cross_all: bool = False) -> SolveReport:
         if (r + 1, c + 1) not in crossed
     )
     level_sum = sum(p.level for p in placements)
-    marks = occurrences(pattern_from_rows([DEFAULT_MARKER]), spec.l1)
-    window = answer_window(spec, level_sum) if len(marks) == 1 else None
+    try:
+        window = answer_window(spec, level_sum)
+    except SolveError:      # no unique marker on level one
+        window = None
     return SolveReport(
         placements=tuple(placements),
         level_counts=dict(sorted(Counter(p.level for p in placements).items())),

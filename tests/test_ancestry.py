@@ -32,6 +32,7 @@ from fractalsearch import (
     witness_coordinates,
     word_to_pattern,
 )
+from fractalsearch import ancestry
 from fractalsearch.ancestry import LayeredSearch, first_grounded
 from tests.conftest import grids_for, rule_sets
 
@@ -69,10 +70,10 @@ class TestEnumerateParents:
         with pytest.raises(ValueError):
             enumerate_parents(parse_pattern("A*"), abc_1d)
 
-    def test_product_cap_is_enforced(self, abc_2d):
+    def test_product_cap_is_enforced(self, abc_2d, monkeypatch):
+        monkeypatch.setattr(ancestry, "PRODUCT_CAP", 1)
         with pytest.raises(ResourceLimitError):
-            enumerate_parents(word_to_pattern("BB", Direction.SE), abc_2d,
-                              product_cap=1)
+            enumerate_parents(word_to_pattern("BB", Direction.SE), abc_2d)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fractalsearch import ancestry
 from fractalsearch.cli import main
 
 RULES_1D = "src/fractalsearch/data/abc_1d.rules"
@@ -198,21 +199,17 @@ class TestUsageErrors:
             main([])
         assert err.value.code == 64
 
-    def test_bad_cap_exits_64(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["search", "--rules", RULES_1D, "--l1", "A",
-                  "--word", "CAB", "--product-cap", "0"])
-        assert err.value.code == 64
-
     @pytest.mark.parametrize("argv", [
         ["search", "--rules", RULES_1D, "--l1", "A", "--word", "CAB",
          "--depth-cap", "-1"],
-        ["tree", "--rules", RULES_1D, "--word", "CAB", "--product-cap", "0"],
         ["oracle", "sweep", "--n", "2", "--jobs", "0"],
-        # expand and contract never read a product cap, so they take none
+        # the parent product cap is a constant, so no subcommand takes it
+        ["search", "--rules", RULES_1D, "--l1", "A", "--word", "CAB",
+         "--product-cap", "5"],
+        ["tree", "--rules", RULES_1D, "--word", "CAB", "--product-cap", "5"],
         ["expand", "--rules", RULES_1D, "--grid", "A", "--product-cap", "5"],
-    ], ids=["depth-cap", "tree-product-cap", "sweep-jobs",
-            "expand-product-cap"])
+    ], ids=["depth-cap", "sweep-jobs", "search-product-cap",
+            "tree-product-cap", "expand-product-cap"])
     def test_bad_value_exits_64(self, capsys, argv):
         try:
             code = main(argv)
@@ -231,9 +228,9 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and out == ""
 
-    def test_tiny_product_cap_exits_2(self, capsys):
+    def test_tiny_product_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(ancestry, "PRODUCT_CAP", 1)
         code, _, err = run(capsys, "search", "--rules", RULES_2D,
-                           "--l1", "C", "--word", "BB", "--direction", "SE",
-                           "--product-cap", "1")
+                           "--l1", "C", "--word", "BB", "--direction", "SE")
         assert code == 2
         assert "resource" in err

@@ -8,17 +8,23 @@ from fractalsearch import (
     AddressRangeError,
     Alphabet,
     AmbiguousRulesError,
+    AncestrySearcher,
     CellAddress,
     ContractionError,
+    Direction,
     Grid,
+    PuzzleFormatError,
     RuleSet,
     UnknownLetterError,
     address_to_path,
     contract,
     descendant_block_range,
     expand,
+    forward_first_appearance,
+    latest_first_appearance,
     letter_at,
     level_shape,
+    load_puzzle,
     path_to_address,
 )
 from fractalsearch.oracle import _ruleset_by_index, _sweep_blocks
@@ -74,6 +80,41 @@ class TestTypes:
     def test_cell_address_must_be_positive(self):
         with pytest.raises(AddressRangeError):
             CellAddress(1, 0, 1)
+
+
+def _load_puzzle_listing_axe(rules, tmp_path):
+    path = tmp_path / "demo.puzzle"
+    path.write_text("[alphabet]\nA = AB\nB = AC\nC = BB\n[grid]\nAB\n"
+                    "[words]\nAB\nAXE\n")
+    load_puzzle(str(path))
+
+
+class TestCheckLetters:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda rules, _: expand(Grid.from_text("AYX"), rules),
+         UnknownLetterError, "grid uses letters outside the alphabet: ['X', 'Y']"),
+        (lambda rules, _: contract(Grid(1, 4, "AYXB", 2), rules),
+         UnknownLetterError, "grid uses letters outside the alphabet: ['X', 'Y']"),
+        (lambda rules, _: letter_at(Grid.from_text("AYX"), rules,
+                                    CellAddress(1, 1, 1)),
+         UnknownLetterError, "grid uses letters outside the alphabet: ['X', 'Y']"),
+        (lambda rules, _: AncestrySearcher(rules, Grid.from_text("AYX")),
+         UnknownLetterError,
+         "start grid uses letters outside the alphabet: ['X', 'Y']"),
+        (lambda rules, _: forward_first_appearance(
+            "AYX", Direction.E, Grid.from_text("A"), rules, 3),
+         UnknownLetterError, "word uses letters outside the alphabet: ['X', 'Y']"),
+        (lambda rules, _: latest_first_appearance("AYX", Direction.E, rules),
+         UnknownLetterError, "word uses letters outside the alphabet: ['X', 'Y']"),
+        (_load_puzzle_listing_axe, PuzzleFormatError,
+         "line 9: word 'AXE' uses letters outside the alphabet: ['E', 'X']"),
+    ], ids=["expand", "contract", "letter_at", "searcher", "forward", "latest",
+            "load_puzzle"])
+    def test_message_names_the_input_and_the_letters(self, abc_1d, tmp_path,
+                                                     call, error, message):
+        with pytest.raises(error) as err:
+            call(abc_1d, tmp_path)
+        assert str(err.value) == message
 
 
 class TestExpand:

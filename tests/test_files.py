@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalsearch import Grid, PuzzleFormatError, grid_argument, load_grid, load_rules
+from fractalsearch import (Grid, PuzzleFormatError, grid_argument, load_grid,
+                           load_puzzle, load_rules)
 from fractalsearch.files import parse_grid_section, parse_rules_section, scan_sections
 
 
@@ -85,6 +86,19 @@ class TestLoaders:
         path.write_text("[grid]\nAB\n")
         with pytest.raises(PuzzleFormatError):
             load_rules(path)
+
+    @pytest.mark.parametrize("loader, text, section", [
+        (load_rules, "[grid]\nAB\n", "[alphabet]"),
+        (load_grid, "[alphabet]\nA = AB\nB = BA\n", "[grid]"),
+        (load_puzzle, "[alphabet]\nA = AB\nB = BA\n[grid]\nAB\n", "[words]"),
+    ], ids=["rules", "grid", "puzzle"])
+    def test_missing_section_names_the_path_and_section(self, tmp_path, loader,
+                                                        text, section):
+        path = tmp_path / "demo.txt"
+        path.write_text(text)
+        with pytest.raises(PuzzleFormatError) as err:
+            loader(str(path))
+        assert str(path) in str(err.value) and section in str(err.value)
 
     def test_load_grid_file(self, tmp_path):
         path = tmp_path / "demo.grid"

@@ -19,6 +19,7 @@ from fractalsearch import (
     sweep_max_latest,
     w1,
 )
+from fractalsearch import oracle
 from fractalsearch.oracle import check_instance, random_instance
 from tests.conftest import grids_for, rule_sets, seeded_rng
 
@@ -57,20 +58,33 @@ class TestForwardFirstAppearance:
             forward_first_appearance("AX", Direction.E, Grid.from_text("A"),
                                      abc_1d, 3)
 
-    def test_cell_cap_guards_materialization(self, abc_2d):
+    def test_cell_cap_guards_materialization(self, abc_2d, monkeypatch):
+        monkeypatch.setattr(oracle, "CELL_CAP", 10 ** 4)
         with pytest.raises(ResourceLimitError):
             forward_first_appearance("AA", Direction.SE, Grid.from_text("A"),
-                                     abc_2d, 30, cell_cap=10 ** 4)
+                                     abc_2d, 30)
 
-    def test_cap_not_hit_when_found_early(self, abc_2d):
+    def test_cap_not_hit_when_found_early(self, abc_2d, monkeypatch):
+        monkeypatch.setattr(oracle, "CELL_CAP", 10 ** 4)
         got = forward_first_appearance("BB", Direction.SE, Grid.from_text("A"),
-                                       abc_2d, 30, cell_cap=10 ** 4)
+                                       abc_2d, 30)
         assert got == 3
 
 
 class TestMaterialize:
     def test_matches_string_expansion(self, abc_1d):
         assert materialize(Grid.from_text("A"), abc_1d, 4).cells == "ABACABBB"
+
+    def test_level_one_is_the_start_grid(self, abc_2d):
+        l1 = Grid.from_text("AB/CA")
+        assert materialize(l1, abc_2d, 1) == l1
+
+    def test_refuses_a_level_over_the_cap(self, abc_2d, monkeypatch):
+        monkeypatch.setattr(oracle, "CELL_CAP", 10 ** 4)
+        # level 7 of a 1 x 1 start grid has 4**6 = 4096 cells, level 8 16384
+        assert materialize(Grid.from_text("A"), abc_2d, 7).rows == 64
+        with pytest.raises(ResourceLimitError):
+            materialize(Grid.from_text("A"), abc_2d, 8)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

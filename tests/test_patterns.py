@@ -9,7 +9,6 @@ from fractalsearch import (
     Direction,
     Grid,
     Pattern,
-    bounding_subgrid,
     expand,
     is_trimmed,
     occurrences,
@@ -19,6 +18,7 @@ from fractalsearch import (
     two_diagonal_support,
     word_to_pattern,
 )
+from fractalsearch.patterns import word_cells
 from tests.conftest import grids_for, rule_sets
 
 WORDS = st.text(alphabet="ABCD", min_size=1, max_size=5)
@@ -181,16 +181,19 @@ class TestOccurrences:
         assert occurrences(pattern, grid) == scan_occurrences(pattern, grid)
 
 
-class TestBoundingSubgrid:
-    def test_three_by_three_box(self, abc_2d):
-        grid = expand(Grid.from_text("A"), abc_2d, 2)
-        # Letters at (1,1), (1,2), (2,3), (3,2) span the top-left 3 x 3 box.
-        box = bounding_subgrid(grid, [(1, 1), (1, 2), (2, 3), (3, 2)])
-        assert box.lines() == ("ABA", "CBB", "BBA")
-
-    def test_single_cell(self):
-        g = Grid.from_text("AB/CD")
-        assert bounding_subgrid(g, [(2, 2)]).cells == "D"
+class TestWordCells:
+    @settings(max_examples=200, deadline=None)
+    @given(word=st.text(alphabet="ABCD", min_size=1, max_size=6),
+           direction=st.sampled_from(list(Direction)))
+    def test_cells_spell_the_word_on_its_box(self, word, direction):
+        pattern = word_to_pattern(word, direction)
+        cells = word_cells(word, direction)
+        assert "".join(ch for _, _, ch in cells) == word
+        assert all(pattern.at(r, c) == ch for r, c, ch in cells)
+        on_word = {(r, c) for r, c, _ in cells}
+        assert all(pattern.at(r, c) == WILDCARD
+                   for r in range(pattern.rows) for c in range(pattern.cols)
+                   if (r, c) not in on_word)
 
 
 class TestTwoDiagonalSupport:

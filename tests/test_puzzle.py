@@ -145,6 +145,22 @@ class TestSolveSmall:
         assert report.message == "ACCBBBBBACCCBB"
         assert report.answer is None  # no marker letter in this alphabet
 
+    def test_repeated_marker_skips_the_answer(self, tmp_path):
+        path = write_puzzle(tmp_path, """
+[alphabet]
+A = AX
+X = XA
+[grid]
+XAX
+[words]
+AX
+[directions]
+E
+""")
+        report = solve(load_puzzle(path))
+        assert report.level_sum == 1
+        assert report.answer is None  # the marker X occurs twice on level one
+
     def test_level_two_word_counts_as_level_two(self, tmp_path):
         # The word is visible on the printed level-2 grid but not on level
         # one, so its first-appearance level is 2.
