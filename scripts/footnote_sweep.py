@@ -13,7 +13,8 @@ import argparse
 import sys
 import time
 
-from fractalsearch import sweep_max_latest, w1
+from fractalsearch.bounds import w1
+from fractalsearch.oracle import sweep_max_latest
 
 
 def main() -> int:

@@ -23,7 +23,6 @@ from .ancestry import (
 from .core import Grid, expand as expand_grid, contract as contract_grid
 from .errors import FractalSearchError, ResourceLimitError, UnresolvedSearchError
 from .files import grid_argument, load_rules
-from .oracle import run_agreement, sweep_max_latest
 from .patterns import Direction, parse_pattern, trim
 from .puzzle import (
     load_puzzle,
@@ -96,8 +95,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("bounds", help="first-appearance bound table")
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--len", type=int, default=None, dest="length")
-    sp.add_argument("--len-min", type=int, default=1)
+    sp.add_argument("--len", type=int, default=1, dest="length",
+                    help="word length, or the low end with --len-max")
     sp.add_argument("--len-max", type=int, default=None)
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
@@ -105,10 +104,10 @@ def build_parser() -> _Parser:
     osub = sp.add_subparsers(dest="oracle_command", required=True,
                              parser_class=_Parser)
     ssp = osub.add_parser("sweep", help="exhaustive rule-set sweep")
-    ssp.add_argument("--n", type=int, required=True)
+    ssp.add_argument("--n", type=_int_at_least(1), required=True)
     ssp.add_argument("--b", type=int, default=2)
     ssp.add_argument("--dim", type=int, default=1, choices=(1, 2))
-    ssp.add_argument("--len-cap", type=int, default=2)
+    ssp.add_argument("--len-cap", type=_int_at_least(1), default=2)
     ssp.add_argument("--jobs", type=_int_at_least(1), default=1)
     ssp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     asp = osub.add_parser("agree", help="randomized backward/forward audit")
@@ -119,7 +118,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("solve", help="solve a puzzle file end to end")
     sp.add_argument("puzzle", help="puzzle file")
-    sp.add_argument("--json", action="store_true", help="shortcut for --format json")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--cross-all", action="store_true",
                     help="cross out every grounding at each word's earliest level")
@@ -211,15 +209,15 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.length is not None:
-        lengths = [args.length]
-    else:
-        lengths = list(range(args.len_min, (args.len_max or args.len_min) + 1))
+    last = args.length if args.len_max is None else args.len_max
+    if last < args.length:
+        print("bounds: --len-max must be >= --len", file=sys.stderr)
+        return USAGE_EXIT
     rows = [
         {"len": ln, "w1": bounds_mod.w1(args.b, args.n, ln),
          "w2": bounds_mod.w2(args.b, args.n, ln),
          "max_parent_len": bounds_mod.max_parent_len(ln, args.b)}
-        for ln in lengths
+        for ln in range(args.length, last + 1)
     ]
     if args.format == "json":
         print(json.dumps({"b": args.b, "n": args.n, "rows": rows}))
@@ -238,6 +236,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import run_agreement, sweep_max_latest  # the only numpy user
+
     if args.oracle_command == "sweep":
         report = sweep_max_latest(args.n, args.b, args.dim, args.len_cap,
                                   jobs=args.jobs)
@@ -273,8 +273,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_solve(args) -> int:
     spec = load_puzzle(args.puzzle)
     report = solve_puzzle(spec, cross_all=args.cross_all)
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(report_to_json_dict(report)))
     else:
         print(report_to_text(report))

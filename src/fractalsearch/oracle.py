@@ -20,14 +20,14 @@ import itertools
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
 from . import bounds
 from .ancestry import AncestrySearcher
 from .core import Alphabet, Grid, RuleSet, check_letters
-from .errors import ResourceLimitError, UnknownLetterError
+from .errors import ResourceLimitError, UnknownLetterError, WitnessError
 from .patterns import (
     ANTIDIAGONALS,
     DIAGONALS,
@@ -300,7 +300,9 @@ class SweepReport:
     per_length_max: dict[int, int]
     per_ruleset_max: tuple[int, ...]
     ruleset_count: int
-    validated: bool
+    # A witness that fails forward re-validation raises WitnessError, so
+    # every report that exists is validated.
+    validated: ClassVar[bool] = True
 
     def histogram(self) -> dict[int, int]:
         return dict(sorted(Counter(self.per_ruleset_max).items()))
@@ -329,12 +331,15 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
     """Global latest first-appearance level over every rule assignment
     for an n-letter alphabet, all words up to ``word_len_cap``.
 
-    The witness is re-validated by forward expansion before the report
-    is returned.  Embarrassingly parallel over rule sets; results merge
+    Every per-length witness is re-validated by forward expansion before
+    the report is returned; one that fails raises ``WitnessError``.
+    Embarrassingly parallel over rule sets; results merge
     deterministically whatever the chunking.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if word_len_cap < 1:
+        raise ValueError("word_len_cap must be >= 1")
     letters = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:n])
     blocks = _sweep_blocks(letters, b, dimension)
     count = len(blocks) ** n
@@ -357,36 +362,42 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
         per_ruleset.extend(chunk_max)
         for length, key in chunk_best.items():
             _keep_best(best, length, key)
-    global_key = min(best.values(), key=_witness_rank, default=None)
-    if global_key is None:
-        raise ResourceLimitError("sweep produced no witness")
-    level, rules_text, word, l1_text, idx, direction_name = global_key
-    # Re-validate every per-length witness by direct forward expansion.
-    validated = True
     for length, key in sorted(best.items()):
-        wlevel, _, wword, wl1, widx, wdir = key
+        wlevel, wrules_text, wword, wl1, widx, wdir = key
         wrules = _ruleset_by_index(widx, letters, b, dimension, blocks)
         got = forward_first_appearance(
             wword, Direction[wdir], Grid.from_text(wl1), wrules, wlevel)
         if got != wlevel:
-            validated = False
-    report = SweepReport(
+            raise WitnessError(
+                f"sweep witness for word length {length} failed forward "
+                f"re-validation: word {wword} {wdir} from start grid {wl1} "
+                f"under {wrules_text}: expected level {wlevel}, forward "
+                f"expansion gave {got}")
+    # A 1-letter word reaches level 1 from its own fill, so there is
+    # always a witness of length 1.
+    level, rules_text, word, l1_text, idx, direction_name = min(
+        best.values(), key=_witness_rank)
+    return SweepReport(
         n=n, b=b, dimension=dimension, word_len_cap=word_len_cap,
         global_max=level, witness_rules=rules_text, witness_word=word,
         witness_l1=l1_text, witness_direction=direction_name,
         per_length_max={length: key[0] for length, key in sorted(best.items())},
         per_ruleset_max=tuple(per_ruleset),
         ruleset_count=count,
-        validated=validated,
     )
-    if not validated:
-        raise ResourceLimitError("sweep witness failed forward re-validation")
-    return report
 
 
 # ---------------------------------------------------------------------------
 # randomized backward/forward agreement harness
 # ---------------------------------------------------------------------------
+
+# Shape of the audit's random instances: up to AUDIT_MAX_N letters with
+# b = AUDIT_B, start grids up to AUDIT_MAX_SIDE on a side, and words of
+# up to AUDIT_MAX_WORD letters.
+AUDIT_MAX_N = 4
+AUDIT_B = 2
+AUDIT_MAX_SIDE = 4
+AUDIT_MAX_WORD = 4
 
 _L_SHAPES_MAIN = (frozenset({(0, 0), (1, 0), (1, 1)}),
                   frozenset({(0, 0), (0, 1), (1, 1)}))
@@ -426,24 +437,24 @@ class AgreementReport:
         }
 
 
-def random_instance(rng, *, max_n: int = 4, b: int = 2,
-                    max_side: int = 4, max_word: int = 4):
+def random_instance(rng):
     """One random (rules, l1, word, direction) quadruple."""
     dimension = rng.choice((1, 2))
-    n = rng.randint(1, max_n)
+    n = rng.randint(1, AUDIT_MAX_N)
     letters = tuple("ABCD"[:n])
-    rh = 1 if dimension == 1 else b
+    rh = 1 if dimension == 1 else AUDIT_B
     rules = RuleSet(
-        Alphabet(letters), dimension, b,
-        {ch: tuple("".join(rng.choice(letters) for _ in range(b))
+        Alphabet(letters), dimension, AUDIT_B,
+        {ch: tuple("".join(rng.choice(letters) for _ in range(AUDIT_B))
                    for _ in range(rh))
          for ch in letters},
     )
-    rows = 1 if dimension == 1 else rng.randint(1, max_side)
-    cols = rng.randint(1, max_side)
+    rows = 1 if dimension == 1 else rng.randint(1, AUDIT_MAX_SIDE)
+    cols = rng.randint(1, AUDIT_MAX_SIDE)
     l1 = Grid(rows, cols,
               "".join(rng.choice(letters) for _ in range(rows * cols)), 1)
-    word = "".join(rng.choice(letters) for _ in range(rng.randint(1, max_word)))
+    word = "".join(rng.choice(letters)
+                   for _ in range(rng.randint(1, AUDIT_MAX_WORD)))
     direction = rng.choice(
         (Direction.E, Direction.W) if dimension == 1 else tuple(Direction))
     return rules, l1, word, direction
@@ -507,8 +518,7 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
 
 
 def run_agreement(instances: int = 1000, seed: int = 2013, *,
-                  max_level: int = 10, max_n: int = 4, b: int = 2,
-                  max_side: int = 4, max_word: int = 4) -> AgreementReport:
+                  max_level: int = 10) -> AgreementReport:
     """Randomized backward/forward equivalence audit; deterministic for a
     given seed."""
     import random
@@ -518,8 +528,7 @@ def run_agreement(instances: int = 1000, seed: int = 2013, *,
     issue_lists: dict[str, list[str]] = {
         "mismatch": [], "bound": [], "geometry": [], "confinement": []}
     for _ in range(instances):
-        rules, l1, word, direction = random_instance(
-            rng, max_n=max_n, b=b, max_side=max_side, max_word=max_word)
+        rules, l1, word, direction = random_instance(rng)
         got = check_instance(rules, l1, word, direction, max_level=max_level)
         tallies[got["outcome"]] += 1
         for kind, items in got["issues"].items():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from fractalsearch import Alphabet, Grid, RuleSet
+from fractalsearch.core import Alphabet, Grid, RuleSet
 
 PUZZLE_PATH = "src/fractalsearch/data/in_the_details.puzzle"
 

@@ -9,24 +9,17 @@ import time
 
 import pytest
 
-from fractalsearch import (
-    Alphabet,
+from fractalsearch.ancestry import enumerate_parents, first_appearance
+from fractalsearch.core import Alphabet, Grid, RuleSet, contract
+from fractalsearch.oracle import run_agreement, sweep_max_latest
+from fractalsearch.patterns import (
+    DIAGONALS,
     Direction,
-    Grid,
-    RuleSet,
-    answer_window,
-    contract,
-    enumerate_parents,
-    first_appearance,
-    load_puzzle,
     occurrences,
     parse_pattern,
-    solve,
-    sweep_max_latest,
     word_to_pattern,
 )
-from fractalsearch.oracle import run_agreement
-from fractalsearch.patterns import DIAGONALS
+from fractalsearch.puzzle import answer_window, load_puzzle, solve
 
 PUZZLE = "src/fractalsearch/data/in_the_details.puzzle"
 

@@ -7,33 +7,37 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fractalsearch import (
+from fractalsearch import ancestry
+from fractalsearch.ancestry import (
     AncestrySearcher,
-    Alphabet,
-    Direction,
-    Grid,
-    Pattern,
-    ResourceLimitError,
-    RuleSet,
-    UnresolvedSearchError,
-    WILDCARD,
+    LayeredSearch,
     ancestor_tree,
     enumerate_parents,
-    descendant_block_range,
-    expand,
     first_appearance,
-    is_trimmed,
-    max_parent_len,
-    occurrences,
-    parse_pattern,
+    first_grounded,
     tree_to_dot,
     tree_to_json,
-    trim,
     witness_coordinates,
+)
+from fractalsearch.bounds import max_parent_len
+from fractalsearch.core import (
+    Alphabet,
+    Grid,
+    RuleSet,
+    descendant_block_range,
+    expand,
+)
+from fractalsearch.errors import ResourceLimitError, UnresolvedSearchError
+from fractalsearch.patterns import (
+    Direction,
+    Pattern,
+    WILDCARD,
+    is_trimmed,
+    occurrences,
+    parse_pattern,
+    trim,
     word_to_pattern,
 )
-from fractalsearch import ancestry
-from fractalsearch.ancestry import LayeredSearch, first_grounded
 from tests.conftest import grids_for, rule_sets
 
 
@@ -414,7 +418,7 @@ class TestWitnessCoordinates:
     def test_oracle_disagreement_is_trapped(self, abc_1d):
         import dataclasses
 
-        from fractalsearch import WitnessError
+        from fractalsearch.errors import WitnessError
 
         l1 = Grid.from_text("ABAB")
         res = first_appearance("BA", Direction.E, l1, abc_1d)
@@ -425,7 +429,7 @@ class TestWitnessCoordinates:
     def test_inconsistent_chain_is_rejected_at_construction(self, abc_1d):
         import dataclasses
 
-        from fractalsearch import WitnessError
+        from fractalsearch.errors import WitnessError
 
         res = first_appearance("CAB", Direction.E, Grid.from_text("A"), abc_1d)
         with pytest.raises(WitnessError):

@@ -1,9 +1,10 @@
-"""The benchmark's tracer still finds every package function it wraps.
+"""The benchmark still runs against the package.
 
 ``bench/tracing.py`` looks each traced function up by name and its
 count hooks read some arguments by parameter name, so renaming either
-in the package would break the traced benchmark run.  These checks
-catch that in the test suite.
+in the package would break the traced benchmark run.  The workloads in
+``bench/workloads.py`` call the package and check its results against
+the golden files.  These checks catch both in the test suite.
 """
 
 from __future__ import annotations
@@ -20,13 +21,24 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="module")
-def tracing():
+def bench_path():
     sys.path.insert(0, str(BENCH))
     try:
-        import tracing
-        yield tracing
+        yield
     finally:
         sys.path.remove(str(BENCH))
+
+
+@pytest.fixture(scope="module")
+def tracing(bench_path):
+    import tracing
+    return tracing
+
+
+@pytest.fixture(scope="module")
+def workloads(bench_path):
+    import workloads
+    return workloads
 
 
 def test_every_traced_name_exists(tracing):
@@ -45,3 +57,17 @@ def test_every_traced_name_exists(tracing):
 ], ids=["parents", "ground_positions", "forward_first_appearance"])
 def test_hooks_read_parameters_that_exist(function, names):
     assert set(names) <= set(inspect.signature(function).parameters)
+
+
+@pytest.mark.parametrize("name", ["puzzle", "sweep", "audit"])
+def test_workload_first_input_passes_its_check(workloads, name):
+    workload = (workloads.Audit(instances=20, run_check_ops=20)
+                if name == "audit" else workloads.WORKLOADS[name]())
+    inputs = workload.prepare(7)
+    assert workload.check(inputs[0], workload.run(inputs[0])) == []
+
+
+def test_audit_prefix_matches_run_agreement(workloads):
+    workload = workloads.Audit(instances=20, run_check_ops=20)
+    kept = [workload.run(item) for item in workload.prepare(7)]
+    assert workload.check_run(7, kept) == []

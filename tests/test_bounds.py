@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fractalsearch import base_bounds, ceil_log, max_parent_len, w1, w2
+from fractalsearch.bounds import base_bounds, ceil_log, max_parent_len, w1, w2
 
 BS = st.integers(2, 5)
 NS = st.integers(1, 30)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fractalsearch import ancestry
+from fractalsearch import ancestry, oracle
 from fractalsearch.cli import main
 
 RULES_1D = "src/fractalsearch/data/abc_1d.rules"
@@ -94,11 +94,26 @@ class TestBounds:
 
     def test_range_as_csv(self, capsys):
         code, out, _ = run(capsys, "bounds", "--b", "2", "--n", "3",
-                           "--len-min", "1", "--len-max", "3", "--format", "csv")
+                           "--len", "1", "--len-max", "3", "--format", "csv")
         lines = out.strip().splitlines()
         assert lines[0] == "len,w1,w2,max_parent_len"
         assert lines[1] == "1,3,3,1"
         assert lines[2] == "2,10,19,2"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("argv, same", [
+        (["--len", "4"], ["--len", "4", "--len-max", "4"]),
+        (["--len-max", "3"], ["--len", "1", "--len-max", "3"]),
+    ], ids=["one-length", "default-low-end"])
+    def test_equivalent_ranges_print_the_same(self, capsys, argv, same, fmt):
+        base = ["bounds", "--b", "2", "--n", "3", "--format", fmt]
+        assert run(capsys, *base, *argv) == run(capsys, *base, *same)
+
+    def test_len_max_below_len_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "--b", "2", "--n", "3",
+                             "--len", "5", "--len-max", "3")
+        assert code == 64
+        assert out == "" and "--len-max" in err
 
     def test_json_rows(self, capsys):
         code, out, _ = run(capsys, "bounds", "--b", "2", "--n", "26",
@@ -117,6 +132,14 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "sweep", "--n", "2",
                            "--format", "json")
         assert json.loads(out)["global_max"] == 4
+
+    def test_failed_revalidation_exits_one(self, capsys, monkeypatch):
+        real = oracle.forward_first_appearance
+        monkeypatch.setattr(oracle, "forward_first_appearance",
+                            lambda *args: real(*args) + 1)
+        code, out, err = run(capsys, "oracle", "sweep", "--n", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: sweep witness for word length 1 ")
 
     def test_agree_small(self, capsys):
         code, out, _ = run(capsys, "oracle", "agree", "--instances", "20",
@@ -154,7 +177,7 @@ E
         puzzle = tmp_path / "demo.puzzle"
         puzzle.write_text("[alphabet]\nA = AB\nB = AC\nC = BB\n"
                           "[grid]\nABAB\n[words]\nBA\n[directions]\nE\n")
-        code, out, _ = run(capsys, "solve", str(puzzle), "--json")
+        code, out, _ = run(capsys, "solve", str(puzzle), "--format", "json")
         assert code == 0
         report = report_from_json_dict(json.loads(out))
         assert report.level_sum == 1
@@ -169,7 +192,7 @@ E
         puzzle = tmp_path / "demo.puzzle"
         puzzle.write_text("[alphabet]\nA = AB\nB = AC\nC = BB\n"
                           "[grid]\nABAB\n[words]\nBA\nCAB\n")
-        outputs = {run(capsys, "solve", str(puzzle), "--json")[1]
+        outputs = {run(capsys, "solve", str(puzzle), "--format", "json")[1]
                    for _ in range(3)}
         assert len(outputs) == 1
 
@@ -203,13 +226,19 @@ class TestUsageErrors:
         ["search", "--rules", RULES_1D, "--l1", "A", "--word", "CAB",
          "--depth-cap", "-1"],
         ["oracle", "sweep", "--n", "2", "--jobs", "0"],
+        ["oracle", "sweep", "--n", "0"],
+        ["oracle", "sweep", "--n", "2", "--len-cap", "0"],
         # the parent product cap is a constant, so no subcommand takes it
         ["search", "--rules", RULES_1D, "--l1", "A", "--word", "CAB",
          "--product-cap", "5"],
         ["tree", "--rules", RULES_1D, "--word", "CAB", "--product-cap", "5"],
         ["expand", "--rules", RULES_1D, "--grid", "A", "--product-cap", "5"],
-    ], ids=["depth-cap", "sweep-jobs", "search-product-cap",
-            "tree-product-cap", "expand-product-cap"])
+        # removed options: --format json replaces --json, --len replaces --len-min
+        ["solve", "src/fractalsearch/data/in_the_details.puzzle", "--json"],
+        ["bounds", "--b", "2", "--n", "3", "--len-min", "1"],
+    ], ids=["depth-cap", "sweep-jobs", "sweep-n", "sweep-len-cap",
+            "search-product-cap", "tree-product-cap", "expand-product-cap",
+            "solve-json", "bounds-len-min"])
     def test_bad_value_exits_64(self, capsys, argv):
         try:
             code = main(argv)

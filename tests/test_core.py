@@ -4,30 +4,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalsearch import (
-    AddressRangeError,
+from fractalsearch.ancestry import AncestrySearcher
+from fractalsearch.core import (
     Alphabet,
-    AmbiguousRulesError,
-    AncestrySearcher,
     CellAddress,
-    ContractionError,
-    Direction,
     Grid,
-    PuzzleFormatError,
     RuleSet,
-    UnknownLetterError,
     address_to_path,
     contract,
     descendant_block_range,
     expand,
-    forward_first_appearance,
-    latest_first_appearance,
     letter_at,
     level_shape,
-    load_puzzle,
     path_to_address,
 )
-from fractalsearch.oracle import _ruleset_by_index, _sweep_blocks
+from fractalsearch.errors import (
+    AddressRangeError,
+    AmbiguousRulesError,
+    ContractionError,
+    PuzzleFormatError,
+    UnknownLetterError,
+)
+from fractalsearch.oracle import (
+    _ruleset_by_index,
+    _sweep_blocks,
+    forward_first_appearance,
+    latest_first_appearance,
+)
+from fractalsearch.patterns import Direction
+from fractalsearch.puzzle import load_puzzle
 from tests.conftest import grids_for, rule_sets
 
 

@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalsearch import (Grid, PuzzleFormatError, grid_argument, load_grid,
-                           load_puzzle, load_rules)
-from fractalsearch.files import parse_grid_section, parse_rules_section, scan_sections
+from fractalsearch.core import Grid
+from fractalsearch.errors import PuzzleFormatError
+from fractalsearch.files import (
+    grid_argument,
+    load_grid,
+    load_rules,
+    parse_grid_section,
+    parse_rules_section,
+    scan_sections,
+)
+from fractalsearch.puzzle import load_puzzle
 
 
 class TestScanSections:

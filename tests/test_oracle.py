@@ -4,23 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalsearch import (
-    Alphabet,
-    Direction,
-    Grid,
+from fractalsearch import oracle
+from fractalsearch.bounds import w1
+from fractalsearch.core import Alphabet, Grid, RuleSet, expand
+from fractalsearch.errors import (
     ResourceLimitError,
-    RuleSet,
     UnknownLetterError,
-    expand,
+    WitnessError,
+)
+from fractalsearch.oracle import (
+    check_instance,
     forward_first_appearance,
     latest_first_appearance,
     materialize,
+    random_instance,
     run_agreement,
     sweep_max_latest,
-    w1,
 )
-from fractalsearch import oracle
-from fractalsearch.oracle import check_instance, random_instance
+from fractalsearch.patterns import Direction
 from tests.conftest import grids_for, rule_sets, seeded_rng
 
 
@@ -46,7 +47,7 @@ class TestForwardFirstAppearance:
         assert got == 3
 
     def test_shipped_puzzle_first_row_word(self, puzzle_path):
-        from fractalsearch import load_puzzle
+        from fractalsearch.puzzle import load_puzzle
 
         spec = load_puzzle(puzzle_path)
         got = forward_first_appearance("LEVELONE", Direction.E, spec.l1,
@@ -121,7 +122,7 @@ class TestLatestFirstAppearance:
     def test_witnessed_by_forward_search(self, data):
         """The claimed worst-case start grid really has that first level."""
         from fractalsearch.oracle import latest_with_searcher
-        from fractalsearch import AncestrySearcher
+        from fractalsearch.ancestry import AncestrySearcher
 
         rules = data.draw(rule_sets(dims=(1,), max_n=3))
         word = data.draw(st.text(alphabet=rules.alphabet.letters,
@@ -160,6 +161,23 @@ class TestSweep:
             for length, level in report.per_length_max.items():
                 assert level <= w1(2, n, length)
 
+    @pytest.mark.parametrize("n, word_len_cap", [(0, 2), (2, 0)],
+                             ids=["n", "word-len-cap"])
+    def test_rejects_an_empty_sweep(self, n, word_len_cap):
+        with pytest.raises(ValueError):
+            sweep_max_latest(n, 2, 1, word_len_cap)
+
+    def test_failed_revalidation_names_the_witness(self, monkeypatch):
+        real = oracle.forward_first_appearance
+        monkeypatch.setattr(oracle, "forward_first_appearance",
+                            lambda *args: real(*args) + 1)
+        with pytest.raises(WitnessError) as err:
+            sweep_max_latest(2, 2, 1, 2)
+        assert str(err.value) == (
+            "sweep witness for word length 1 failed forward re-validation: "
+            "word A E from start grid B under A>AA;B>AA: expected level 2, "
+            "forward expansion gave 3")
+
     def test_ruleset_count_guard(self):
         with pytest.raises(ResourceLimitError):
             sweep_max_latest(5, 2, 1, 2)
@@ -190,7 +208,7 @@ class TestAgreementHarness:
         got = check_instance(rules, l1, "BB", Direction.E, max_level=10)
         assert got["outcome"] == "beyond"
         assert not any(got["issues"].values())
-        from fractalsearch import first_appearance
+        from fractalsearch.ancestry import first_appearance
 
         assert first_appearance("BB", Direction.E, l1, rules).level == 13
         assert forward_first_appearance("BB", Direction.E, l1, rules, 10) is None

@@ -4,21 +4,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fractalsearch import (
-    WILDCARD,
+from fractalsearch.core import Grid, expand
+from fractalsearch.patterns import (
     Direction,
-    Grid,
     Pattern,
-    expand,
+    WILDCARD,
     is_trimmed,
     occurrences,
     parse_pattern,
     pattern_from_rows,
     trim,
     two_diagonal_support,
+    word_cells,
     word_to_pattern,
 )
-from fractalsearch.patterns import word_cells
 from tests.conftest import grids_for, rule_sets
 
 WORDS = st.text(alphabet="ABCD", min_size=1, max_size=5)
@@ -140,7 +139,7 @@ class TestOccurrences:
         assert occurrences(pat, g) == [(1, 1), (1, 3)]
 
     def test_marker_letter_unique_in_shipped_grid(self, puzzle_path):
-        from fractalsearch import load_puzzle
+        from fractalsearch.puzzle import load_puzzle
 
         spec = load_puzzle(puzzle_path)
         assert occurrences(pattern_from_rows(["X"]), spec.l1) == [(9, 12)]

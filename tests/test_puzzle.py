@@ -4,22 +4,19 @@ import json
 
 import pytest
 
-from fractalsearch import (
-    CellAddress,
-    Direction,
-    PuzzleFormatError,
-    SolveError,
+from fractalsearch.core import CellAddress
+from fractalsearch.errors import PuzzleFormatError, SolveError
+from fractalsearch.patterns import Direction
+from fractalsearch.puzzle import (
+    Placement,
     answer_window,
     crossed_out_l1_cells,
     load_puzzle,
     normalize_word,
-    solve,
-)
-from fractalsearch.puzzle import (
-    Placement,
     report_from_json_dict,
     report_to_json_dict,
     report_to_text,
+    solve,
 )
 
 
@@ -204,7 +201,7 @@ E
         assert solve(spec, cross_all=True).message == "AA"
 
     def test_placements_self_verify(self, tmp_path):
-        from fractalsearch import letter_at
+        from fractalsearch.core import letter_at
 
         spec = load_puzzle(write_puzzle(tmp_path, ABC_2D_PUZZLE))
         report = solve(spec)
@@ -258,7 +255,7 @@ class TestAnswerWindow:
         # central box is exactly the marker's expansion there.
         assert got.found
         assert got.answer == got.main_diagonal + got.anti_diagonal
-        from fractalsearch import expand
+        from fractalsearch.core import expand
 
         level3 = expand(spec.l1, spec.rules, 2)
         rows = [line[got.x_left - 1:got.x_left + 3]
@@ -268,7 +265,7 @@ class TestAnswerWindow:
 
 class TestSolveInvariants:
     def test_given_grid_round_trips_through_level_one(self, puzzle_path):
-        from fractalsearch import expand
+        from fractalsearch.core import expand
 
         spec = load_puzzle(puzzle_path)
         assert expand(spec.l1, spec.rules, spec.given_grid.level - 1) == \

@@ -1,9 +1,8 @@
-"""Smoke test of the experiment scripts: each runs as a subprocess on
-small inputs and exits 0."""
+"""Smoke test of the experiment script: it runs as a subprocess on small
+inputs and exits 0."""
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -21,19 +20,6 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
 
 
-def test_solve_puzzle_json():
-    done = run_script("solve_puzzle.py", "--json")
-    assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
-    assert len(report["placements"]) == 32
-    assert report["level_sum"] == 167
-
-
 def test_footnote_sweep_small():
     done = run_script("footnote_sweep.py", "--max-n", "2", "--jobs", "1")
-    assert done.returncode == 0, done.stderr
-
-
-def test_route_agreement_small():
-    done = run_script("route_agreement.py", "--instances", "50")
     assert done.returncode == 0, done.stderr
