@@ -72,12 +72,12 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("expand", help="apply replacement steps to a grid")
     _add_common(sp, grid=True)
-    sp.add_argument("--steps", type=int, default=1)
+    sp.add_argument("--steps", type=_int_at_least(0), default=1)
 
     sp = sub.add_parser("contract", help="invert replacement steps")
     _add_common(sp, grid=True)
-    sp.add_argument("--steps", type=int, default=1)
-    sp.add_argument("--level", type=int, default=None,
+    sp.add_argument("--steps", type=_int_at_least(0), default=1)
+    sp.add_argument("--level", type=_int_at_least(1), default=None,
                     help="level tag of the input grid (default: steps + 1)")
 
     sp = sub.add_parser("search", help="earliest level of a word or pattern")
@@ -93,9 +93,9 @@ def build_parser() -> _Parser:
                     help="exit 1 when the word can never appear")
 
     sp = sub.add_parser("bounds", help="first-appearance bound table")
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--len", type=int, default=1, dest="length",
+    sp.add_argument("--b", type=_int_at_least(2), required=True)
+    sp.add_argument("--n", type=_int_at_least(1), required=True)
+    sp.add_argument("--len", type=_int_at_least(1), default=1, dest="length",
                     help="word length, or the low end with --len-max")
     sp.add_argument("--len-max", type=int, default=None)
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -105,15 +105,15 @@ def build_parser() -> _Parser:
                              parser_class=_Parser)
     ssp = osub.add_parser("sweep", help="exhaustive rule-set sweep")
     ssp.add_argument("--n", type=_int_at_least(1), required=True)
-    ssp.add_argument("--b", type=int, default=2)
+    ssp.add_argument("--b", type=_int_at_least(2), default=2)
     ssp.add_argument("--dim", type=int, default=1, choices=(1, 2))
     ssp.add_argument("--len-cap", type=_int_at_least(1), default=2)
     ssp.add_argument("--jobs", type=_int_at_least(1), default=1)
     ssp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     asp = osub.add_parser("agree", help="randomized backward/forward audit")
-    asp.add_argument("--instances", type=int, default=1000)
+    asp.add_argument("--instances", type=_int_at_least(1), default=1000)
     asp.add_argument("--seed", type=int, default=2013)
-    asp.add_argument("--max-level", type=int, default=10)
+    asp.add_argument("--max-level", type=_int_at_least(1), default=10)
     asp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("solve", help="solve a puzzle file end to end")
@@ -236,7 +236,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import run_agreement, sweep_max_latest  # the only numpy user
+    from .oracle import run_agreement, sweep_max_latest
 
     if args.oracle_command == "sweep":
         report = sweep_max_latest(args.n, args.b, args.dim, args.len_cap,

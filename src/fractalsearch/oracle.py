@@ -4,14 +4,16 @@ Three instruments live here:
 
 * forward materialized search: expand levels explicitly (vectorized with
   numpy, guarded by a cell cap) and scan for the word -- the independent
-  route against which the backward search is validated;
+  route against which the backward search is validated; numpy is
+  imported when the first materializer is built, not with this module;
 * latest first appearance: the worst first-appearance level of a word
   over every possible start grid, computed exactly by enumerating the
   concrete fills of the word's ancestor patterns (adding letters to a
   start grid can only ground an ancestor earlier, so maximal setups are
   fills of single ancestor boxes);
 * the exhaustive rule-set sweep: the latest first appearance over every
-  rule assignment for a small alphabet, with re-validated witnesses.
+  rule assignment for a small alphabet, searched once per symmetry
+  orbit of rule sets, with re-validated witnesses.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
-
-import numpy as np
 
 from . import bounds
 from .ancestry import AncestrySearcher
@@ -51,6 +51,9 @@ class _Materializer:
     """Vectorized level expansion over letter indexes."""
 
     def __init__(self, rules: RuleSet):
+        global np
+        import numpy as np
+
         self.rules = rules
         self.index = {ch: i for i, ch in enumerate(rules.alphabet.letters)}
         self.letters = rules.alphabet.letters
@@ -222,15 +225,67 @@ def _sweep_blocks(letters: tuple[str, ...], b: int, dimension: int):
     return [tuple(block) for block in itertools.product(rows, repeat=rh)]
 
 
-def _ruleset_by_index(index: int, letters: tuple[str, ...], b: int,
-                      dimension: int, blocks) -> RuleSet:
-    n = len(letters)
+def _digits(index: int, n: int, base: int) -> list[int]:
+    """The n base-``base`` digits of a rule-set index, most significant
+    first: digit i is the block index of letter i."""
     digits = []
     for _ in range(n):
-        index, d = divmod(index, len(blocks))
+        index, d = divmod(index, base)
         digits.append(d)
-    assignment = {ch: blocks[d] for ch, d in zip(letters, reversed(digits))}
+    return digits[::-1]
+
+
+def _ruleset_by_index(index: int, letters: tuple[str, ...], b: int,
+                      dimension: int, blocks) -> RuleSet:
+    digits = _digits(index, len(letters), len(blocks))
+    assignment = {ch: blocks[d] for ch, d in zip(letters, digits)}
     return RuleSet(Alphabet(letters), dimension, b, assignment)
+
+
+def _sweep_orbits(letters: tuple[str, ...], blocks) -> list[int]:
+    """The smallest rule-set index in the symmetry orbit of every index.
+
+    The group is S_n x {identity, 180-degree rotation}.  A letter
+    permutation relabels the rules, the start grid and the word alike.
+    The rotation turns every rule block by 180 degrees (reverses the row
+    order and each row) and reverses the word.  Both are exact
+    symmetries of the sweep:
+
+    * each map is a bijection on start grids and on words, and it
+      commutes with expansion: under the rotation, level k of the
+      rotated system from the rotated start grid is level k turned by
+      180 degrees, so a word read E (or SE) maps to its reverse read E
+      (or SE);
+    * the sweep's word set (all words up to ``word_len_cap``) is closed
+      under both maps, and both keep word length.
+
+    So every per-length maximum, and with them the rule set's maximum,
+    is constant on each orbit, in 1D and in 2D.
+    """
+    n, base = len(letters), len(blocks)
+    position = {block: k for k, block in enumerate(blocks)}
+    # One table per group element: tables[g][i][d] is what letter i's
+    # block d adds to the image index.
+    tables = []
+    for perm in itertools.permutations(range(n)):
+        relabel = str.maketrans("".join(letters),
+                                "".join(letters[p] for p in perm))
+        for rotate in (False, True):
+            block_map = []
+            for block in blocks:
+                rows = [row.translate(relabel) for row in block]
+                if rotate:
+                    rows = [row[::-1] for row in reversed(rows)]
+                block_map.append(position[tuple(rows)])
+            tables.append([[block_map[d] * base ** (n - 1 - perm[i])
+                            for d in range(base)] for i in range(n)])
+    smallest = [-1] * base ** n
+    for index in range(len(smallest)):
+        if smallest[index] < 0:
+            digits = _digits(index, n, base)
+            for table in tables:
+                smallest[sum(table[i][d] for i, d in enumerate(digits))] = index
+    return smallest
 
 
 def _sweep_words(letters: tuple[str, ...], word_len_cap: int):
@@ -253,19 +308,20 @@ def _keep_best(best: dict[int, tuple], length: int, key: tuple) -> None:
 
 
 def _sweep_chunk(args) -> tuple[list[int], dict]:
-    """Worker: latest levels for every (rule set, word) in an index range.
+    """Worker: latest levels for every (rule set, word) of a list of
+    rule-set indexes.
 
-    Returns the per-rule-set maxima plus the best witness per word length,
-    keyed for a deterministic merge.
+    Returns the maxima of the rule sets in list order plus the best
+    witness per word length, keyed for a deterministic merge.
     """
-    letters, b, dimension, word_len_cap, start, stop = args
+    letters, b, dimension, word_len_cap, indexes = args
     blocks = _sweep_blocks(letters, b, dimension)
     directions = (Direction.E,) if dimension == 1 else (Direction.E, Direction.SE)
     words = list(_sweep_words(letters, word_len_cap))
     per_ruleset: list[int] = []
     # word length -> (level, ruleset text, word, l1 text, ruleset index)
     best: dict[int, tuple] = {}
-    for idx in range(start, stop):
+    for idx in indexes:
         rules = _ruleset_by_index(idx, letters, b, dimension, blocks)
         searcher = AncestrySearcher(rules)
         rs_max = 0
@@ -331,10 +387,19 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
     """Global latest first-appearance level over every rule assignment
     for an n-letter alphabet, all words up to ``word_len_cap``.
 
+    Only the smallest index of each symmetry orbit (see
+    :func:`_sweep_orbits`) is searched; its maximum is copied to every
+    rule set of the orbit.  The witness is the same as a search of every
+    rule set would pick: among the rule sets that reach a length's
+    maximum it takes the smallest ``rules.text()``, and as blocks are
+    fixed-width and enumerated in lexicographic order, text order is
+    index order, so that rule set is the smallest of its orbit and was
+    searched.
+
     Every per-length witness is re-validated by forward expansion before
     the report is returned; one that fails raises ``WitnessError``.
-    Embarrassingly parallel over rule sets; results merge
-    deterministically whatever the chunking.
+    Embarrassingly parallel over orbits; results merge deterministically
+    whatever the chunking.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -346,22 +411,25 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
     if count > SWEEP_RULESET_CAP:
         raise ResourceLimitError(
             f"{count} rule sets exceed the sweep cap {SWEEP_RULESET_CAP}")
-    chunk_size = max(1, count // (jobs * 8) if jobs > 1 else count)
+    smallest = _sweep_orbits(letters, blocks)
+    reps = [idx for idx, first in enumerate(smallest) if first == idx]
+    chunk_size = max(1, len(reps) // (jobs * 8) if jobs > 1 else len(reps))
     chunks = [
-        (letters, b, dimension, word_len_cap, lo, min(lo + chunk_size, count))
-        for lo in range(0, count, chunk_size)
+        (letters, b, dimension, word_len_cap, reps[lo:lo + chunk_size])
+        for lo in range(0, len(reps), chunk_size)
     ]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(_sweep_chunk, chunks)
     else:
         parts = [_sweep_chunk(chunk) for chunk in chunks]
-    per_ruleset: list[int] = []
+    orbit_max: list[int] = []
     best: dict[int, tuple] = {}
     for chunk_max, chunk_best in parts:
-        per_ruleset.extend(chunk_max)
+        orbit_max.extend(chunk_max)
         for length, key in chunk_best.items():
             _keep_best(best, length, key)
+    by_rep = dict(zip(reps, orbit_max))
     for length, key in sorted(best.items()):
         wlevel, wrules_text, wword, wl1, widx, wdir = key
         wrules = _ruleset_by_index(widx, letters, b, dimension, blocks)
@@ -382,7 +450,7 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
         global_max=level, witness_rules=rules_text, witness_word=word,
         witness_l1=l1_text, witness_direction=direction_name,
         per_length_max={length: key[0] for length, key in sorted(best.items())},
-        per_ruleset_max=tuple(per_ruleset),
+        per_ruleset_max=tuple(by_rep[first] for first in smallest),
         ruleset_count=count,
     )
 
@@ -520,8 +588,12 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
 def run_agreement(instances: int = 1000, seed: int = 2013, *,
                   max_level: int = 10) -> AgreementReport:
     """Randomized backward/forward equivalence audit; deterministic for a
-    given seed."""
+    given seed.  An audit of no instances is refused, not reported
+    clean."""
     import random
+
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
 
     rng = random.Random(seed)
     tallies = Counter()

@@ -1,5 +1,6 @@
 """The package has one way in: the root exports exactly the library API
-that README documents, and numpy loads only with the oracle."""
+that README documents, and numpy loads only when the oracle's forward
+materializer runs."""
 
 from __future__ import annotations
 
@@ -64,10 +65,32 @@ assert code == 0 and "numpy" in sys.modules
 """
 
 
-def test_numpy_loads_only_with_the_oracle():
+ORACLE_IMPORT_PROBE = """
+import sys
+import fractalsearch.oracle as oracle
+from fractalsearch.core import Grid
+from fractalsearch.files import load_rules
+from fractalsearch.patterns import Direction
+assert "numpy" not in sys.modules, "importing the oracle loaded numpy"
+rules = load_rules("src/fractalsearch/data/abc_1d.rules")
+level = oracle.forward_first_appearance("CAB", Direction.E,
+                                        Grid.from_text("A"), rules, 6)
+assert level == 4 and "numpy" in sys.modules
+"""
+
+
+def run_probe(source: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE], cwd=ROOT,
+    done = subprocess.run([sys.executable, "-c", source], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_numpy_loads_only_with_the_oracle():
+    run_probe(NUMPY_PROBE)
+
+
+def test_numpy_loads_only_when_the_materializer_runs():
+    run_probe(ORACLE_IMPORT_PROBE)

@@ -236,9 +236,25 @@ class TestUsageErrors:
         # removed options: --format json replaces --json, --len replaces --len-min
         ["solve", "src/fractalsearch/data/in_the_details.puzzle", "--json"],
         ["bounds", "--b", "2", "--n", "3", "--len-min", "1"],
+        # an audit of nothing is not a clean audit
+        ["oracle", "agree", "--instances", "-1", "--format", "json"],
+        ["oracle", "agree", "--instances", "0"],
+        ["oracle", "agree", "--instances", "5", "--max-level", "0"],
+        # the minimums the library enforces: b >= 2, n >= 1, len >= 1,
+        # steps >= 0
+        ["bounds", "--b", "1", "--n", "3"],
+        ["bounds", "--b", "2", "--n", "0"],
+        ["bounds", "--b", "2", "--n", "3", "--len", "0"],
+        ["oracle", "sweep", "--n", "2", "--b", "1"],
+        ["expand", "--rules", RULES_1D, "--grid", "A", "--steps", "-1"],
+        ["contract", "--rules", RULES_1D, "--grid", "AB", "--steps", "-1"],
+        ["contract", "--rules", RULES_1D, "--grid", "AB", "--level", "0"],
     ], ids=["depth-cap", "sweep-jobs", "sweep-n", "sweep-len-cap",
             "search-product-cap", "tree-product-cap", "expand-product-cap",
-            "solve-json", "bounds-len-min"])
+            "solve-json", "bounds-len-min", "agree-instances-negative",
+            "agree-instances-zero", "agree-max-level", "bounds-b", "bounds-n",
+            "bounds-len", "sweep-b", "expand-steps", "contract-steps",
+            "contract-level"])
     def test_bad_value_exits_64(self, capsys, argv):
         try:
             code = main(argv)

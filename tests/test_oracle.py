@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalsearch import oracle
+from fractalsearch.ancestry import AncestrySearcher
 from fractalsearch.bounds import w1
 from fractalsearch.core import Alphabet, Grid, RuleSet, expand
 from fractalsearch.errors import (
@@ -16,6 +21,7 @@ from fractalsearch.oracle import (
     check_instance,
     forward_first_appearance,
     latest_first_appearance,
+    latest_with_searcher,
     materialize,
     random_instance,
     run_agreement,
@@ -190,6 +196,105 @@ class TestSweep:
         assert data["global_max"] == 4
 
 
+def relabeled(rules: RuleSet, perm: dict[str, str]) -> RuleSet:
+    """The rule set with every letter renamed by ``perm``: the rule of
+    perm[x] is the rule of x, renamed."""
+    table = str.maketrans(perm)
+    return RuleSet(rules.alphabet, rules.dimension, rules.b,
+                   {perm[ch]: tuple(row.translate(table) for row in block)
+                    for ch, block in rules.rules.items()})
+
+
+def rotated(rules: RuleSet) -> RuleSet:
+    """The rule set with every block turned by 180 degrees."""
+    return RuleSet(rules.alphabet, rules.dimension, rules.b,
+                   {ch: tuple(row[::-1] for row in reversed(block))
+                    for ch, block in rules.rules.items()})
+
+
+class TestSweepSymmetry:
+    """The sweep searches one rule set per orbit of letter relabeling x
+    180-degree rotation; these pin that down from outside."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_latest_level_is_invariant(self, data):
+        rules = data.draw(rule_sets(max_n=3))
+        letters = rules.alphabet.letters
+        word = data.draw(st.text(alphabet=letters, min_size=1, max_size=2))
+        perm = dict(zip(letters, data.draw(st.permutations(letters))))
+        images = [(relabeled(rules, perm), "".join(perm[ch] for ch in word)),
+                  (rotated(rules), word[::-1])]
+        directions = ((Direction.E,) if rules.dimension == 1
+                      else (Direction.E, Direction.SE))
+        for direction in directions:
+            level = latest_with_searcher(
+                AncestrySearcher(rules), word, direction).level
+            for image_rules, image_word in images:
+                got = latest_with_searcher(AncestrySearcher(image_rules),
+                                           image_word, direction)
+                assert got.level == level
+
+    @pytest.mark.parametrize("n, dimension, count", [
+        (3, 1, 74), (4, 1, 1474), (2, 2, 76)], ids=["1d-n3", "1d-n4", "2d-n2"])
+    def test_orbits_cover_every_index_once(self, n, dimension, count):
+        letters = tuple("ABCD"[:n])
+        blocks = oracle._sweep_blocks(letters, 2, dimension)
+        smallest = oracle._sweep_orbits(letters, blocks)
+        assert len(smallest) == len(blocks) ** n
+        orbits = defaultdict(list)
+        for idx, first in enumerate(smallest):
+            orbits[first].append(idx)
+        assert len(orbits) == count
+        assert all(members[0] == first for first, members in orbits.items())
+
+    @pytest.mark.parametrize("n, dimension", [(3, 1), (2, 2)],
+                             ids=["1d-n3", "2d-n2"])
+    def test_orbits_are_closed_under_the_generators(self, n, dimension):
+        letters = tuple("ABCD"[:n])
+        blocks = oracle._sweep_blocks(letters, 2, dimension)
+        smallest = oracle._sweep_orbits(letters, blocks)
+        everything = [oracle._ruleset_by_index(idx, letters, 2, dimension,
+                                               blocks)
+                      for idx in range(len(smallest))]
+        index = {rules.text(): idx for idx, rules in enumerate(everything)}
+        swap = dict(zip(letters, letters[1::-1] + letters[2:]))
+        cycle = dict(zip(letters, letters[1:] + letters[:1]))
+        for idx, rules in enumerate(everything):
+            for image in (relabeled(rules, swap), relabeled(rules, cycle),
+                          rotated(rules)):
+                assert smallest[index[image.text()]] == smallest[idx]
+
+    @pytest.mark.parametrize("n, dimension, b", [(3, 1, 2), (2, 2, 2), (2, 1, 3)])
+    def test_text_order_is_index_order(self, n, dimension, b):
+        """So the witness's smallest rules text is its orbit's smallest
+        index, the one the sweep searches."""
+        letters = tuple("ABCD"[:n])
+        blocks = oracle._sweep_blocks(letters, b, dimension)
+        texts = [oracle._ruleset_by_index(idx, letters, b, dimension,
+                                          blocks).text()
+                 for idx in range(len(blocks) ** n)]
+        assert texts == sorted(texts)
+
+    # sha256 of json.dumps(report.to_json_dict(), sort_keys=True), as the
+    # sweep gave when it searched every rule set
+    @pytest.mark.parametrize("n, dimension, word_len_cap, jobs, digest", [
+        (2, 1, 2, 1, "178ef08ad040abc39816c7a672b853c9bc4ec5eac5b0f31874d72bea12fdd19b"),
+        (3, 1, 2, 1, "f53e81a4f23323644976b0d54dbfcca11c728336d6a977448c9ab21fa139cdc4"),
+        (2, 1, 3, 1, "f7a336835fc4d6587b8a1cbbc0b9f7152a2370b805a385beef4744fb0c2050f5"),
+        (3, 1, 3, 1, "755e65f84d87af9255662522ac4b92fa3d0bc25988666f2d0bef302dc3529848"),
+        (4, 1, 2, 1, "c9ea2bd6f91a0d6da6ed6e773188dd5dd611e34ea1853d3e9b379795bce563ef"),
+        (2, 2, 2, 1, "c829506fff1f19131291c7f703d58e84aa2e000d733ba663b5a86ab73c71fbc5"),
+        (2, 2, 3, 2, "d58965828aea5b7bb1fa5ee71af8a31e4fbc81f16092469d0efe4110df0fd108"),
+    ], ids=["1d-n2-len2", "1d-n3-len2", "1d-n2-len3", "1d-n3-len3",
+            "1d-n4-len2", "2d-n2-len2", "2d-n2-len3-jobs2"])
+    def test_report_matches_the_full_search(self, n, dimension, word_len_cap,
+                                            jobs, digest):
+        report = sweep_max_latest(n, 2, dimension, word_len_cap, jobs=jobs)
+        text = json.dumps(report.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestAgreementHarness:
     def test_small_run_is_clean(self):
         report = run_agreement(60, seed=11)
@@ -212,6 +317,11 @@ class TestAgreementHarness:
 
         assert first_appearance("BB", Direction.E, l1, rules).level == 13
         assert forward_first_appearance("BB", Direction.E, l1, rules, 10) is None
+
+    @pytest.mark.parametrize("instances", [0, -1])
+    def test_an_empty_audit_is_refused(self, instances):
+        with pytest.raises(ValueError):
+            run_agreement(instances)
 
     def test_deterministic_for_a_seed(self):
         assert run_agreement(25, seed=3) == run_agreement(25, seed=3)
