@@ -14,7 +14,7 @@ import sys
 import time
 
 from fractalsearch.bounds import w1
-from fractalsearch.oracle import sweep_max_latest
+from fractalsearch.oracle import SWEEP_RULESET_CAP, sweep_max_latest
 
 
 def main() -> int:
@@ -23,6 +23,14 @@ def main() -> int:
     parser.add_argument("--len-cap", type=int, default=2)
     parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args()
+    # n letters with 1 x 2 blocks have n**2 blocks each: n**(2n) rule sets
+    largest = max(n for n in range(2, 27) if n ** (2 * n) <= SWEEP_RULESET_CAP)
+    if not 2 <= args.max_n <= largest:
+        parser.error(f"--max-n must be from 2 to {largest}: more letters give "
+                     f"more rule sets than the sweep cap of {SWEEP_RULESET_CAP}")
+    for flag, value in (("--len-cap", args.len_cap), ("--jobs", args.jobs)):
+        if value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
 
     print(f"{'n':>3} {'rule sets':>10} {'actual max':>11} {'pair bound':>11} "
           f"{'witness':<40} {'time':>8}")

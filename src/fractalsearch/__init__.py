@@ -2,9 +2,8 @@
 substitution grids without materializing exponentially large levels.
 
 The package root exports the library API that README documents; every
-other name is imported from the module that defines it.  numpy is
-loaded only by the forward route in ``fractalsearch.oracle``, when it
-first expands a level.
+other name is imported from the module that defines it.  The package
+needs nothing outside the standard library.
 """
 
 from .ancestry import first_appearance, witness_coordinates

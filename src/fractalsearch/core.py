@@ -1,6 +1,6 @@
 """Substitution grids: alphabets, replacement rules, expansion and
 contraction between levels, and cell resolution on levels far too large
-to materialize.
+to build.
 
 Conventions used throughout the package:
 

@@ -41,8 +41,8 @@ class AmbiguousRulesError(FractalSearchError):
 
 
 class ResourceLimitError(FractalSearchError):
-    """A resource guard was exceeded (parent product cap, materialization
-    cell cap, closure size cap)."""
+    """A resource guard was exceeded (parent product cap, forward window
+    cap, closure size cap)."""
 
 
 class UnresolvedSearchError(FractalSearchError):

@@ -2,10 +2,10 @@
 
 Three instruments live here:
 
-* forward materialized search: expand levels explicitly (vectorized with
-  numpy, guarded by a cell cap) and scan for the word -- the independent
-  route against which the backward search is validated; numpy is
-  imported when the first materializer is built, not with this module;
+* the forward window fixpoint: a breadth-first walk over the distinct
+  word-shaped windows of each level, exact on every level and ending in
+  a fixpoint that proves "never" -- the independent route against
+  which the backward search is validated;
 * latest first appearance: the worst first-appearance level of a word
   over every possible start grid, computed exactly by enumerating the
   concrete fills of the word's ancestor patterns (adding letters to a
@@ -22,12 +22,13 @@ import itertools
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
-from typing import ClassVar, Iterator
+from operator import itemgetter
+from typing import ClassVar
 
 from . import bounds
 from .ancestry import AncestrySearcher
 from .core import Alphabet, Grid, RuleSet, check_letters
-from .errors import ResourceLimitError, UnknownLetterError, WitnessError
+from .errors import ResourceLimitError, WitnessError
 from .patterns import (
     ANTIDIAGONALS,
     DIAGONALS,
@@ -38,100 +39,97 @@ from .patterns import (
     word_to_pattern,
 )
 
-CELL_CAP = 10 ** 8
 FILL_CAP = 10 ** 6
 SWEEP_RULESET_CAP = 10 ** 6
+WINDOW_CAP = 10 ** 6
+
+OUTSIDE = "#"       # cells outside the start grid; reserved, never a letter
 
 
 # ---------------------------------------------------------------------------
-# forward materialized search
+# forward window fixpoint
 # ---------------------------------------------------------------------------
-
-class _Materializer:
-    """Vectorized level expansion over letter indexes."""
-
-    def __init__(self, rules: RuleSet):
-        global np
-        import numpy as np
-
-        self.rules = rules
-        self.index = {ch: i for i, ch in enumerate(rules.alphabet.letters)}
-        self.letters = rules.alphabet.letters
-        rh, b = rules.rule_rows, rules.b
-        blocks = np.empty((rules.n, rh, b), dtype=np.uint8)
-        for ch, i in self.index.items():
-            for br, row in enumerate(rules.rules[ch]):
-                blocks[i, br] = [self.index[c] for c in row]
-        self.blocks = blocks
-        self.rh, self.b = rh, b
-
-    def to_array(self, grid: Grid) -> np.ndarray:
-        try:
-            flat = [self.index[ch] for ch in grid.cells]
-        except KeyError as exc:
-            raise UnknownLetterError(f"grid letter {exc.args[0]!r} has no rule") from None
-        return np.array(flat, dtype=np.uint8).reshape(grid.rows, grid.cols)
-
-    def expand_once(self, arr: np.ndarray) -> np.ndarray:
-        h, w = arr.shape
-        out = self.blocks[arr]                      # (h, w, rh, b)
-        return np.ascontiguousarray(
-            out.transpose(0, 2, 1, 3).reshape(h * self.rh, w * self.b)
-        )
-
-    def levels(self, l1: Grid, max_level: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (level, array) for levels 1 .. max_level of the start
-        grid; a level over ``CELL_CAP`` cells raises before it is built."""
-        arr = self.to_array(l1)
-        yield 1, arr
-        for level in range(2, max_level + 1):
-            cells = arr.size * self.rh * self.b
-            if cells > CELL_CAP:
-                raise ResourceLimitError(
-                    f"level {level} needs {cells} cells, cap is {CELL_CAP}")
-            arr = self.expand_once(arr)
-            yield level, arr
-
-    def to_grid(self, arr: np.ndarray, level: int) -> Grid:
-        flat = "".join(self.letters[i] for i in arr.ravel())
-        return Grid(arr.shape[0], arr.shape[1], flat, level)
-
-    def contains(self, arr: np.ndarray, pattern: Pattern) -> bool:
-        h, w = arr.shape
-        if pattern.rows > h or pattern.cols > w:
-            return False
-        oh, ow = h - pattern.rows + 1, w - pattern.cols + 1
-        mask: np.ndarray | None = None
-        for r, c, ch in pattern.concrete_cells():
-            hit = arr[r:r + oh, c:c + ow] == self.index[ch]
-            mask = hit if mask is None else (mask & hit)
-            if not mask.any():
-                return False
-        return bool(mask.any())
-
-
-def materialize(l1: Grid, rules: RuleSet, level: int) -> Grid:
-    """Explicitly build the given level; independent of core.expand."""
-    eng = _Materializer(rules)
-    for _, arr in eng.levels(l1, level):
-        pass
-    return eng.to_grid(arr, level)
-
 
 def forward_first_appearance(word: str, direction: Direction, l1: Grid,
                              rules: RuleSet, max_level: int) -> int | None:
-    """First level (<= max_level) containing the word, by expanding and
-    scanning every level; None if absent throughout."""
+    """First level (<= max_level) containing the word; None if absent
+    throughout.
+
+    No level is built: a breadth-first walk visits the distinct windows
+    of each level.  A window is the string of letters under one
+    placement of a shape -- the word's line (1 x s or s x 1) or, for a
+    diagonal, the band of that line and the diagonal to its right -- and
+    cells outside the start grid hold ``#``, which expands to itself.  A
+    window's children are the same-shape windows inside its expansion,
+    its cells' blocks joined into one string.
+
+    Closure lemma: a window of level k+1 lies inside the expansion of
+    one same-shape window of level k, since a line of s cells has its
+    parents on a line of at most s cells and a band's parents lie on two
+    adjacent diagonals.  So breadth-first depth is the exact first level
+    of a window, and as there are finitely many windows the walk ends;
+    ending with no window whose line spells the word proves "never".
+    Only the line is compared: a band's second diagonal is the line of
+    the band one column over.  1D rules expand each row on its own, so a
+    diagonal's parents drift along the rows; there the shape is the
+    s x s square, which closes.  More than ``WINDOW_CAP`` distinct
+    windows raise ResourceLimitError.
+    """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     if l1.level != 1:
         raise ValueError("start grid must be tagged level 1")
     check_letters(word, rules, "word")
-    pattern = word_to_pattern(word, direction)
-    eng = _Materializer(rules)
-    for level, arr in eng.levels(l1, max_level):
-        if eng.contains(arr, pattern):
+    check_letters(l1.cells, rules, "grid")
+    s = len(word)
+    step = direction.value
+    backwards = step < (0, 0)       # W, N, NW and NE read the line backwards
+    target = word[::-1] if backwards else word
+    dr, dc = (-step[0], -step[1]) if backwards else step
+    shape = [(i * dr, i * dc) for i in range(s)]
+    if dr and dc:
+        shape += ([(r, c + 1) for r, c in shape] if rules.dimension == 2 else
+                  [(i, j * dc) for i in range(s) for j in range(s) if i != j])
+    # Every placement touching the start grid, read off the grid padded
+    # with s OUTSIDE cells on each side: no offset of the shape exceeds s.
+    blank = [OUTSIDE * (l1.cols + 2 * s)] * s
+    padded = blank + [OUTSIDE * s + line + OUTSIDE * s
+                      for line in l1.lines()] + blank
+    rows, cols = zip(*shape)
+    seen = {"".join([padded[r + sr][c + sc] for sr, sc in shape])
+            for r in range(s - max(rows), s + l1.rows)
+            for c in range(s - max(cols), s + l1.cols - min(cols))}
+    if any(window.startswith(target) for window in seen):
+        return 1
+    rh, b = rules.rule_rows, rules.b
+    blocks = {ord(ch): "".join(rules.rules[ch]) for ch in rules.alphabet}
+    blocks[ord(OUTSIDE)] = OUTSIDE * (rh * b)
+    # (row, col) of every expanded cell -> its index in the expansion;
+    # the shape's first offset is (0, 0), so children anchor on such cells
+    index = {(r * rh + i, c * b + j): k * rh * b + i * b + j
+             for k, (r, c) in enumerate(shape)
+             for i in range(rh) for j in range(b)}
+    children = [itemgetter(*(index[ar + sr, ac + sc] for sr, sc in shape))
+                for ar, ac in sorted(index)
+                if all((ar + sr, ac + sc) in index for sr, sc in shape)]
+    frontier = list(seen)
+    for level in range(2, max_level + 1):
+        new = []
+        for window in frontier:
+            expansion = window.translate(blocks)
+            for child in children:
+                got = "".join(child(expansion))
+                if got not in seen:
+                    seen.add(got)
+                    new.append(got)
+            if len(seen) > WINDOW_CAP:
+                raise ResourceLimitError(
+                    f"forward walk exceeds {WINDOW_CAP} windows")
+        if any(window.startswith(target) for window in new):
             return level
+        if not new:
+            return None
+        frontier = new
     return None
 
 
@@ -480,7 +478,7 @@ class AgreementReport:
     instances: int
     found_both: int
     never_both: int
-    beyond_horizon: int          # backward found deeper than the forward horizon
+    beyond_horizon: int          # backward found deeper than max_level
     mismatches: tuple[str, ...]
     bound_violations: tuple[str, ...]
     geometry_violations: tuple[str, ...]
@@ -533,25 +531,22 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
     """Run both search routes on one instance and audit the invariants.
 
     Returns a dict of issue lists (empty when everything agrees) plus the
-    outcome classification.
+    outcome classification.  A backward level past ``max_level`` is
+    still checked exactly: the forward route then runs to that level.
     """
     searcher = AncestrySearcher(rules, l1)
     res = searcher.search(word, direction)
-    fwd = forward_first_appearance(word, direction, l1, rules, max_level)
+    horizon = max(max_level, res.level) if res.found else max_level
+    fwd = forward_first_appearance(word, direction, l1, rules, horizon)
     desc = (f"dim={rules.dimension} n={rules.n} rules={rules.text()} "
             f"l1={l1.text()} word={word} dir={direction.name}")
     issues: dict[str, list[str]] = {
         "mismatch": [], "bound": [], "geometry": [], "confinement": []}
-    if res.found and res.level <= max_level:
-        outcome = "found"
+    if res.found:
+        outcome = "found" if res.level <= max_level else "beyond"
         if fwd != res.level:
             issues["mismatch"].append(
                 f"{desc}: backward {res.level}, forward {fwd}")
-    elif res.found:
-        outcome = "beyond"
-        if fwd is not None:
-            issues["mismatch"].append(
-                f"{desc}: backward {res.level}, forward already {fwd}")
     else:
         outcome = "never"
         if fwd is not None:

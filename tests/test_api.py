@@ -1,6 +1,6 @@
 """The package has one way in: the root exports exactly the library API
-that README documents, and numpy loads only when the oracle's forward
-materializer runs."""
+that README documents, and it needs nothing outside the standard
+library."""
 
 from __future__ import annotations
 
@@ -51,46 +51,30 @@ def test_readme_library_snippet_runs(monkeypatch):
     assert [a.col for a in addresses] == [14, 15, 16, 17, 18, 19]
 
 
-NUMPY_PROBE = """
+STDLIB_PROBE = """
 import contextlib, io, sys
-import fractalsearch, fractalsearch.cli, fractalsearch.puzzle
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = fractalsearch.cli.main(
-        ["solve", "src/fractalsearch/data/in_the_details.puzzle"])
-assert code == 0 and "HUMPHREY" in out.getvalue(), out.getvalue()
-assert "numpy" not in sys.modules, "numpy loaded without the oracle"
-with contextlib.redirect_stdout(io.StringIO()):
-    code = fractalsearch.cli.main(["oracle", "sweep", "--n", "2"])
-assert code == 0 and "numpy" in sys.modules
+import fractalsearch.cli
+for argv in (["solve", "src/fractalsearch/data/in_the_details.puzzle"],
+             ["oracle", "sweep", "--n", "2"],
+             ["oracle", "agree", "--instances", "20"]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = fractalsearch.cli.main(argv)
+    assert code == 0, (argv, out.getvalue())
+main = sys.modules["__main__"]
+outside = sorted(name for name, module in sys.modules.items()
+                 if "." not in name and module is not main
+                 and name != "fractalsearch"
+                 and name not in sys.stdlib_module_names)
+assert not outside, outside
 """
 
 
-ORACLE_IMPORT_PROBE = """
-import sys
-import fractalsearch.oracle as oracle
-from fractalsearch.core import Grid
-from fractalsearch.files import load_rules
-from fractalsearch.patterns import Direction
-assert "numpy" not in sys.modules, "importing the oracle loaded numpy"
-rules = load_rules("src/fractalsearch/data/abc_1d.rules")
-level = oracle.forward_first_appearance("CAB", Direction.E,
-                                        Grid.from_text("A"), rules, 6)
-assert level == 4 and "numpy" in sys.modules
-"""
-
-
-def run_probe(source: str) -> None:
+def test_the_cli_loads_only_the_standard_library():
+    """Run without site-packages (``-S``), so an import of any installed
+    package fails, and check what the commands loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", source], cwd=ROOT,
+    done = subprocess.run([sys.executable, "-S", "-c", STDLIB_PROBE], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-
-
-def test_numpy_loads_only_with_the_oracle():
-    run_probe(NUMPY_PROBE)
-
-
-def test_numpy_loads_only_when_the_materializer_runs():
-    run_probe(ORACLE_IMPORT_PROBE)

@@ -22,13 +22,30 @@ from fractalsearch.oracle import (
     forward_first_appearance,
     latest_first_appearance,
     latest_with_searcher,
-    materialize,
     random_instance,
     run_agreement,
     sweep_max_latest,
 )
 from fractalsearch.patterns import Direction
-from tests.conftest import grids_for, rule_sets, seeded_rng
+from tests.conftest import rule_sets, seeded_rng
+
+
+def scan_levels(word, direction, l1, rules, max_level):
+    """First level up to ``max_level`` of ``core.expand``'s grids on which
+    the word reads along ``direction``; None if absent throughout."""
+    dr, dc = direction.value
+    grid = l1
+    for level in range(1, max_level + 1):
+        lines = grid.lines()
+        for r in range(grid.rows):
+            for c in range(grid.cols):
+                cells = [(r + i * dr, c + i * dc) for i in range(len(word))]
+                if all(0 <= rr < grid.rows and 0 <= cc < grid.cols
+                       and lines[rr][cc] == ch
+                       for (rr, cc), ch in zip(cells, word)):
+                    return level
+        grid = expand(grid, rules)
+    return None
 
 
 class TestForwardFirstAppearance:
@@ -65,43 +82,54 @@ class TestForwardFirstAppearance:
             forward_first_appearance("AX", Direction.E, Grid.from_text("A"),
                                      abc_1d, 3)
 
-    def test_cell_cap_guards_materialization(self, abc_2d, monkeypatch):
-        monkeypatch.setattr(oracle, "CELL_CAP", 10 ** 4)
+    def test_rejects_foreign_grid_letters(self, abc_1d):
+        with pytest.raises(UnknownLetterError):
+            forward_first_appearance("AB", Direction.E, Grid.from_text("AX"),
+                                     abc_1d, 3)
+
+    def test_window_cap_is_enforced(self, abc_2d, monkeypatch):
+        # AA never reads SE here; the fixpoint proving it needs more than
+        # 40 distinct windows (and fewer than 100)
+        monkeypatch.setattr(oracle, "WINDOW_CAP", 40)
         with pytest.raises(ResourceLimitError):
             forward_first_appearance("AA", Direction.SE, Grid.from_text("A"),
                                      abc_2d, 30)
 
     def test_cap_not_hit_when_found_early(self, abc_2d, monkeypatch):
-        monkeypatch.setattr(oracle, "CELL_CAP", 10 ** 4)
+        monkeypatch.setattr(oracle, "WINDOW_CAP", 40)
         got = forward_first_appearance("BB", Direction.SE, Grid.from_text("A"),
                                        abc_2d, 30)
         assert got == 3
 
+    def test_rauzy_is_on_level_86(self, puzzle_path):
+        """The puzzle's deepest word: on level 86 and on no level before."""
+        from fractalsearch.puzzle import load_puzzle
 
-class TestMaterialize:
-    def test_matches_string_expansion(self, abc_1d):
-        assert materialize(Grid.from_text("A"), abc_1d, 4).cells == "ABACABBB"
+        spec = load_puzzle(puzzle_path)
+        assert forward_first_appearance("RAUZY", Direction.NW, spec.l1,
+                                        spec.rules, 100) == 86
+        assert forward_first_appearance("RAUZY", Direction.NW, spec.l1,
+                                        spec.rules, 85) is None
 
-    def test_level_one_is_the_start_grid(self, abc_2d):
-        l1 = Grid.from_text("AB/CA")
-        assert materialize(l1, abc_2d, 1) == l1
-
-    def test_refuses_a_level_over_the_cap(self, abc_2d, monkeypatch):
-        monkeypatch.setattr(oracle, "CELL_CAP", 10 ** 4)
-        # level 7 of a 1 x 1 start grid has 4**6 = 4096 cells, level 8 16384
-        assert materialize(Grid.from_text("A"), abc_2d, 7).rows == 64
-        with pytest.raises(ResourceLimitError):
-            materialize(Grid.from_text("A"), abc_2d, 8)
-
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_agrees_with_core_expand(self, data):
-        """The vectorized expansion and the string expansion are
-        independent implementations; they must coincide."""
+    def test_agrees_with_expand_and_scan(self, data):
+        """The window walk against building every level with
+        ``core.expand`` and reading the word off it: 1D and 2D rules,
+        b = 2 and 3, every direction, start grids of up to 3 x 3 (1D
+        rules too, where rows expand on their own)."""
         rules = data.draw(rule_sets(bs=(2, 3)))
-        grid = data.draw(grids_for(rules, max_side=3))
-        level = data.draw(st.integers(1, 5))
-        assert materialize(grid, rules, level) == expand(grid, rules, level - 1)
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        letters = rules.alphabet.letters
+        cells = data.draw(st.text(alphabet=letters, min_size=rows * cols,
+                                  max_size=rows * cols))
+        l1 = Grid(rows, cols, cells, 1)
+        word = data.draw(st.text(alphabet=letters, min_size=1, max_size=4))
+        direction = data.draw(st.sampled_from(list(Direction)))
+        # keep the built levels small: at most 6 for b = 2, 4 for b = 3
+        max_level = 6 if rules.b == 2 else 4
+        assert (forward_first_appearance(word, direction, l1, rules, max_level)
+                == scan_levels(word, direction, l1, rules, max_level))
 
 
 class TestLatestFirstAppearance:
@@ -302,21 +330,40 @@ class TestAgreementHarness:
         assert report.clean, report.to_json_dict()
         assert report.found_both + report.never_both + report.beyond_horizon == 60
 
+    # The n=4 sweep's worst case: BB first appears on level 13, past the
+    # audit's level-10 horizon.
+    DEEP_RULES = RuleSet(
+        Alphabet.from_string("ABCD"), 1, 2,
+        {"A": ("AB",), "B": ("CC",), "C": ("DD",), "D": ("BA",)})
+
     def test_beyond_horizon_instance(self):
-        # The n=4 sweep's worst case first appears on level 13, past the
-        # level-10 materialization horizon: the backward route must still
-        # resolve it and the forward route must come up empty.
-        rules = RuleSet(
-            Alphabet.from_string("ABCD"), 1, 2,
-            {"A": ("AB",), "B": ("CC",), "C": ("DD",), "D": ("BA",)})
         l1 = Grid.from_text("B")
-        got = check_instance(rules, l1, "BB", Direction.E, max_level=10)
+        got = check_instance(self.DEEP_RULES, l1, "BB", Direction.E, max_level=10)
         assert got["outcome"] == "beyond"
         assert not any(got["issues"].values())
         from fractalsearch.ancestry import first_appearance
 
-        assert first_appearance("BB", Direction.E, l1, rules).level == 13
-        assert forward_first_appearance("BB", Direction.E, l1, rules, 10) is None
+        assert first_appearance("BB", Direction.E, l1, self.DEEP_RULES).level == 13
+        assert forward_first_appearance("BB", Direction.E, l1, self.DEEP_RULES,
+                                        10) is None
+        assert forward_first_appearance("BB", Direction.E, l1, self.DEEP_RULES,
+                                        13) == 13
+
+    def test_beyond_horizon_level_is_checked_exactly(self, monkeypatch):
+        """A deep level is checked to the level itself, not only for
+        absence up to the horizon: a forward route one level late past
+        the horizon is a mismatch."""
+        real = oracle.forward_first_appearance
+        monkeypatch.setattr(
+            oracle, "forward_first_appearance",
+            lambda word, direction, l1, rules, max_level: real(
+                word, direction, l1, rules, max_level - 1))
+        got = check_instance(self.DEEP_RULES, Grid.from_text("B"), "BB",
+                             Direction.E, max_level=10)
+        assert got["outcome"] == "beyond"
+        assert got["issues"]["mismatch"] == [
+            "dim=1 n=4 rules=A>AB;B>CC;C>DD;D>BA l1=B word=BB dir=E: "
+            "backward 13, forward None"]
 
     @pytest.mark.parametrize("instances", [0, -1])
     def test_an_empty_audit_is_refused(self, instances):

@@ -1,5 +1,5 @@
 """Smoke test of the experiment script: it runs as a subprocess on small
-inputs and exits 0."""
+inputs and exits 0, and refuses out-of-range arguments before sweeping."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,3 +25,18 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 def test_footnote_sweep_small():
     done = run_script("footnote_sweep.py", "--max-n", "2", "--jobs", "1")
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--max-n", "5"), "--max-n must be from 2 to 4: more letters give more "
+                       "rule sets than the sweep cap of 1000000"),
+    (("--max-n", "1"), "--max-n must be from 2 to 4"),
+    (("--len-cap", "0"), "--len-cap must be at least 1, got 0"),
+    (("--jobs", "0"), "--jobs must be at least 1, got 0"),
+], ids=["max-n-over-cap", "max-n-under-2", "len-cap", "jobs"])
+def test_footnote_sweep_refuses_bad_arguments_up_front(args, message):
+    done = run_script("footnote_sweep.py", *args)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert f"error: {message}" in done.stderr
