@@ -85,9 +85,10 @@ class SearchResult:
 class AncestrySearcher:
     """Parent enumeration and backward search for one rule set.
 
-    Caches parents and grounding positions per pattern, so reuse one
-    instance when searching many words against the same rules and start
-    grid (the deep ancestor space overlaps heavily between words).
+    Caches the parents of each pattern, so reuse one instance when
+    searching many words against the same rules: the sweep and the
+    audit's geometry re-check ask for the same parents again and again.
+    Groundings are not cached: a search seldom grounds a pattern twice.
     """
 
     def __init__(self, rules: RuleSet, l1: Grid | None = None):
@@ -97,7 +98,7 @@ class AncestrySearcher:
             check_letters(l1.cells, rules, "start grid")
         self.rules = rules
         self.l1 = l1
-        self._letters = rules.alphabet.letters
+        self._letters = rules.letters
         self._letter_ok = frozenset(self._letters) | {WILDCARD}
         # Bitmask of parent letters whose block has `ch` at (br, bc);
         # candidate sets intersect via &.
@@ -111,7 +112,6 @@ class AncestrySearcher:
         self._table = table
         self._mask_options: dict[int, tuple[str, ...]] = {}
         self._parents: dict[Pattern, tuple[tuple[Pattern, tuple[int, int]], ...]] = {}
-        self._grounds: dict[Pattern, tuple[tuple[int, int], ...]] = {}
         self._l1_index = GridIndex(l1) if l1 is not None else None
 
     # -- parent enumeration -------------------------------------------------
@@ -209,15 +209,10 @@ class AncestrySearcher:
 
     def ground_positions(self, pattern: Pattern) -> tuple[tuple[int, int], ...]:
         """1-indexed positions where the trimmed pattern occurs in the start
-        grid, row-major; matched through the start grid's letter index
-        and cached per pattern."""
+        grid, row-major; matched through the start grid's letter index."""
         if self._l1_index is None:
             raise ValueError("searcher was built without a start grid")
-        cached = self._grounds.get(pattern)
-        if cached is None:
-            cached = tuple(self._l1_index.positions(pattern))
-            self._grounds[pattern] = cached
-        return cached
+        return tuple(self._l1_index.positions(pattern))
 
     # -- search ---------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Substitution grids: alphabets, replacement rules, expansion and
+"""Substitution grids: replacement rules, expansion and
 contraction between levels, and cell resolution on levels far too large
 to build.
 
@@ -23,12 +23,15 @@ from .errors import (
     AddressRangeError,
     AmbiguousRulesError,
     ContractionError,
+    ResourceLimitError,
     UnknownLetterError,
 )
 
 # Symbols with structural meaning in the text formats; they can never be
 # alphabet letters.
 RESERVED_CHARS = frozenset("*/#= \t\r\n")
+
+EXPAND_CELL_CAP = 10 ** 7
 
 
 def _check_symbol(ch: str) -> None:
@@ -37,92 +40,61 @@ def _check_symbol(ch: str) -> None:
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """Ordered collection of distinct single-character symbols."""
-
-    letters: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.letters:
-            raise UnknownLetterError("alphabet must contain at least one letter")
-        for ch in self.letters:
-            _check_symbol(ch)
-        if len(set(self.letters)) != len(self.letters):
-            raise UnknownLetterError("alphabet letters must be distinct")
-
-    @classmethod
-    def from_string(cls, letters: str) -> "Alphabet":
-        return cls(tuple(letters))
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    def __contains__(self, ch: str) -> bool:
-        return ch in self.letters
-
-    def __iter__(self):
-        return iter(self.letters)
-
-
-@dataclass(frozen=True)
 class RuleSet:
-    """Total map from letters to replacement blocks.
+    """Total map from letters to replacement blocks, in letter order.
 
-    ``rules[letter]`` is a tuple of block rows: one row of length ``b``
-    when ``dimension`` is 1, and ``b`` rows of length ``b`` when it is 2.
+    ``rules[letter]`` is a tuple of block rows: one row of ``b`` letters
+    for 1D rules, ``b`` rows of ``b`` letters for 2D rules.  Everything
+    else is read off the blocks: ``letters`` are the keys in order,
+    ``rule_rows`` x ``b`` is the block shape, ``dimension`` is 1 or 2 and
+    ``n`` is the number of letters.
     """
 
-    alphabet: Alphabet
-    dimension: int
-    b: int
     rules: dict[str, tuple[str, ...]] = field(hash=False)
+    letters: tuple[str, ...] = field(init=False, repr=False)
+    rule_rows: int = field(init=False, repr=False)
+    b: int = field(init=False, repr=False)
+    dimension: int = field(init=False, repr=False)
+    n: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        if self.b < 2:
-            raise ValueError(f"block side must be >= 2, got {self.b}")
-        want_rows = self.rule_rows
-        missing = [ch for ch in self.alphabet if ch not in self.rules]
-        if missing:
-            raise UnknownLetterError(f"letters without a rule: {missing}")
-        extra = [ch for ch in self.rules if ch not in self.alphabet]
-        if extra:
-            raise UnknownLetterError(f"rules for letters outside the alphabet: {extra}")
+        if not self.rules:
+            raise UnknownLetterError("a rule set needs at least one letter")
+        letters = tuple(self.rules)
+        for ch in letters:
+            _check_symbol(ch)
+        first = next(iter(self.rules.values()))
+        rh, b = len(first), len(first[0]) if first else 0
+        if rh not in (1, b):
+            raise ValueError(f"blocks must be 1 x b or b x b, got {rh} x {b}")
+        if b < 2:
+            raise ValueError(f"block side must be >= 2, got {b}")
         for ch, block in self.rules.items():
-            if len(block) != want_rows or any(len(row) != self.b for row in block):
-                raise ValueError(
-                    f"rule for {ch!r} must be {want_rows} row(s) of {self.b} letters"
-                )
+            if len(block) != rh or any(len(row) != b for row in block):
+                raise ValueError(f"rule for {ch!r} must be {rh} row(s) of {b} letters")
             for row in block:
                 for out in row:
-                    if out not in self.alphabet:
+                    if out not in self.rules:
                         raise UnknownLetterError(
                             f"rule for {ch!r} uses unknown letter {out!r}"
                         )
-
-    @property
-    def rule_rows(self) -> int:
-        """Height of one replacement block (1 for 1D rules, b for 2D)."""
-        return 1 if self.dimension == 1 else self.b
-
-    @property
-    def n(self) -> int:
-        return self.alphabet.n
+        for name, value in (("letters", letters), ("rule_rows", rh), ("b", b),
+                            ("dimension", 1 if rh == 1 else 2),
+                            ("n", len(letters))):
+            object.__setattr__(self, name, value)
 
     def duplicate_blocks(self) -> tuple[tuple[str, ...], ...]:
         """Groups of letters sharing an identical replacement block."""
         by_block: dict[tuple[str, ...], list[str]] = {}
-        for ch in self.alphabet:
-            by_block.setdefault(self.rules[ch], []).append(ch)
+        for ch, block in self.rules.items():
+            by_block.setdefault(block, []).append(ch)
         return tuple(
             tuple(group) for group in by_block.values() if len(group) > 1
         )
 
     def text(self) -> str:
         """Canonical one-line rendering, usable as a deterministic sort key."""
-        return ";".join(f"{ch}>{'/'.join(self.rules[ch])}" for ch in self.alphabet)
+        return ";".join(f"{ch}>{'/'.join(block)}" for ch, block in self.rules.items())
 
 
 @dataclass(frozen=True)
@@ -193,7 +165,7 @@ class CellAddress:
 def check_letters(text: str, rules: RuleSet, what: str) -> None:
     """Raise UnknownLetterError, naming ``what``, when ``text`` uses a
     letter outside the rules' alphabet."""
-    bad = set(text) - set(rules.alphabet.letters)
+    bad = set(text).difference(rules.rules)
     if bad:
         raise UnknownLetterError(f"{what} uses letters outside the alphabet: {sorted(bad)}")
 
@@ -206,22 +178,26 @@ def expand(grid: Grid, rules: RuleSet, steps: int = 1) -> Grid:
     """Apply the replacement map ``steps`` times.
 
     Each cell becomes its rule block; every step multiplies the height by
-    the block height and the width by b, and bumps the level tag.
+    the block height and the width by b, and bumps the level tag.  An
+    output of more than ``EXPAND_CELL_CAP`` cells raises
+    ResourceLimitError before the first step.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     check_letters(grid.cells, rules, "grid")
-    rh, b = rules.rule_rows, rules.b
+    rows, cols = level_shape(grid, rules, steps + 1)
+    if rows * cols > EXPAND_CELL_CAP:
+        raise ResourceLimitError(
+            f"{steps} steps give {rows * cols} cells, over the cap {EXPAND_CELL_CAP}")
     lines = list(grid.lines())
     for _ in range(steps):
         nxt: list[str] = []
         for line in lines:
             blocks = [rules.rules[ch] for ch in line]
-            for br in range(rh):
+            for br in range(rules.rule_rows):
                 nxt.append("".join(block[br] for block in blocks))
         lines = nxt
-    return Grid(grid.rows * rh ** steps, grid.cols * b ** steps,
-                "".join(lines), grid.level + steps)
+    return Grid(rows, cols, "".join(lines), grid.level + steps)
 
 
 def contract(grid: Grid, rules: RuleSet) -> Grid:
@@ -246,7 +222,7 @@ def contract(grid: Grid, rules: RuleSet) -> Grid:
     if grid.level < 2:
         raise ContractionError("cannot contract below level 1")
     check_letters(grid.cells, rules, "grid")
-    owner = {rules.rules[ch]: ch for ch in rules.alphabet}
+    owner = {block: ch for ch, block in rules.rules.items()}
     lines = grid.lines()
     out_rows: list[str] = []
     for bi in range(grid.rows // rh):

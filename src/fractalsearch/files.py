@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-from .core import Alphabet, Grid, RuleSet
+from .core import Grid, RuleSet
 from .errors import PuzzleFormatError
 
 
@@ -39,13 +39,12 @@ def scan_sections(text: str) -> dict[str, list[tuple[int, str]]]:
 def parse_rules_section(lines: list[tuple[int, str]]) -> RuleSet:
     """Build a rule set from ``LETTER = ROW/ROW`` lines.
 
-    The alphabet is exactly the letters that carry a rule, in file order.
-    Dimensionality is inferred: single-row blocks give 1D rules, square
-    blocks give 2D rules; anything else is rejected.
+    The letters are exactly the letters that carry a rule, in file order;
+    :class:`RuleSet` reads the block shape (1 x b or b x b) off the
+    blocks, and what it refuses is reported on the first rule line.
     """
     if not lines:
         raise PuzzleFormatError("empty [alphabet] section")
-    letters: list[str] = []
     rules: dict[str, tuple[str, ...]] = {}
     shape: tuple[int, int] | None = None
     for lineno, line in lines:
@@ -68,21 +67,9 @@ def parse_rules_section(lines: list[tuple[int, str]]) -> RuleSet:
         elif this_shape != shape:
             raise PuzzleFormatError(
                 f"block shape {this_shape} differs from earlier {shape}", lineno)
-        letters.append(left)
         rules[left] = block
-    rows, width = shape
-    if rows == 1:
-        dimension, b = 1, width
-    elif rows == width:
-        dimension, b = 2, width
-    else:
-        raise PuzzleFormatError(f"blocks must be 1 x b or b x b, got {rows} x {width}",
-                                lines[0][0])
-    if b < 2:
-        raise PuzzleFormatError("replacement blocks must have side >= 2",
-                                lines[0][0])
     try:
-        return RuleSet(Alphabet(tuple(letters)), dimension, b, rules)
+        return RuleSet(rules)
     except Exception as exc:
         raise PuzzleFormatError(str(exc), lines[0][0]) from exc
 

@@ -27,7 +27,7 @@ from typing import ClassVar
 
 from . import bounds
 from .ancestry import AncestrySearcher
-from .core import Alphabet, Grid, RuleSet, check_letters
+from .core import Grid, RuleSet, check_letters
 from .errors import ResourceLimitError, WitnessError
 from .patterns import (
     ANTIDIAGONALS,
@@ -102,7 +102,7 @@ def forward_first_appearance(word: str, direction: Direction, l1: Grid,
     if any(window.startswith(target) for window in seen):
         return 1
     rh, b = rules.rule_rows, rules.b
-    blocks = {ord(ch): "".join(rules.rules[ch]) for ch in rules.alphabet}
+    blocks = {ord(ch): "".join(block) for ch, block in rules.rules.items()}
     blocks[ord(OUTSIDE)] = OUTSIDE * (rh * b)
     # (row, col) of every expanded cell -> its index in the expansion;
     # the shape's first offset is (0, 0), so children anchor on such cells
@@ -191,7 +191,7 @@ def latest_with_searcher(searcher: AncestrySearcher, word: str,
     for group in by_depth_asc:
         group.sort()
     best = LatestResult(None, None)
-    letters = rules.alphabet.letters
+    letters = rules.letters
     for d in range(len(by_depth_asc) - 1, -1, -1):
         if best.level is not None and d + 1 <= best.level:
             break
@@ -233,11 +233,9 @@ def _digits(index: int, n: int, base: int) -> list[int]:
     return digits[::-1]
 
 
-def _ruleset_by_index(index: int, letters: tuple[str, ...], b: int,
-                      dimension: int, blocks) -> RuleSet:
+def _ruleset_by_index(index: int, letters: tuple[str, ...], blocks) -> RuleSet:
     digits = _digits(index, len(letters), len(blocks))
-    assignment = {ch: blocks[d] for ch, d in zip(letters, digits)}
-    return RuleSet(Alphabet(letters), dimension, b, assignment)
+    return RuleSet({ch: blocks[d] for ch, d in zip(letters, digits)})
 
 
 def _sweep_orbits(letters: tuple[str, ...], blocks) -> list[int]:
@@ -320,7 +318,7 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
     # word length -> (level, ruleset text, word, l1 text, ruleset index)
     best: dict[int, tuple] = {}
     for idx in indexes:
-        rules = _ruleset_by_index(idx, letters, b, dimension, blocks)
+        rules = _ruleset_by_index(idx, letters, blocks)
         searcher = AncestrySearcher(rules)
         rs_max = 0
         rs_text = None
@@ -404,11 +402,12 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
     if word_len_cap < 1:
         raise ValueError("word_len_cap must be >= 1")
     letters = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:n])
-    blocks = _sweep_blocks(letters, b, dimension)
-    count = len(blocks) ** n
+    rh = 1 if dimension == 1 else b
+    count = (n ** (b * rh)) ** n
     if count > SWEEP_RULESET_CAP:
         raise ResourceLimitError(
             f"{count} rule sets exceed the sweep cap {SWEEP_RULESET_CAP}")
+    blocks = _sweep_blocks(letters, b, dimension)
     smallest = _sweep_orbits(letters, blocks)
     reps = [idx for idx, first in enumerate(smallest) if first == idx]
     chunk_size = max(1, len(reps) // (jobs * 8) if jobs > 1 else len(reps))
@@ -430,7 +429,7 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
     by_rep = dict(zip(reps, orbit_max))
     for length, key in sorted(best.items()):
         wlevel, wrules_text, wword, wl1, widx, wdir = key
-        wrules = _ruleset_by_index(widx, letters, b, dimension, blocks)
+        wrules = _ruleset_by_index(widx, letters, blocks)
         got = forward_first_appearance(
             wword, Direction[wdir], Grid.from_text(wl1), wrules, wlevel)
         if got != wlevel:
@@ -509,12 +508,9 @@ def random_instance(rng):
     n = rng.randint(1, AUDIT_MAX_N)
     letters = tuple("ABCD"[:n])
     rh = 1 if dimension == 1 else AUDIT_B
-    rules = RuleSet(
-        Alphabet(letters), dimension, AUDIT_B,
-        {ch: tuple("".join(rng.choice(letters) for _ in range(AUDIT_B))
-                   for _ in range(rh))
-         for ch in letters},
-    )
+    rules = RuleSet({ch: tuple("".join(rng.choice(letters) for _ in range(AUDIT_B))
+                               for _ in range(rh))
+                     for ch in letters})
     rows = 1 if dimension == 1 else rng.randint(1, AUDIT_MAX_SIDE)
     cols = rng.randint(1, AUDIT_MAX_SIDE)
     l1 = Grid(rows, cols,

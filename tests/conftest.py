@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from fractalsearch.core import Alphabet, Grid, RuleSet
+from fractalsearch.core import Grid, RuleSet
 
 PUZZLE_PATH = "src/fractalsearch/data/in_the_details.puzzle"
 
@@ -13,16 +13,14 @@ PUZZLE_PATH = "src/fractalsearch/data/in_the_details.puzzle"
 @pytest.fixture(scope="session")
 def abc_1d() -> RuleSet:
     """A -> AB, B -> AC, C -> BB; from "A": A, AB, ABAC, ABACABBB, ..."""
-    return RuleSet(Alphabet.from_string("ABC"), 1, 2,
-                   {"A": ("AB",), "B": ("AC",), "C": ("BB",)})
+    return RuleSet({"A": ("AB",), "B": ("AC",), "C": ("BB",)})
 
 
 @pytest.fixture(scope="session")
 def abc_2d() -> RuleSet:
     """Three letters with 2 x 2 blocks; from "A" level 3 is
     ABAC/CBBB/BBAC/CCBB."""
-    return RuleSet(Alphabet.from_string("ABC"), 2, 2,
-                   {"A": ("AB", "CB"), "B": ("AC", "BB"), "C": ("BB", "CC")})
+    return RuleSet({"A": ("AB", "CB"), "B": ("AC", "BB"), "C": ("BB", "CC")})
 
 
 @pytest.fixture(scope="session")
@@ -49,14 +47,14 @@ def rule_sets(draw, dims=(1, 2), max_n: int = 4, bs=(2,)):
         ch: tuple(draw(row) for _ in range(rh))
         for ch in letters
     }
-    return RuleSet(Alphabet(letters), dimension, b, rules)
+    return RuleSet(rules)
 
 
 @st.composite
 def grids_for(draw, rules: RuleSet, max_side: int = 4):
     rows = 1 if rules.dimension == 1 else draw(st.integers(1, max_side))
     cols = draw(st.integers(1, max_side))
-    cells = draw(st.text(alphabet=rules.alphabet.letters,
+    cells = draw(st.text(alphabet=rules.letters,
                          min_size=rows * cols, max_size=rows * cols))
     return Grid(rows, cols, cells, 1)
 
@@ -67,7 +65,7 @@ def instances(draw, dims=(1, 2), max_n: int = 4, bs=(2,), max_side: int = 4,
     """(rules, l1, word) triples for randomized route comparisons."""
     rules = draw(rule_sets(dims=dims, max_n=max_n, bs=bs))
     l1 = draw(grids_for(rules, max_side=max_side))
-    word = draw(st.text(alphabet=rules.alphabet.letters,
+    word = draw(st.text(alphabet=rules.letters,
                         min_size=1, max_size=max_word))
     return rules, l1, word
 

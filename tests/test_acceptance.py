@@ -10,7 +10,7 @@ import time
 import pytest
 
 from fractalsearch.ancestry import enumerate_parents, first_appearance
-from fractalsearch.core import Alphabet, Grid, RuleSet, contract
+from fractalsearch.core import Grid, RuleSet, contract
 from fractalsearch.oracle import run_agreement, sweep_max_latest
 from fractalsearch.patterns import (
     DIAGONALS,
@@ -159,10 +159,8 @@ def test_criterion_8_identical_rows_isomorphism():
         letters = tuple("ABCD"[:n])
         rows_1d = {ch: "".join(rng.choice(letters) for _ in range(b))
                    for ch in letters}
-        rules_1d = RuleSet(Alphabet(letters), 1, b,
-                           {ch: (row,) for ch, row in rows_1d.items()})
-        rules_2d = RuleSet(Alphabet(letters), 2, b,
-                           {ch: (row,) * b for ch, row in rows_1d.items()})
+        rules_1d = RuleSet({ch: (row,) for ch, row in rows_1d.items()})
+        rules_2d = RuleSet({ch: (row,) * b for ch, row in rows_1d.items()})
         width = rng.randint(1, 4)
         height = rng.randint(1, 4)
         row = "".join(rng.choice(letters) for _ in range(width))
@@ -181,10 +179,8 @@ def test_criterion_8_identical_rows_isomorphism():
 
 def test_criterion_9_micro_examples():
     started = time.monotonic()
-    abc_1d = RuleSet(Alphabet.from_string("ABC"), 1, 2,
-                     {"A": ("AB",), "B": ("AC",), "C": ("BB",)})
-    abc_2d = RuleSet(Alphabet.from_string("ABC"), 2, 2,
-                     {"A": ("AB", "CB"), "B": ("AC", "BB"), "C": ("BB", "CC")})
+    abc_1d = RuleSet({"A": ("AB",), "B": ("AC",), "C": ("BB",)})
+    abc_2d = RuleSet({"A": ("AB", "CB"), "B": ("AC", "BB"), "C": ("BB", "CC")})
 
     def parents(word, rules, direction=Direction.E):
         return {p.text()

@@ -21,7 +21,6 @@ from fractalsearch.ancestry import (
 )
 from fractalsearch.bounds import max_parent_len
 from fractalsearch.core import (
-    Alphabet,
     Grid,
     RuleSet,
     descendant_block_range,
@@ -83,7 +82,7 @@ class TestEnumerateParents:
     @given(data=st.data())
     def test_outputs_trimmed_and_within_size_bound(self, data):
         rules = data.draw(rule_sets())
-        word = data.draw(st.text(alphabet=rules.alphabet.letters,
+        word = data.draw(st.text(alphabet=rules.letters,
                                  min_size=1, max_size=4))
         direction = data.draw(st.sampled_from(
             (Direction.E,) if rules.dimension == 1 else tuple(Direction)))
@@ -160,7 +159,7 @@ class TestParentSoundnessCompleteness:
     @given(data=st.data())
     def test_exhaustive_1d(self, data):
         rules = data.draw(rule_sets(dims=(1,), max_n=3))
-        word = data.draw(st.text(alphabet=rules.alphabet.letters,
+        word = data.draw(st.text(alphabet=rules.letters,
                                  min_size=1, max_size=3))
         child = word_to_pattern(word, Direction.E)
         got = enumerate_parents(child, rules)
@@ -168,7 +167,7 @@ class TestParentSoundnessCompleteness:
             q for q in _all_trimmed_patterns(
                 max_parent_len(child.rows, rules.b),
                 max_parent_len(child.cols, rules.b),
-                rules.alphabet.letters)
+                rules.letters)
             if _is_parent_by_definition(q, child, rules)
         }
         assert got == brute
@@ -177,12 +176,12 @@ class TestParentSoundnessCompleteness:
     @given(data=st.data())
     def test_exhaustive_2d_diagonal_pairs(self, data):
         rules = data.draw(rule_sets(dims=(2,), max_n=2))
-        word = data.draw(st.text(alphabet=rules.alphabet.letters,
+        word = data.draw(st.text(alphabet=rules.letters,
                                  min_size=2, max_size=2))
         child = word_to_pattern(word, Direction.SE)
         got = enumerate_parents(child, rules)
         brute = {
-            q for q in _all_trimmed_patterns(2, 2, rules.alphabet.letters)
+            q for q in _all_trimmed_patterns(2, 2, rules.letters)
             if _is_parent_by_definition(q, child, rules)
         }
         assert got == brute
@@ -191,13 +190,13 @@ class TestParentSoundnessCompleteness:
     @given(data=st.data())
     def test_every_completion_of_a_parent_reproduces_the_child(self, data):
         rules = data.draw(rule_sets(max_n=3))
-        word = data.draw(st.text(alphabet=rules.alphabet.letters,
+        word = data.draw(st.text(alphabet=rules.letters,
                                  min_size=1, max_size=3))
         direction = data.draw(st.sampled_from(
             (Direction.E,) if rules.dimension == 1 else (Direction.E, Direction.SE)))
         child = word_to_pattern(word, direction)
         for parent in enumerate_parents(child, rules):
-            for completion in _fills(parent, rules.alphabet.letters):
+            for completion in _fills(parent, rules.letters):
                 assert occurrences(child, expand(completion, rules, 1))
 
 
@@ -280,7 +279,7 @@ class TestGrounding:
         l1 = data.draw(grids_for(rules, max_side=6))
         rows = data.draw(st.integers(1, 3))
         cols = data.draw(st.integers(1, 3))
-        cells = data.draw(st.text(alphabet=rules.alphabet.letters + (WILDCARD,),
+        cells = data.draw(st.text(alphabet=rules.letters + (WILDCARD,),
                                   min_size=rows * cols, max_size=rows * cols))
         assume(cells.count(WILDCARD) < len(cells))
         pattern = trim(Pattern(rows, cols, cells))
@@ -362,7 +361,7 @@ class TestParentLevelShift:
         one of its parents occurs on level k-1."""
         rules = data.draw(rule_sets(max_n=3))
         l1 = data.draw(grids_for(rules, max_side=3))
-        word = data.draw(st.text(alphabet=rules.alphabet.letters,
+        word = data.draw(st.text(alphabet=rules.letters,
                                  min_size=1, max_size=3))
         direction = data.draw(st.sampled_from(
             (Direction.E,) if rules.dimension == 1 else (Direction.E, Direction.SE)))
@@ -454,8 +453,7 @@ class TestAncestorTree:
         assert leaves == ["A", "AA", "B", "B", "BBAA", "BC", "CC"]
 
     def test_unproducible_letter_gives_root_only_tree(self):
-        rules = RuleSet(Alphabet.from_string("AB"), 1, 2,
-                        {"A": ("BB",), "B": ("BB",)})
+        rules = RuleSet({"A": ("BB",), "B": ("BB",)})
         tree = ancestor_tree("A", Direction.E, rules)
         assert tree.status == "no-parents" and not tree.children
 

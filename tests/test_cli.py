@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fractalsearch import ancestry, oracle
+from fractalsearch import ancestry, core, oracle
 from fractalsearch.cli import main
 
 RULES_1D = "src/fractalsearch/data/abc_1d.rules"
@@ -279,3 +279,25 @@ class TestUsageErrors:
                            "--l1", "C", "--word", "BB", "--direction", "SE")
         assert code == 2
         assert "resource" in err
+
+    def test_oversized_sweep_is_refused_before_building_blocks(
+            self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("blocks built before the cap check")
+
+        monkeypatch.setattr(oracle, "_sweep_blocks", fail)
+        code, out, err = run(capsys, "oracle", "sweep", "--n", "3", "--b", "4",
+                             "--dim", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+    def test_oversized_expand_is_refused_before_the_first_step(
+            self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("expanded before the cap check")
+
+        monkeypatch.setattr(core.Grid, "lines", fail)
+        code, out, err = run(capsys, "expand", "--rules", RULES_1D,
+                             "--grid", "A", "--steps", "40")
+        assert code == 2 and out == ""
+        assert err.startswith("resource limit: ") and err.count("\n") == 1

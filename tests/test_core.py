@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalsearch import core
 from fractalsearch.ancestry import AncestrySearcher
 from fractalsearch.core import (
-    Alphabet,
     CellAddress,
     Grid,
     RuleSet,
@@ -23,6 +23,7 @@ from fractalsearch.errors import (
     AmbiguousRulesError,
     ContractionError,
     PuzzleFormatError,
+    ResourceLimitError,
     UnknownLetterError,
 )
 from fractalsearch.oracle import (
@@ -37,39 +38,58 @@ from tests.conftest import grids_for, rule_sets
 
 
 class TestTypes:
-    def test_alphabet_rejects_duplicates(self):
-        with pytest.raises(UnknownLetterError):
-            Alphabet.from_string("ABA")
-
-    def test_alphabet_rejects_reserved_symbols(self):
+    def test_ruleset_rejects_reserved_symbols(self):
         for bad in ("*", "/", "#", " ", "="):
             with pytest.raises(UnknownLetterError):
-                Alphabet(("A", bad))
+                RuleSet({"A": ("AA",), bad: ("AA",)})
 
-    def test_alphabet_allows_digits(self):
-        assert Alphabet.from_string("01").n == 2
+    def test_ruleset_allows_digits(self):
+        assert RuleSet({"0": ("01",), "1": ("10",)}).n == 2
+
+    def test_ruleset_needs_a_letter(self):
+        with pytest.raises(UnknownLetterError):
+            RuleSet({})
 
     def test_ruleset_requires_total_map(self):
         with pytest.raises(UnknownLetterError):
-            RuleSet(Alphabet.from_string("AB"), 1, 2, {"A": ("AB",)})
+            RuleSet({"A": ("AB",)})
 
     def test_ruleset_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            RuleSet(Alphabet.from_string("A"), 2, 2, {"A": ("AA",)})
+        for rules in ({"A": ("A",)}, {"A": ("A", "A")}, {"A": ("AA", "AA", "AA")},
+                      {"A": ("AA",), "B": ("AB", "BA")},
+                      {"A": ("AA",), "B": ("ABA",)}, {"A": ("AB", "A")}):
+            with pytest.raises(ValueError):
+                RuleSet(rules)
+
+    @pytest.mark.parametrize("rules, shape", [
+        ({"A": ("AB",), "B": ("BA",)}, (1, 2, 1)),
+        ({"A": ("ABA",), "B": ("BAB",)}, (1, 3, 1)),
+        ({"A": ("AB", "BA"), "B": ("BA", "AB")}, (2, 2, 2)),
+        ({"A": ("AAA", "AAA", "AAA")}, (3, 3, 2)),
+    ])
+    def test_ruleset_reads_the_shape_off_the_blocks(self, rules, shape):
+        got = RuleSet(rules)
+        assert (got.rule_rows, got.b, got.dimension) == shape
+        assert got.letters == tuple(rules) and got.n == len(rules)
 
     def test_ruleset_equality_compares_the_rules(self):
-        ab = Alphabet.from_string("AB")
-        swap = RuleSet(ab, 1, 2, {"A": ("AB",), "B": ("BA",)})
-        same = RuleSet(ab, 1, 2, {"A": ("AA",), "B": ("BB",)})
+        swap = RuleSet({"A": ("AB",), "B": ("BA",)})
+        same = RuleSet({"A": ("AA",), "B": ("BB",)})
         assert swap != same
         assert len({swap, same}) == 2
 
     def test_equal_rulesets_hash_equal(self):
-        ab = Alphabet.from_string("AB")
-        first = RuleSet(ab, 1, 2, {"A": ("AB",), "B": ("BA",)})
-        second = RuleSet(ab, 1, 2, {"B": ("BA",), "A": ("AB",)})
+        first = RuleSet({"A": ("AB",), "B": ("BA",)})
+        second = RuleSet({"A": ("AB",), "B": ("BA",)})
         assert first == second
         assert hash(first) == hash(second)
+
+    def test_letter_order_is_part_of_the_rule_set(self):
+        first = RuleSet({"A": ("AB",), "B": ("BA",)})
+        second = RuleSet({"B": ("BA",), "A": ("AB",)})
+        assert first.letters == ("A", "B") and second.letters == ("B", "A")
+        assert first != second
+        assert first.text() != second.text()
 
     def test_grid_shape_must_match_cells(self):
         with pytest.raises(ValueError):
@@ -139,6 +159,12 @@ class TestExpand:
         with pytest.raises(UnknownLetterError):
             expand(Grid.from_text("AXB"), abc_1d, 1)
 
+    def test_cell_cap_is_checked_up_front(self, abc_2d, monkeypatch):
+        monkeypatch.setattr(core, "EXPAND_CELL_CAP", 64)
+        assert expand(Grid.from_text("A"), abc_2d, 3).rows == 8
+        with pytest.raises(ResourceLimitError):
+            expand(Grid.from_text("AB"), abc_2d, 3)
+
     def test_sides_multiply_per_step(self, abc_2d):
         g = Grid.from_text("AB/CA")
         out = expand(g, abc_2d, 3)
@@ -161,8 +187,7 @@ class TestContract:
             contract(Grid(1, 3, "ABA", level=2), abc_1d)
 
     def test_rejects_duplicate_rules(self):
-        rules = RuleSet(Alphabet.from_string("AB"), 1, 2,
-                        {"A": ("AB",), "B": ("AB",)})
+        rules = RuleSet({"A": ("AB",), "B": ("AB",)})
         with pytest.raises(AmbiguousRulesError) as err:
             contract(Grid(1, 2, "AB", level=2), rules)
         assert ("A", "B") in err.value.collisions
@@ -257,8 +282,7 @@ class TestAddressing:
 
 class TestThueMorse:
     def test_levels_are_prefixes_with_doubling_length(self):
-        rules = RuleSet(Alphabet.from_string("01"), 1, 2,
-                        {"0": ("01",), "1": ("10",)})
+        rules = RuleSet({"0": ("01",), "1": ("10",)})
         level = Grid.from_text("0")
         seen = ["0"]
         for _ in range(8):
@@ -274,7 +298,7 @@ class TestThueMorse:
 def test_all_rule_sets_enumeration_count():
     letters = ("A", "B")
     blocks = _sweep_blocks(letters, 2, 1)
-    texts = [_ruleset_by_index(i, letters, 2, 1, blocks).text()
+    texts = [_ruleset_by_index(i, letters, blocks).text()
              for i in range(len(blocks) ** len(letters))]
     assert len(set(texts)) == 2 ** 4
     assert texts == sorted(texts)

@@ -15,6 +15,7 @@ from fractalsearch.files import (
     scan_sections,
 )
 from fractalsearch.puzzle import load_puzzle
+from tests.conftest import rule_sets
 
 
 class TestScanSections:
@@ -52,8 +53,20 @@ class TestParseRules:
         assert err.value.line == 2
 
     def test_non_square_blocks_rejected(self):
-        with pytest.raises(PuzzleFormatError):
-            parse_rules_section([(1, "A = ABA/AAB")])
+        for block in ("ABA/AAB", "A", "AA/AA/AA"):
+            with pytest.raises(PuzzleFormatError) as err:
+                parse_rules_section([(3, f"A = {block}"), (5, f"B = {block}")])
+            assert err.value.line == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(rules=rule_sets(bs=(2, 3)))
+    def test_round_trip_through_the_text_format(self, rules):
+        lines = [(lineno, f"{ch} = {'/'.join(block)}")
+                 for lineno, (ch, block) in enumerate(rules.rules.items(), start=1)]
+        got = parse_rules_section(lines)
+        assert got == rules
+        assert (got.letters, got.b, got.dimension) == \
+            (rules.letters, rules.b, rules.dimension)
 
     def test_duplicate_letter_rejected(self):
         with pytest.raises(PuzzleFormatError) as err:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fractalsearch import oracle
 from fractalsearch.ancestry import AncestrySearcher
 from fractalsearch.bounds import w1
-from fractalsearch.core import Alphabet, Grid, RuleSet, expand
+from fractalsearch.core import Grid, RuleSet, expand
 from fractalsearch.errors import (
     ResourceLimitError,
     UnknownLetterError,
@@ -120,7 +120,7 @@ class TestForwardFirstAppearance:
         rules too, where rows expand on their own)."""
         rules = data.draw(rule_sets(bs=(2, 3)))
         rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-        letters = rules.alphabet.letters
+        letters = rules.letters
         cells = data.draw(st.text(alphabet=letters, min_size=rows * cols,
                                   max_size=rows * cols))
         l1 = Grid(rows, cols, cells, 1)
@@ -140,7 +140,7 @@ class TestLatestFirstAppearance:
         assert latest_first_appearance("CC", Direction.E, abc_1d) == 1
 
     def test_single_letter_alphabet(self):
-        rules = RuleSet(Alphabet.from_string("A"), 1, 2, {"A": ("AA",)})
+        rules = RuleSet({"A": ("AA",)})
         assert latest_first_appearance("A", Direction.E, rules) == 1
         # A pair cannot sit inside a one-cell start grid, so the
         # adversarial setup delays it to level 2 (= the pair bound n*n+1).
@@ -159,7 +159,7 @@ class TestLatestFirstAppearance:
         from fractalsearch.ancestry import AncestrySearcher
 
         rules = data.draw(rule_sets(dims=(1,), max_n=3))
-        word = data.draw(st.text(alphabet=rules.alphabet.letters,
+        word = data.draw(st.text(alphabet=rules.letters,
                                  min_size=1, max_size=2))
         got = latest_with_searcher(AncestrySearcher(rules), word, Direction.E)
         assert got.level is not None
@@ -226,18 +226,17 @@ class TestSweep:
 
 def relabeled(rules: RuleSet, perm: dict[str, str]) -> RuleSet:
     """The rule set with every letter renamed by ``perm``: the rule of
-    perm[x] is the rule of x, renamed."""
+    perm[x] is the rule of x, renamed.  The letters keep their order."""
     table = str.maketrans(perm)
-    return RuleSet(rules.alphabet, rules.dimension, rules.b,
-                   {perm[ch]: tuple(row.translate(table) for row in block)
-                    for ch, block in rules.rules.items()})
+    renamed = {perm[ch]: tuple(row.translate(table) for row in block)
+               for ch, block in rules.rules.items()}
+    return RuleSet({ch: renamed[ch] for ch in rules.letters})
 
 
 def rotated(rules: RuleSet) -> RuleSet:
     """The rule set with every block turned by 180 degrees."""
-    return RuleSet(rules.alphabet, rules.dimension, rules.b,
-                   {ch: tuple(row[::-1] for row in reversed(block))
-                    for ch, block in rules.rules.items()})
+    return RuleSet({ch: tuple(row[::-1] for row in reversed(block))
+                     for ch, block in rules.rules.items()})
 
 
 class TestSweepSymmetry:
@@ -248,7 +247,7 @@ class TestSweepSymmetry:
     @given(data=st.data())
     def test_latest_level_is_invariant(self, data):
         rules = data.draw(rule_sets(max_n=3))
-        letters = rules.alphabet.letters
+        letters = rules.letters
         word = data.draw(st.text(alphabet=letters, min_size=1, max_size=2))
         perm = dict(zip(letters, data.draw(st.permutations(letters))))
         images = [(relabeled(rules, perm), "".join(perm[ch] for ch in word)),
@@ -282,8 +281,7 @@ class TestSweepSymmetry:
         letters = tuple("ABCD"[:n])
         blocks = oracle._sweep_blocks(letters, 2, dimension)
         smallest = oracle._sweep_orbits(letters, blocks)
-        everything = [oracle._ruleset_by_index(idx, letters, 2, dimension,
-                                               blocks)
+        everything = [oracle._ruleset_by_index(idx, letters, blocks)
                       for idx in range(len(smallest))]
         index = {rules.text(): idx for idx, rules in enumerate(everything)}
         swap = dict(zip(letters, letters[1::-1] + letters[2:]))
@@ -299,8 +297,7 @@ class TestSweepSymmetry:
         index, the one the sweep searches."""
         letters = tuple("ABCD"[:n])
         blocks = oracle._sweep_blocks(letters, b, dimension)
-        texts = [oracle._ruleset_by_index(idx, letters, b, dimension,
-                                          blocks).text()
+        texts = [oracle._ruleset_by_index(idx, letters, blocks).text()
                  for idx in range(len(blocks) ** n)]
         assert texts == sorted(texts)
 
@@ -332,9 +329,7 @@ class TestAgreementHarness:
 
     # The n=4 sweep's worst case: BB first appears on level 13, past the
     # audit's level-10 horizon.
-    DEEP_RULES = RuleSet(
-        Alphabet.from_string("ABCD"), 1, 2,
-        {"A": ("AB",), "B": ("CC",), "C": ("DD",), "D": ("BA",)})
+    DEEP_RULES = RuleSet({"A": ("AB",), "B": ("CC",), "C": ("DD",), "D": ("BA",)})
 
     def test_beyond_horizon_instance(self):
         l1 = Grid.from_text("B")

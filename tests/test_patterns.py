@@ -157,7 +157,7 @@ class TestOccurrences:
     def test_one_by_one_count_equals_letter_count(self, data):
         rules = data.draw(rule_sets())
         grid = data.draw(grids_for(rules))
-        letter = data.draw(st.sampled_from(rules.alphabet.letters))
+        letter = data.draw(st.sampled_from(rules.letters))
         got = occurrences(pattern_from_rows([letter]), grid)
         assert len(got) == grid.cells.count(letter)
 
@@ -166,7 +166,7 @@ class TestOccurrences:
     def test_orientation_duality(self, data):
         rules = data.draw(rule_sets(dims=(2,)))
         grid = data.draw(grids_for(rules))
-        word = data.draw(st.text(alphabet=rules.alphabet.letters,
+        word = data.draw(st.text(alphabet=rules.letters,
                                  min_size=1, max_size=4))
         for fwd, back in ((Direction.E, Direction.W), (Direction.S, Direction.N),
                           (Direction.SE, Direction.NW), (Direction.NE, Direction.SW)):
