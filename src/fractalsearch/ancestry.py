@@ -100,15 +100,15 @@ class AncestrySearcher:
         self.l1 = l1
         self._letters = rules.letters
         self._letter_ok = frozenset(self._letters) | {WILDCARD}
-        # Bitmask of parent letters whose block has `ch` at (br, bc);
-        # candidate sets intersect via &.
-        table: dict[tuple[int, int, str], int] = {}
+        # table[ch][br * b + bc]: bitmask of the parent letters whose
+        # block has `ch` at (br, bc), one list per letter; candidate sets
+        # intersect via &.
+        b = rules.b
+        table = {ch: [0] * (rules.rule_rows * b) for ch in self._letters}
         for bi, parent in enumerate(self._letters):
-            block = rules.rules[parent]
-            for br, row in enumerate(block):
+            for br, row in enumerate(rules.rules[parent]):
                 for bc, ch in enumerate(row):
-                    key = (br, bc, ch)
-                    table[key] = table.get(key, 0) | (1 << bi)
+                    table[ch][br * b + bc] |= 1 << bi
         self._table = table
         self._mask_options: dict[int, tuple[str, ...]] = {}
         self._parents: dict[Pattern, tuple[tuple[Pattern, tuple[int, int]], ...]] = {}
@@ -135,6 +135,11 @@ class AncestrySearcher:
         whose block matches them all, and a cell overlapping only
         wildcards stays a wildcard.  Outputs are trimmed by construction
         (every border row/column of the box meets a concrete child cell).
+
+        The candidate masks come from the concrete cells alone: one pass
+        per offset sends each letter to its parent cell and block slot
+        and ANDs in that slot's mask, and the offset dies on the first
+        empty intersection.  Wildcards are never visited.
         """
         cached = self._parents.get(pattern)
         if cached is not None:
@@ -146,44 +151,28 @@ class AncestrySearcher:
         rows, cols, cells = pattern
         rh, b = self.rules.rule_rows, self.rules.b
         table = self._table
+        concrete = [(i // cols, i % cols, table[ch])
+                    for i, ch in enumerate(cells) if ch != WILDCARD]
         out: list[tuple[Pattern, tuple[int, int]]] = []
         seen: set[Pattern] = set()
         for dr in range(rh):
             pr = (dr + rows + rh - 1) // rh
             for dc in range(b):
                 pc = (dc + cols + b - 1) // b
-                options: list[tuple[str, ...]] = []
-                dead = False
-                for pi in range(pr):
-                    rlo = pi * rh - dr
-                    r0 = rlo if rlo > 0 else 0
-                    r1 = min(rows, rlo + rh)
-                    for pj in range(pc):
-                        clo = pj * b - dc
-                        c0 = clo if clo > 0 else 0
-                        c1 = min(cols, clo + b)
-                        mask = -1
-                        for r in range(r0, r1):
-                            base = r * cols
-                            for c in range(c0, c1):
-                                ch = cells[base + c]
-                                if ch == WILDCARD:
-                                    continue
-                                mask &= table.get((r - rlo, c - clo, ch), 0)
-                                if not mask:
-                                    dead = True
-                                    break
-                            if dead:
-                                break
-                        if dead:
-                            break
-                        options.append(
-                            (WILDCARD,) if mask == -1 else self._options(mask)
-                        )
-                    if dead:
+                masks = [-1] * (pr * pc)
+                mask = -1
+                for r, c, slots in concrete:
+                    pi, br = divmod(r + dr, rh)
+                    pj, bc = divmod(c + dc, b)
+                    k = pi * pc + pj
+                    mask = masks[k] & slots[br * b + bc]
+                    if not mask:
                         break
-                if dead:
+                    masks[k] = mask
+                if not mask:
                     continue
+                options = [(WILDCARD,) if m == -1 else self._options(m)
+                           for m in masks]
                 total = 1
                 for opt in options:
                     total *= len(opt)
@@ -238,7 +227,8 @@ class AncestrySearcher:
     def closure(self, target: Pattern) -> dict[Pattern, int]:
         """Minimal depth of every ancestor pattern reachable from the
         target, target included at depth 0.  No grounding involved;
-        more than ``CLOSURE_CAP`` patterns raise ResourceLimitError.
+        more than ``CLOSURE_CAP`` patterns raise ResourceLimitError as
+        soon as one pattern's parents push the count past it.
 
         Keeps its own walk rather than driving a :class:`LayeredSearch`:
         a closure built on that class measured about 40% slower over the
@@ -253,10 +243,10 @@ class AncestrySearcher:
                     if q not in depths:
                         depths[q] = d
                         nxt.append(q)
-            if len(depths) > CLOSURE_CAP:
-                raise ResourceLimitError(
-                    f"ancestor closure exceeds {CLOSURE_CAP} patterns"
-                )
+                if len(depths) > CLOSURE_CAP:
+                    raise ResourceLimitError(
+                        f"ancestor closure exceeds {CLOSURE_CAP} patterns"
+                    )
             frontier = nxt
         return depths
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +27,11 @@ from fractalsearch.core import (
     descendant_block_range,
     expand,
 )
-from fractalsearch.errors import ResourceLimitError, UnresolvedSearchError
+from fractalsearch.errors import (
+    ResourceLimitError,
+    UnknownLetterError,
+    UnresolvedSearchError,
+)
 from fractalsearch.patterns import (
     Direction,
     Pattern,
@@ -91,6 +96,149 @@ class TestEnumerateParents:
             assert is_trimmed(parent)
             assert parent.rows <= max_parent_len(child.rows, rules.b)
             assert parent.cols <= max_parent_len(child.cols, rules.b)
+
+
+def reference_parents(rules, pattern: Pattern):
+    """Reference enumerator: for each offset walk every cell of every
+    parent cell's box, wildcards included, and intersect one mask per
+    (block row, block col, letter) key.  Same output order, offsets and
+    cap message as ``AncestrySearcher.parents``."""
+    letters = rules.letters
+    if not (set(letters) | {WILDCARD}).issuperset(pattern.cells):
+        raise UnknownLetterError(
+            f"pattern {pattern.text()!r} uses letters outside the alphabet")
+    table: dict[tuple[int, int, str], int] = {}
+    for bi, parent in enumerate(letters):
+        for br, row in enumerate(rules.rules[parent]):
+            for bc, ch in enumerate(row):
+                table[br, bc, ch] = table.get((br, bc, ch), 0) | (1 << bi)
+    rows, cols, cells = pattern
+    rh, b = rules.rule_rows, rules.b
+    out = []
+    seen = set()
+    for dr in range(rh):
+        pr = (dr + rows + rh - 1) // rh
+        for dc in range(b):
+            pc = (dc + cols + b - 1) // b
+            options = []
+            for pi in range(pr):
+                rlo = pi * rh - dr
+                for pj in range(pc):
+                    clo = pj * b - dc
+                    mask = -1
+                    for r in range(max(0, rlo), min(rows, rlo + rh)):
+                        for c in range(max(0, clo), min(cols, clo + b)):
+                            ch = cells[r * cols + c]
+                            if ch != WILDCARD:
+                                mask &= table.get((r - rlo, c - clo, ch), 0)
+                    options.append(
+                        (WILDCARD,) if mask == -1 else
+                        tuple(ch for i, ch in enumerate(letters) if mask >> i & 1))
+            if not all(options):
+                continue
+            total = 1
+            for opt in options:
+                total *= len(opt)
+            if total > ancestry.PRODUCT_CAP:
+                raise ResourceLimitError(
+                    f"parent product {total} exceeds cap {ancestry.PRODUCT_CAP} "
+                    f"for pattern {pattern.text()!r} at offset ({dr}, {dc})")
+            for combo in itertools.product(*options):
+                q = Pattern(pr, pc, "".join(combo))
+                if q not in seen:
+                    seen.add(q)
+                    out.append((q, (dr, dc)))
+    return tuple(out)
+
+
+@st.composite
+def rules_and_pattern(draw):
+    """1D or 2D rules with b in {2, 3} over up to three letters, and a
+    trimmed pattern up to 5 x 5 (one row for 1D rules) whose wildcards
+    may sit anywhere, interior included."""
+    rules = draw(rule_sets(max_n=3, bs=(2, 3)))
+    rows = 1 if rules.dimension == 1 else draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    cells = draw(st.text(alphabet=rules.letters + (WILDCARD,),
+                         min_size=rows * cols, max_size=rows * cols))
+    assume(cells.count(WILDCARD) < len(cells))
+    return rules, trim(Pattern(rows, cols, cells))
+
+
+def _outcome(enumerate_once):
+    try:
+        return enumerate_once()
+    except ResourceLimitError as err:
+        return str(err)
+
+
+class TestParentsMatchReference:
+    """``AncestrySearcher.parents`` visits only a pattern's letters; the
+    box walk above is the definition it must reproduce exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=rules_and_pattern())
+    def test_same_tuple_order_and_offsets(self, case):
+        rules, pattern = case
+        assert AncestrySearcher(rules).parents(pattern) == \
+            reference_parents(rules, pattern)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=rules_and_pattern(), cap=st.integers(0, 12))
+    def test_product_cap_fires_at_the_same_first_offset(self, case, cap):
+        rules, pattern = case
+        with mock.patch.object(ancestry, "PRODUCT_CAP", cap):
+            got = _outcome(lambda: AncestrySearcher(rules).parents(pattern))
+            want = _outcome(lambda: reference_parents(rules, pattern))
+        assert got == want
+
+    @pytest.mark.parametrize("rules_name,text", [
+        ("abc_1d", "AD"), ("abc_1d", "Z*A"), ("abc_2d", "A*/*D"), ("abc_2d", "Z")])
+    def test_letter_outside_the_alphabet(self, request, rules_name, text):
+        rules = request.getfixturevalue(rules_name)
+        with pytest.raises(UnknownLetterError):
+            AncestrySearcher(rules).parents(parse_pattern(text))
+
+
+class TestClosureCap:
+    """``CLOSURE_CAP`` is checked after each pattern's parents are merged,
+    so a layer is refused before it is fully enumerated."""
+
+    @staticmethod
+    def counting_searcher(rules):
+        searcher = AncestrySearcher(rules)
+        calls = []
+        enumerate_once = searcher.parents
+
+        def parents(pattern):
+            calls.append(pattern)
+            return enumerate_once(pattern)
+
+        searcher.parents = parents
+        return searcher, calls
+
+    def test_raises_inside_a_layer(self, abc_1d, monkeypatch):
+        # BA has four parents (AA, AB, CA, CB); AA has none, and AB's
+        # parent A makes the sixth pattern, past a cap of five.
+        target = word_to_pattern("BA", Direction.E)
+        full = AncestrySearcher(abc_1d).closure(target)
+        layer_one = sorted(q for q, d in full.items() if d == 1)
+        assert [q.text() for q in layer_one] == ["AA", "AB", "CA", "CB"]
+        monkeypatch.setattr(ancestry, "CLOSURE_CAP", 5)
+        searcher, calls = self.counting_searcher(abc_1d)
+        with pytest.raises(ResourceLimitError, match="exceeds 5 patterns"):
+            searcher.closure(target)
+        assert calls == [target] + layer_one[:2]
+
+    @pytest.mark.parametrize("word", ["BA", "CACABA", "B"])
+    def test_the_same_sizes_raise(self, abc_1d, monkeypatch, word):
+        target = word_to_pattern(word, Direction.E)
+        full = AncestrySearcher(abc_1d).closure(target)
+        monkeypatch.setattr(ancestry, "CLOSURE_CAP", len(full))
+        assert AncestrySearcher(abc_1d).closure(target) == full
+        monkeypatch.setattr(ancestry, "CLOSURE_CAP", len(full) - 1)
+        with pytest.raises(ResourceLimitError):
+            AncestrySearcher(abc_1d).closure(target)
 
 
 def _fills(pattern: Pattern, letters):
