@@ -58,8 +58,10 @@ class SearchResult:
     the per-step alignment offsets from the ancestor down to the target
     (enough to reconstruct exact coordinates on any level).  A negative
     result means the frontier reached a fixpoint: the word can never
-    appear for this start grid.  ``visited`` lists every pattern the
-    search discovered, in discovery order.
+    appear for this start grid.  ``stats.patterns_seen`` counts the
+    patterns the search discovered; the patterns themselves live in the
+    :class:`LayeredSearch` that ran it (its ``links``), which a caller
+    needing them drives directly.
     """
 
     word: str
@@ -72,7 +74,6 @@ class SearchResult:
     target: Pattern
     max_depth: int
     stats: SearchStats
-    visited: tuple[Pattern, ...]
 
     def __post_init__(self):
         if self.found and self.level != len(self.offsets) + 1:
@@ -191,9 +192,6 @@ class AncestrySearcher:
         self._parents[pattern] = result
         return result
 
-    def parent_patterns(self, pattern: Pattern) -> set[Pattern]:
-        return {q for q, _ in self.parents(pattern)}
-
     # -- grounding -----------------------------------------------------------
 
     def ground_positions(self, pattern: Pattern) -> tuple[tuple[int, int], ...]:
@@ -208,21 +206,13 @@ class AncestrySearcher:
     def search(self, word: str, direction: Direction, *,
                depth_cap: int | None = None) -> SearchResult:
         """Earliest level on which the word appears for the start grid."""
-        return self._run_search(word, direction, word_to_pattern(word, direction),
-                                depth_cap)
+        return LayeredSearch(self, word_to_pattern(word, direction)).finish(
+            word, direction, depth_cap)
 
     def search_pattern(self, target: Pattern, *,
                        depth_cap: int | None = None) -> SearchResult:
         """Earliest level of an arbitrary letter/wildcard pattern."""
-        return self._run_search(target.text(), None, target, depth_cap)
-
-    def _run_search(self, word: str, direction: Direction | None,
-                    target: Pattern, depth_cap: int | None) -> SearchResult:
-        run = LayeredSearch(self, target)
-        won = first_grounded([run], word, depth_cap)
-        if won is None:
-            return run.result_never(word, direction)
-        return run.result_found(word, direction, won[1])
+        return LayeredSearch(self, target).finish(target.text(), None, depth_cap)
 
     def closure(self, target: Pattern) -> dict[Pattern, int]:
         """Minimal depth of every ancestor pattern reachable from the
@@ -327,7 +317,7 @@ class LayeredSearch:
             word=word, direction=direction, found=True,
             level=self.depth + 1, ancestor=ancestor, anchor=anchor,
             offsets=offsets, target=self.target, max_depth=self.depth,
-            stats=self._stats(), visited=tuple(self.links),
+            stats=self._stats(),
         )
 
     def result_never(self, word: str, direction: Direction | None) -> SearchResult:
@@ -335,8 +325,16 @@ class LayeredSearch:
             word=word, direction=direction, found=False,
             level=None, ancestor=None, anchor=None,
             offsets=(), target=self.target, max_depth=self.depth,
-            stats=self._stats(), visited=tuple(self.links),
+            stats=self._stats(),
         )
+
+    def finish(self, word: str, direction: Direction | None,
+               depth_cap: int | None = None) -> SearchResult:
+        """Step this run alone to its first grounded layer or its fixpoint."""
+        won = first_grounded([self], word, depth_cap)
+        if won is None:
+            return self.result_never(word, direction)
+        return self.result_found(word, direction, won[1])
 
 
 def first_grounded(runs: list[LayeredSearch], word: str,
@@ -373,14 +371,6 @@ def first_grounded(runs: list[LayeredSearch], word: str,
 # ---------------------------------------------------------------------------
 # module-level convenience wrappers
 # ---------------------------------------------------------------------------
-
-def enumerate_parents(pattern: Pattern, rules: RuleSet) -> set[Pattern]:
-    """Every trimmed pattern whose expansion can contain ``pattern``."""
-    if not is_trimmed(pattern):
-        raise ValueError(f"pattern {pattern.text()!r} is not trimmed")
-    searcher = AncestrySearcher(rules)
-    return searcher.parent_patterns(pattern)
-
 
 def first_appearance(word: str, direction: Direction, l1: Grid,
                      rules: RuleSet, depth_cap: int | None = None) -> SearchResult:
@@ -435,17 +425,6 @@ class TreeNode:
     depth: int
     status: str = "interior"
     children: list["TreeNode"] = field(default_factory=list)
-
-    def leaves(self) -> list["TreeNode"]:
-        if not self.children:
-            return [self]
-        out: list[TreeNode] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
-
-    def max_depth(self) -> int:
-        return max([self.depth] + [child.max_depth() for child in self.children])
 
     def to_dict(self) -> dict:
         return {

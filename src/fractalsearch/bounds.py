@@ -13,8 +13,6 @@ log_b silently corrupts a bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def ceil_log(base: int, x: int) -> int:
     """Smallest e >= 0 with base**e >= x, computed exactly."""
@@ -75,23 +73,3 @@ def max_parent_len(length: int, b: int) -> int:
         raise ValueError("block side b must be >= 2")
     return (length + b - 1 + b - 1) // b
 
-
-@dataclass(frozen=True)
-class BaseBounds:
-    """Latest first-appearance levels for the four base shapes."""
-
-    one_letter: int        # single letter: n
-    two_letter_1d: int     # straight pair: n**2 + 1
-    two_letter_diag: int   # diagonal pair: 2*n**2 + 1
-    box_2x2: int           # 3 letters in a 2 x 2 box: n**3 + n**2 + 1
-
-
-def base_bounds(n: int) -> BaseBounds:
-    if n < 1:
-        raise ValueError("alphabet size n must be >= 1")
-    return BaseBounds(
-        one_letter=n,
-        two_letter_1d=n * n + 1,
-        two_letter_diag=2 * n * n + 1,
-        box_2x2=n ** 3 + n * n + 1,
-    )

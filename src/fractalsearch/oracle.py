@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import ClassVar
 
 from . import bounds
-from .ancestry import AncestrySearcher
+from .ancestry import AncestrySearcher, LayeredSearch
 from .core import Grid, RuleSet, check_letters
 from .errors import ResourceLimitError, WitnessError
 from .patterns import (
@@ -205,12 +205,6 @@ def latest_with_searcher(searcher: AncestrySearcher, word: str,
                 if first is not None and (best.level is None or first > best.level):
                     best = LatestResult(first, candidate)
     return best
-
-
-def latest_first_appearance(word: str, direction: Direction,
-                            rules: RuleSet) -> int | None:
-    """Level form of :func:`latest_with_searcher` for one-off calls."""
-    return latest_with_searcher(AncestrySearcher(rules), word, direction).level
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +410,7 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
         for lo in range(0, len(reps), chunk_size)
     ]
     if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
             parts = pool.map(_sweep_chunk, chunks)
     else:
         parts = [_sweep_chunk(chunk) for chunk in chunks]
@@ -531,7 +525,8 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
     still checked exactly: the forward route then runs to that level.
     """
     searcher = AncestrySearcher(rules, l1)
-    res = searcher.search(word, direction)
+    run = LayeredSearch(searcher, word_to_pattern(word, direction))
+    res = run.finish(word, direction)
     horizon = max(max_level, res.level) if res.found else max_level
     fwd = forward_first_appearance(word, direction, l1, rules, horizon)
     desc = (f"dim={rules.dimension} n={rules.n} rules={rules.text()} "
@@ -556,8 +551,8 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
             issues["bound"].append(f"{desc}: level {res.level} > bound {limit}")
     anti = direction in ANTIDIAGONALS
     shapes = _L_SHAPES_ANTI if anti else _L_SHAPES_MAIN
-    for pat in res.visited:
-        for q in searcher.parent_patterns(pat):
+    for pat in run.links:
+        for q, _ in searcher.parents(pat):
             if (q.rows > bounds.max_parent_len(pat.rows, rules.b)
                     or q.cols > bounds.max_parent_len(pat.cols, rules.b)):
                 issues["geometry"].append(

@@ -50,14 +50,6 @@ class Pattern(NamedTuple):
     cols: int
     cells: str
 
-    def at(self, r: int, c: int) -> str:
-        """Entry at 0-indexed (r, c)."""
-        return self.cells[r * self.cols + c]
-
-    @property
-    def concrete_count(self) -> int:
-        return self.rows * self.cols - self.cells.count(WILDCARD)
-
     def concrete_cells(self) -> Iterator[tuple[int, int, str]]:
         """Yield (row, col, letter) of every non-wildcard cell, 0-indexed,
         row-major."""

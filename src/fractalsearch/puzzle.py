@@ -38,11 +38,10 @@ ANSWER_WINDOW_RADIUS = 4
 
 @dataclass(frozen=True)
 class PuzzleSpec:
-    """A parsed puzzle: rules, the given grid, its contraction to level
+    """A parsed puzzle: rules, the given grid's contraction to level
     one, the word list (raw and normalized), and the search settings."""
 
     rules: RuleSet
-    given_grid: Grid
     l1: Grid
     raw_words: tuple[str, ...]
     words: tuple[str, ...]
@@ -125,14 +124,18 @@ def load_puzzle(path: str) -> PuzzleSpec:
     if not words:
         raise PuzzleFormatError(f"{path}: empty [words] section")
     answer_length = 0
-    for lineno, line in sections.get("answer", []):
+    for i, (lineno, line) in enumerate(sections.get("answer", [])):
         key, _, value = line.partition("=")
         if key.strip().lower() != "length":
             raise PuzzleFormatError(f"unexpected [answer] line {line!r}", lineno)
+        if i:
+            raise PuzzleFormatError("repeated answer length", lineno)
         try:
             answer_length = int(value.strip())
         except ValueError:
             raise PuzzleFormatError(f"bad answer length {value!r}", lineno) from None
+        if answer_length < 0:
+            raise PuzzleFormatError(f"negative answer length {answer_length}", lineno)
     directions = list(DIRECTION_ORDER)
     if "directions" in sections:
         directions = []
@@ -151,7 +154,7 @@ def load_puzzle(path: str) -> PuzzleSpec:
     for _ in range(grid.level - 1):
         l1 = contract(l1, rules)
     return PuzzleSpec(
-        rules=rules, given_grid=grid, l1=l1,
+        rules=rules, l1=l1,
         raw_words=tuple(raw_words), words=tuple(words),
         allowed_directions=tuple(directions),
         answer_length=answer_length,

@@ -13,7 +13,6 @@ from fractalsearch.ancestry import (
     AncestrySearcher,
     LayeredSearch,
     ancestor_tree,
-    enumerate_parents,
     first_appearance,
     first_grounded,
     tree_to_dot,
@@ -48,7 +47,7 @@ from tests.conftest import grids_for, rule_sets
 def parents_of(word_or_pattern, rules, direction=Direction.E):
     if isinstance(word_or_pattern, str):
         word_or_pattern = word_to_pattern(word_or_pattern, direction)
-    return {p.text() for p in enumerate_parents(word_or_pattern, rules)}
+    return {p.text() for p, _ in AncestrySearcher(rules).parents(word_or_pattern)}
 
 
 class TestEnumerateParents:
@@ -76,12 +75,12 @@ class TestEnumerateParents:
 
     def test_requires_trimmed_input(self, abc_1d):
         with pytest.raises(ValueError):
-            enumerate_parents(parse_pattern("A*"), abc_1d)
+            LayeredSearch(AncestrySearcher(abc_1d), parse_pattern("A*"))
 
     def test_product_cap_is_enforced(self, abc_2d, monkeypatch):
         monkeypatch.setattr(ancestry, "PRODUCT_CAP", 1)
         with pytest.raises(ResourceLimitError):
-            enumerate_parents(word_to_pattern("BB", Direction.SE), abc_2d)
+            AncestrySearcher(abc_2d).parents(word_to_pattern("BB", Direction.SE))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -92,7 +91,7 @@ class TestEnumerateParents:
         direction = data.draw(st.sampled_from(
             (Direction.E,) if rules.dimension == 1 else tuple(Direction)))
         child = word_to_pattern(word, direction)
-        for parent in enumerate_parents(child, rules):
+        for parent, _ in AncestrySearcher(rules).parents(child):
             assert is_trimmed(parent)
             assert parent.rows <= max_parent_len(child.rows, rules.b)
             assert parent.cols <= max_parent_len(child.cols, rules.b)
@@ -269,7 +268,7 @@ def _is_parent_by_definition(q: Pattern, p: Pattern, rules) -> bool:
                 for pj in range(q.cols):
                     covered = [(r, c, ch) for r, c, ch in cells
                                if (r + dr) // rh == pi and (c + dc) // b == pj]
-                    cell = q.at(pi, pj)
+                    cell = q.cells[pi * q.cols + pj]
                     if not covered:
                         if cell != WILDCARD:
                             ok = False
@@ -295,7 +294,7 @@ def _all_trimmed_patterns(max_rows, max_cols, letters):
         for cols in range(1, max_cols + 1):
             for combo in itertools.product(symbols, repeat=rows * cols):
                 pat = Pattern(rows, cols, "".join(combo))
-                if pat.concrete_count and is_trimmed(pat):
+                if is_trimmed(pat):     # so not all wildcards
                     yield pat
 
 
@@ -310,7 +309,7 @@ class TestParentSoundnessCompleteness:
         word = data.draw(st.text(alphabet=rules.letters,
                                  min_size=1, max_size=3))
         child = word_to_pattern(word, Direction.E)
-        got = enumerate_parents(child, rules)
+        got = {q for q, _ in AncestrySearcher(rules).parents(child)}
         brute = {
             q for q in _all_trimmed_patterns(
                 max_parent_len(child.rows, rules.b),
@@ -327,7 +326,7 @@ class TestParentSoundnessCompleteness:
         word = data.draw(st.text(alphabet=rules.letters,
                                  min_size=2, max_size=2))
         child = word_to_pattern(word, Direction.SE)
-        got = enumerate_parents(child, rules)
+        got = {q for q, _ in AncestrySearcher(rules).parents(child)}
         brute = {
             q for q in _all_trimmed_patterns(2, 2, rules.letters)
             if _is_parent_by_definition(q, child, rules)
@@ -343,7 +342,7 @@ class TestParentSoundnessCompleteness:
         direction = data.draw(st.sampled_from(
             (Direction.E,) if rules.dimension == 1 else (Direction.E, Direction.SE)))
         child = word_to_pattern(word, direction)
-        for parent in enumerate_parents(child, rules):
+        for parent, _ in AncestrySearcher(rules).parents(child):
             for completion in _fills(parent, rules.letters):
                 assert occurrences(child, expand(completion, rules, 1))
 
@@ -496,9 +495,8 @@ class TestLockstep:
         res = searcher.search(word, Direction.E)
         assert res == direct
         assert (res.found, res.max_depth) == (found, max_depth)
-        assert res.visited == tuple(run.links)
-        assert res.visited[0] == res.target
-        assert len(res.visited) == res.stats.patterns_seen
+        assert next(iter(run.links)) == res.target
+        assert res.stats.patterns_seen == len(run.links)
 
 
 class TestParentLevelShift:
@@ -521,8 +519,8 @@ class TestParentLevelShift:
                       if occurrences(target, g)), None)
         if first is None or first == 1:
             return
-        parents = enumerate_parents(target, rules)
-        assert any(occurrences(p, levels[first - 2]) for p in parents)
+        parents = AncestrySearcher(rules).parents(target)
+        assert any(occurrences(p, levels[first - 2]) for p, _ in parents)
 
 
 class TestWitnessCoordinates:
@@ -596,8 +594,9 @@ class TestAncestorTree:
 
     def test_cacaba_tree_depth_and_leaves(self, abc_1d):
         tree = ancestor_tree("CACABA", Direction.E, abc_1d)
-        assert tree.max_depth() == 5
-        leaves = sorted(leaf.pattern.text() for leaf in tree.leaves())
+        assert max(node.depth for node in _walk(tree)) == 5
+        leaves = sorted(node.pattern.text() for node in _walk(tree)
+                        if not node.children)
         assert leaves == ["A", "AA", "B", "B", "BBAA", "BC", "CC"]
 
     def test_unproducible_letter_gives_root_only_tree(self):

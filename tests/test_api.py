@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import fractalsearch
@@ -78,3 +79,45 @@ def test_the_cli_loads_only_the_standard_library():
     done = subprocess.run([sys.executable, "-S", "-c", STDLIB_PROBE], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# Kept with no caller: tests/test_puzzle.py uses it to prove that the JSON
+# report loses no information (see ROADMAP, "Checked and rejected").
+UNCALLED_ON_PURPOSE = {"report_from_json_dict"}
+
+
+def _referenced_names(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]     # the bench tracer patches functions by name
+    return []
+
+
+def test_every_public_name_has_a_caller():
+    """Each public module-level function or class in the package is
+    referenced from src/, scripts/ or bench/ outside its own definition,
+    or is exported from the package root."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "scripts", "bench")
+             for path in (ROOT / folder).rglob("*.py")}
+    references = defaultdict(list)      # name -> [(path, line)]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            for name in _referenced_names(node):
+                references[name].append((path, node.lineno))
+    uncalled = sorted(
+        node.name
+        for path in (ROOT / "src" / "fractalsearch").glob("*.py")
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in fractalsearch.__all__
+        and node.name not in UNCALLED_ON_PURPOSE
+        and all(where == path and node.lineno <= line <= node.end_lineno
+                for where, line in references[node.name]))
+    assert uncalled == []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fractalsearch.bounds import base_bounds, ceil_log, max_parent_len, w1, w2
+from fractalsearch.bounds import ceil_log, max_parent_len, w1, w2
 
 BS = st.integers(2, 5)
 NS = st.integers(1, 30)
@@ -99,25 +99,23 @@ class TestMaxParentLen:
 
 
 class TestBaseBounds:
+    """The base shapes' bounds, whatever the block side: a single letter
+    n, a straight pair n**2 + 1 and a diagonal pair 2*n**2 + 1."""
+
+    @staticmethod
+    def base(b, n):
+        return w1(b, n, 1), w1(b, n, 2), w2(b, n, 2)
+
     def test_three_letters(self):
-        got = base_bounds(3)
-        assert (got.one_letter, got.two_letter_1d,
-                got.two_letter_diag, got.box_2x2) == (3, 10, 19, 37)
+        assert self.base(2, 3) == (3, 10, 19)
 
     def test_single_letter_alphabet(self):
-        got = base_bounds(1)
-        assert (got.one_letter, got.two_letter_1d,
-                got.two_letter_diag, got.box_2x2) == (1, 2, 3, 3)
+        assert self.base(2, 1) == (1, 2, 3)
 
     def test_puzzle_alphabet(self):
-        got = base_bounds(26)
-        assert (got.one_letter, got.two_letter_1d,
-                got.two_letter_diag, got.box_2x2) == (26, 677, 1353, 18253)
-        assert got.box_2x2 == 26 ** 3 + 26 ** 2 + 1
+        assert self.base(2, 26) == (26, 677, 1353)
 
     @given(n=NS, b=BS)
     def test_agrees_with_w_functions(self, n, b):
-        got = base_bounds(n)
-        assert got.one_letter == w1(b, n, 1) == w2(b, n, 1)
-        assert got.two_letter_1d == w1(b, n, 2)
-        assert got.two_letter_diag == w2(b, n, 2)
+        assert self.base(b, n) == (n, n * n + 1, 2 * n * n + 1)
+        assert w2(b, n, 1) == n

@@ -30,7 +30,7 @@ from fractalsearch.oracle import (
     _ruleset_by_index,
     _sweep_blocks,
     forward_first_appearance,
-    latest_first_appearance,
+    latest_with_searcher,
 )
 from fractalsearch.patterns import Direction
 from fractalsearch.puzzle import load_puzzle
@@ -129,7 +129,8 @@ class TestCheckLetters:
         (lambda rules, _: forward_first_appearance(
             "AYX", Direction.E, Grid.from_text("A"), rules, 3),
          UnknownLetterError, "word uses letters outside the alphabet: ['X', 'Y']"),
-        (lambda rules, _: latest_first_appearance("AYX", Direction.E, rules),
+        (lambda rules, _: latest_with_searcher(AncestrySearcher(rules), "AYX",
+                                               Direction.E),
          UnknownLetterError, "word uses letters outside the alphabet: ['X', 'Y']"),
         (_load_puzzle_listing_axe, PuzzleFormatError,
          "line 9: word 'AXE' uses letters outside the alphabet: ['E', 'X']"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from collections import defaultdict
 
@@ -20,13 +21,12 @@ from fractalsearch.errors import (
 from fractalsearch.oracle import (
     check_instance,
     forward_first_appearance,
-    latest_first_appearance,
     latest_with_searcher,
     random_instance,
     run_agreement,
     sweep_max_latest,
 )
-from fractalsearch.patterns import Direction
+from fractalsearch.patterns import Direction, Pattern, parse_pattern
 from tests.conftest import rule_sets, seeded_rng
 
 
@@ -132,23 +132,27 @@ class TestForwardFirstAppearance:
                 == scan_levels(word, direction, l1, rules, max_level))
 
 
+def latest_level(word, direction, rules):
+    return latest_with_searcher(AncestrySearcher(rules), word, direction).level
+
+
 class TestLatestFirstAppearance:
     def test_single_letter_worst_case(self, abc_1d):
-        assert latest_first_appearance("A", Direction.E, abc_1d) == 3
+        assert latest_level("A", Direction.E, abc_1d) == 3
 
     def test_parentless_word_is_level_one_only(self, abc_1d):
-        assert latest_first_appearance("CC", Direction.E, abc_1d) == 1
+        assert latest_level("CC", Direction.E, abc_1d) == 1
 
     def test_single_letter_alphabet(self):
         rules = RuleSet({"A": ("AA",)})
-        assert latest_first_appearance("A", Direction.E, rules) == 1
+        assert latest_level("A", Direction.E, rules) == 1
         # A pair cannot sit inside a one-cell start grid, so the
         # adversarial setup delays it to level 2 (= the pair bound n*n+1).
-        assert latest_first_appearance("AA", Direction.E, rules) == 2
+        assert latest_level("AA", Direction.E, rules) == 2
 
     def test_respects_straight_bound(self, abc_1d):
         for word in ("A", "B", "AB", "CA", "CAB"):
-            got = latest_first_appearance(word, Direction.E, abc_1d)
+            got = latest_level(word, Direction.E, abc_1d)
             assert got <= w1(abc_1d.b, abc_1d.n, len(word))
 
     @settings(max_examples=25, deadline=None)
@@ -165,6 +169,45 @@ class TestLatestFirstAppearance:
         assert got.level is not None
         assert forward_first_appearance(word, Direction.E, got.l1, rules,
                                         got.level) == got.level
+
+    @pytest.mark.parametrize(
+        "n, dimension, word_len_cap, max_rows, max_cols, every_ruleset", [
+            (2, 1, 3, 1, 4, True), (3, 1, 2, 1, 3, False), (2, 2, 2, 2, 2, False)],
+        ids=["1d-n2", "1d-n3-orbits", "2d-n2-orbits"])
+    def test_equals_the_latest_level_over_every_start_grid(
+            self, n, dimension, word_len_cap, max_rows, max_cols, every_ruleset):
+        """No start grid up to the given size gives a later first level
+        than the one claimed, and one gives exactly that level: the
+        maximum of the forward route, run to its fixpoint, over every
+        grid.  The larger cases check only the sweep's orbit
+        representatives; both sides are constant on an orbit."""
+        letters = tuple("ABC"[:n])
+        blocks = oracle._sweep_blocks(letters, 2, dimension)
+        indexes = [idx for idx, first in
+                   enumerate(oracle._sweep_orbits(letters, blocks))
+                   if every_ruleset or first == idx]
+        grids = [Grid(rows, cols, "".join(cells), 1)
+                 for rows in range(1, max_rows + 1)
+                 for cols in range(1, max_cols + 1)
+                 for cells in itertools.product(letters, repeat=rows * cols)]
+        words = ["".join(w) for length in range(1, word_len_cap + 1)
+                 for w in itertools.product(letters, repeat=length)]
+        directions = (Direction.E,) if dimension == 1 else (Direction.E, Direction.SE)
+        mismatches = []
+        for idx in indexes:
+            rules = oracle._ruleset_by_index(idx, letters, blocks)
+            searcher = AncestrySearcher(rules)
+            for word in words:
+                for direction in directions:
+                    claimed = latest_with_searcher(searcher, word, direction).level
+                    brute = max(filter(None, (
+                        forward_first_appearance(word, direction, l1, rules,
+                                                 max_level=10 ** 9)
+                        for l1 in grids)))
+                    if claimed != brute:
+                        mismatches.append((rules.text(), word, direction.name,
+                                           claimed, brute))
+        assert mismatches == []
 
 
 class TestSweep:
@@ -183,6 +226,30 @@ class TestSweep:
         serial = sweep_max_latest(2, 2, 1, 2, jobs=1)
         parallel = sweep_max_latest(2, 2, 1, 2, jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs, workers", [(16, 7), (2, 2)])
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch, jobs,
+                                                     workers):
+        # n=2 has 7 orbit representatives, one chunk each when jobs > 1
+        started = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        serial = sweep_max_latest(2, 2, 1, 2, jobs=1)
+        monkeypatch.setattr(oracle.multiprocessing, "Pool", InProcessPool)
+        assert sweep_max_latest(2, 2, 1, 2, jobs=jobs) == serial
+        assert started == [workers]
 
     def test_per_length_maxima_are_reported(self):
         report = sweep_max_latest(2, 2, 1, 2)
@@ -359,6 +426,36 @@ class TestAgreementHarness:
         assert got["issues"]["mismatch"] == [
             "dim=1 n=4 rules=A>AB;B>CC;C>DD;D>BA l1=B word=BB dir=E: "
             "backward 13, forward None"]
+
+    def test_oversized_parent_is_a_geometry_issue(self, abc_2d, monkeypatch):
+        # AB is in the start grid, so the search stops at depth 0 and the
+        # audit walks the target alone.
+        big = Pattern(3, 3, "A" * 9)
+        monkeypatch.setattr(AncestrySearcher, "parents",
+                            lambda self, pattern: ((big, (0, 0)),))
+        got = check_instance(abc_2d, Grid.from_text("AB"), "AB", Direction.E)
+        desc = f"dim=2 n=3 rules={abc_2d.text()} l1=AB word=AB dir=E"
+        assert got["issues"] == {
+            "mismatch": [], "bound": [], "confinement": [],
+            "geometry": [f"{desc}: parent AAA/AAA/AAA of AB too large"]}
+
+    @pytest.mark.parametrize("ancestor, issues", [
+        ("*A/A*", ["ancestor *A/A* off the diagonal band"]),
+        ("AA/AA", ["ancestor AA/AA off the diagonal band",
+                   "bad 2x2 ancestor AA/AA"]),
+    ])
+    def test_off_band_ancestor_is_a_confinement_issue(self, abc_2d, monkeypatch,
+                                                      ancestor, issues):
+        # Every pattern's only parent is the off-band one, so it is the
+        # search's one ancestor; it cannot ground in a 1 x 1 start grid.
+        pattern = parse_pattern(ancestor)
+        monkeypatch.setattr(AncestrySearcher, "parents",
+                            lambda self, pat: ((pattern, (0, 0)),))
+        got = check_instance(abc_2d, Grid.from_text("A"), "ABA", Direction.SE)
+        desc = f"dim=2 n=3 rules={abc_2d.text()} l1=A word=ABA dir=SE"
+        assert got["issues"]["confinement"] == [f"{desc}: {issue}"
+                                                for issue in issues]
+        assert got["issues"]["geometry"] == []
 
     @pytest.mark.parametrize("instances", [0, -1])
     def test_an_empty_audit_is_refused(self, instances):

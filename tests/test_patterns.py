@@ -188,9 +188,9 @@ class TestWordCells:
         pattern = word_to_pattern(word, direction)
         cells = word_cells(word, direction)
         assert "".join(ch for _, _, ch in cells) == word
-        assert all(pattern.at(r, c) == ch for r, c, ch in cells)
+        assert all(pattern.cells[r * pattern.cols + c] == ch for r, c, ch in cells)
         on_word = {(r, c) for r, c, _ in cells}
-        assert all(pattern.at(r, c) == WILDCARD
+        assert all(pattern.cells[r * pattern.cols + c] == WILDCARD
                    for r in range(pattern.rows) for c in range(pattern.cols)
                    if (r, c) not in on_word)
 
@@ -218,7 +218,7 @@ class TestWireFormat:
         assert parse_pattern(text).text() == text
 
     def test_concrete_count(self):
-        assert parse_pattern("C**/*A*/**T").concrete_count == 3
+        assert len(list(parse_pattern("C**/*A*/**T").concrete_cells())) == 3
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 
 from fractalsearch.core import CellAddress
 from fractalsearch.errors import PuzzleFormatError, SolveError
+from fractalsearch.files import load_grid
 from fractalsearch.patterns import Direction
 from fractalsearch.puzzle import (
     Placement,
@@ -71,9 +72,10 @@ class TestNormalizeWord:
 class TestLoadPuzzle:
     def test_shipped_puzzle(self, puzzle_path):
         spec = load_puzzle(puzzle_path)
+        given = load_grid(puzzle_path)
         assert spec.rules.n == 26 and spec.rules.b == 2
-        assert (spec.given_grid.rows, spec.given_grid.cols) == (22, 30)
-        assert spec.given_grid.level == 2
+        assert (given.rows, given.cols) == (22, 30)
+        assert given.level == 2
         assert len(spec.words) == 32
         assert spec.answer_length == 8
         assert len(spec.allowed_directions) == 8
@@ -107,6 +109,19 @@ ABQ
         with pytest.raises(PuzzleFormatError) as err:
             load_puzzle(path)
         assert err.value.line is not None
+
+    @pytest.mark.parametrize("answer, bad_line, message", [
+        ("length = -4", "length = -4", "negative answer length -4"),
+        ("length = 8\nlength = 6", "length = 6", "repeated answer length"),
+    ], ids=["negative", "repeated"])
+    def test_bad_answer_length_fails_with_line(self, tmp_path, answer, bad_line,
+                                               message):
+        body = ABC_1D_HEADER + "[grid]\nAB\n[words]\nAB\n[answer]\n" + answer + "\n"
+        path = write_puzzle(tmp_path, body)
+        with pytest.raises(PuzzleFormatError) as err:
+            load_puzzle(path)
+        assert err.value.line == body.splitlines().index(bad_line) + 1
+        assert str(err.value) == f"line {err.value.line}: {message}"
 
     def test_missing_sections_fail(self, tmp_path):
         path = write_puzzle(tmp_path, "[alphabet]\nA = AB\nB = AA\n")
@@ -268,8 +283,8 @@ class TestSolveInvariants:
         from fractalsearch.core import expand
 
         spec = load_puzzle(puzzle_path)
-        assert expand(spec.l1, spec.rules, spec.given_grid.level - 1) == \
-            spec.given_grid
+        given = load_grid(puzzle_path)
+        assert expand(spec.l1, spec.rules, given.level - 1) == given
 
     def test_cross_all_on_shipped_puzzle_keeps_message(self, puzzle_path):
         # Every extra grounding at a word's winning depth falls on a cell
