@@ -35,6 +35,7 @@ from .patterns import (
     GridIndex,
     Pattern,
     is_trimmed,
+    parse_pattern,
     word_cells,
     word_to_pattern,
 )
@@ -44,36 +45,35 @@ CLOSURE_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
-class SearchStats:
-    nodes_expanded: int
-    patterns_seen: int
-
-
-@dataclass(frozen=True)
 class SearchResult:
     """Outcome of one backward search.
 
-    ``found`` results carry the earliest level, the ancestor pattern
+    A found result carries the earliest level, the ancestor pattern
     grounded in the start grid, its 1-indexed anchor position there, and
     the per-step alignment offsets from the ancestor down to the target
-    (enough to reconstruct exact coordinates on any level).  A negative
-    result means the frontier reached a fixpoint: the word can never
-    appear for this start grid.  ``stats.patterns_seen`` counts the
-    patterns the search discovered; the patterns themselves live in the
+    (enough to reconstruct exact coordinates on any level).  A result
+    with no level means the frontier reached a fixpoint: the word can
+    never appear for this start grid.  ``nodes_expanded`` and
+    ``patterns_seen`` count the search's effort, summed over every run
+    stepped with it; the patterns themselves live in the
     :class:`LayeredSearch` that ran it (its ``links``), which a caller
     needing them drives directly.
     """
 
     word: str
     direction: Direction | None      # None for raw pattern searches
-    found: bool
     level: int | None
     ancestor: Pattern | None
     anchor: tuple[int, int] | None
     offsets: tuple[tuple[int, int], ...]
     target: Pattern
     max_depth: int
-    stats: SearchStats
+    nodes_expanded: int
+    patterns_seen: int
+
+    @property
+    def found(self) -> bool:
+        return self.level is not None
 
     def __post_init__(self):
         if self.found and self.level != len(self.offsets) + 1:
@@ -206,13 +206,12 @@ class AncestrySearcher:
     def search(self, word: str, direction: Direction, *,
                depth_cap: int | None = None) -> SearchResult:
         """Earliest level on which the word appears for the start grid."""
-        return LayeredSearch(self, word_to_pattern(word, direction)).finish(
-            word, direction, depth_cap)
+        return LayeredSearch(self, word, direction).finish(depth_cap)
 
     def search_pattern(self, target: Pattern, *,
                        depth_cap: int | None = None) -> SearchResult:
         """Earliest level of an arbitrary letter/wildcard pattern."""
-        return LayeredSearch(self, target).finish(target.text(), None, depth_cap)
+        return LayeredSearch(self, target.text(), None).finish(depth_cap)
 
     def closure(self, target: Pattern) -> dict[Pattern, int]:
         """Minimal depth of every ancestor pattern reachable from the
@@ -249,10 +248,17 @@ class LayeredSearch:
     exhausting the losers, and a plain search is the one-run case.
     """
 
-    def __init__(self, searcher: AncestrySearcher, target: Pattern):
+    def __init__(self, searcher: AncestrySearcher, word: str,
+                 direction: Direction | None):
+        """Search ``word`` read along ``direction``; with ``direction``
+        None, ``word`` is a raw pattern in its wire form."""
+        target = (parse_pattern(word) if direction is None
+                  else word_to_pattern(word, direction))
         if not is_trimmed(target):
             raise ValueError(f"target pattern {target.text()!r} is not trimmed")
         self.searcher = searcher
+        self.word = word
+        self.direction = direction
         self.target = target
         self.links: dict[Pattern, tuple[Pattern, tuple[int, int]] | None] = {
             target: None
@@ -306,66 +312,58 @@ class LayeredSearch:
             raise WitnessError("offset chain does not reach the target pattern")
         return tuple(offsets)
 
-    def _stats(self) -> SearchStats:
-        return SearchStats(self.nodes_expanded, len(self.links))
-
-    def result_found(self, word: str, direction: Direction | None,
-                     grounded: tuple[tuple[int, int], Pattern]) -> SearchResult:
-        anchor, ancestor = grounded
-        offsets = self._chain(ancestor)
+    def result(self, grounded: tuple[tuple[int, int], Pattern] | None = None,
+               runs: list[LayeredSearch] | None = None) -> SearchResult:
+        """This run's answer: found one level below the current depth
+        when given its grounding (anchor, ancestor), else never.  Its
+        effort is summed over ``runs``, the runs stepped in lockstep
+        with it (by default this run alone)."""
+        anchor, ancestor = grounded or (None, None)
         return SearchResult(
-            word=word, direction=direction, found=True,
-            level=self.depth + 1, ancestor=ancestor, anchor=anchor,
-            offsets=offsets, target=self.target, max_depth=self.depth,
-            stats=self._stats(),
+            word=self.word, direction=self.direction,
+            level=None if grounded is None else self.depth + 1,
+            ancestor=ancestor, anchor=anchor,
+            offsets=() if grounded is None else self._chain(ancestor),
+            target=self.target, max_depth=self.depth,
+            **_effort(runs or [self]),
         )
 
-    def result_never(self, word: str, direction: Direction | None) -> SearchResult:
-        return SearchResult(
-            word=word, direction=direction, found=False,
-            level=None, ancestor=None, anchor=None,
-            offsets=(), target=self.target, max_depth=self.depth,
-            stats=self._stats(),
-        )
-
-    def finish(self, word: str, direction: Direction | None,
-               depth_cap: int | None = None) -> SearchResult:
+    def finish(self, depth_cap: int | None = None) -> SearchResult:
         """Step this run alone to its first grounded layer or its fixpoint."""
-        won = first_grounded([self], word, depth_cap)
-        if won is None:
-            return self.result_never(word, direction)
-        return self.result_found(word, direction, won[1])
+        return first_grounded([self], depth_cap) or self.result()
 
 
-def first_grounded(runs: list[LayeredSearch], word: str,
-                   depth_cap: int | None = None,
-                   ) -> tuple[LayeredSearch, tuple[tuple[int, int], Pattern]] | None:
+def first_grounded(runs: list[LayeredSearch],
+                   depth_cap: int | None = None) -> SearchResult | None:
     """Step the runs in lockstep until one grounds in the start grid.
 
     Every live run's frontier is checked before any run advances, so the
     first grounded layer is the minimum depth over all runs; ties at
     that depth go to the earlier run in the list.  A run whose frontier
-    empties stops advancing.  Returns the winning run with its grounding
-    (anchor, ancestor), or None once every run is exhausted.  Advancing
-    past ``depth_cap`` raises UnresolvedSearchError.
+    empties stops advancing.  Returns the winning run's result, its
+    effort summed over all the runs, or None once every run is
+    exhausted.  Advancing past ``depth_cap`` raises
+    UnresolvedSearchError with the same sums.
     """
     live = list(runs)
     while live:
         for run in live:
             grounded = run.check_grounding()
             if grounded is not None:
-                return run, grounded
+                return run.result(grounded, runs)
         live = [run for run in live if run.advance()]
         if depth_cap is not None and live and live[0].depth > depth_cap:
             raise UnresolvedSearchError(
                 f"depth cap {depth_cap} reached with "
                 f"{sum(len(run.frontier) for run in live)} open patterns "
-                f"for {word!r}",
-                depth=live[0].depth,
-                nodes_expanded=sum(run.nodes_expanded for run in runs),
-                patterns_seen=sum(len(run.links) for run in runs),
-            )
+                f"for {runs[0].word!r}",
+                depth=live[0].depth, **_effort(runs))
     return None
+
+
+def _effort(runs: list[LayeredSearch]) -> dict[str, int]:
+    return {"nodes_expanded": sum(run.nodes_expanded for run in runs),
+            "patterns_seen": sum(len(run.links) for run in runs)}
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +387,6 @@ def witness_coordinates(result: SearchResult, l1: Grid,
     if not result.found:
         raise ValueError("witness coordinates exist only for found results")
     corner = path_to_address(result.anchor, result.offsets, rules)
-    if corner.level != result.level:
-        raise WitnessError("offset chain length disagrees with found level")
     if result.direction is None:
         # Raw pattern search: report concrete cells in reading order.
         walk = result.target.concrete_cells()

@@ -188,8 +188,8 @@ def _cmd_search(args) -> int:
             "direction": result.direction.name if result.direction else None,
             "found": result.found,
             "level": result.level,
-            "nodes_expanded": result.stats.nodes_expanded,
-            "patterns_seen": result.stats.patterns_seen,
+            "nodes_expanded": result.nodes_expanded,
+            "patterns_seen": result.patterns_seen,
         }
         if result.found:
             payload["ancestor"] = result.ancestor.text()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import ClassVar
 
@@ -284,16 +284,11 @@ def _sweep_words(letters: tuple[str, ...], word_len_cap: int):
             yield "".join(combo)
 
 
-def _witness_rank(key: tuple) -> tuple:
-    """Order of sweep witness keys (level, rules text, word, l1 text,
-    index, direction): the latest level first, then the smallest rules
-    text, word and start grid; of equal ranks the first seen wins."""
-    return (-key[0], *key[1:4])
-
-
 def _keep_best(best: dict[int, tuple], length: int, key: tuple) -> None:
-    prev = best.get(length)
-    if prev is None or _witness_rank(key) < _witness_rank(prev):
+    """Keep the smaller sweep witness key (-level, rule-set index, word,
+    l1 text, direction name): the latest level first, then the smallest
+    rule set, word and start grid, then E before SE."""
+    if length not in best or key < best[length]:
         best[length] = key
 
 
@@ -309,23 +304,18 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
     directions = (Direction.E,) if dimension == 1 else (Direction.E, Direction.SE)
     words = list(_sweep_words(letters, word_len_cap))
     per_ruleset: list[int] = []
-    # word length -> (level, ruleset text, word, l1 text, ruleset index)
-    best: dict[int, tuple] = {}
+    best: dict[int, tuple] = {}     # word length -> witness key
     for idx in indexes:
-        rules = _ruleset_by_index(idx, letters, blocks)
-        searcher = AncestrySearcher(rules)
+        searcher = AncestrySearcher(_ruleset_by_index(idx, letters, blocks))
         rs_max = 0
-        rs_text = None
         for word in words:
             for direction in directions:
                 got = latest_with_searcher(searcher, word, direction)
                 if got.level is None:
                     continue
                 rs_max = max(rs_max, got.level)
-                if rs_text is None:
-                    rs_text = rules.text()
-                _keep_best(best, len(word), (got.level, rs_text, word,
-                                             got.l1.text(), idx, direction.name))
+                _keep_best(best, len(word), (-got.level, idx, word,
+                                             got.l1.text(), direction.name))
         per_ruleset.append(rs_max)
     return per_ruleset, best
 
@@ -381,10 +371,10 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
     :func:`_sweep_orbits`) is searched; its maximum is copied to every
     rule set of the orbit.  The witness is the same as a search of every
     rule set would pick: among the rule sets that reach a length's
-    maximum it takes the smallest ``rules.text()``, and as blocks are
-    fixed-width and enumerated in lexicographic order, text order is
-    index order, so that rule set is the smallest of its orbit and was
-    searched.
+    maximum it takes the smallest index, which is also the smallest
+    ``rules.text()`` (blocks are fixed-width and enumerated in
+    lexicographic order), so that rule set is the smallest of its orbit
+    and was searched.
 
     Every per-length witness is re-validated by forward expansion before
     the report is returned; one that fails raises ``WitnessError``.
@@ -421,26 +411,25 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
         for length, key in chunk_best.items():
             _keep_best(best, length, key)
     by_rep = dict(zip(reps, orbit_max))
-    for length, key in sorted(best.items()):
-        wlevel, wrules_text, wword, wl1, widx, wdir = key
+    for length, (neg_level, widx, wword, wl1, wdir) in sorted(best.items()):
         wrules = _ruleset_by_index(widx, letters, blocks)
         got = forward_first_appearance(
-            wword, Direction[wdir], Grid.from_text(wl1), wrules, wlevel)
-        if got != wlevel:
+            wword, Direction[wdir], Grid.from_text(wl1), wrules, -neg_level)
+        if got != -neg_level:
             raise WitnessError(
                 f"sweep witness for word length {length} failed forward "
                 f"re-validation: word {wword} {wdir} from start grid {wl1} "
-                f"under {wrules_text}: expected level {wlevel}, forward "
+                f"under {wrules.text()}: expected level {-neg_level}, forward "
                 f"expansion gave {got}")
     # A 1-letter word reaches level 1 from its own fill, so there is
     # always a witness of length 1.
-    level, rules_text, word, l1_text, idx, direction_name = min(
-        best.values(), key=_witness_rank)
+    neg_level, idx, word, l1_text, direction_name = min(best.values())
     return SweepReport(
         n=n, b=b, dimension=dimension, word_len_cap=word_len_cap,
-        global_max=level, witness_rules=rules_text, witness_word=word,
-        witness_l1=l1_text, witness_direction=direction_name,
-        per_length_max={length: key[0] for length, key in sorted(best.items())},
+        global_max=-neg_level,
+        witness_rules=_ruleset_by_index(idx, letters, blocks).text(),
+        witness_word=word, witness_l1=l1_text, witness_direction=direction_name,
+        per_length_max={length: -key[0] for length, key in sorted(best.items())},
         per_ruleset_max=tuple(by_rep[first] for first in smallest),
         ruleset_count=count,
     )
@@ -483,17 +472,7 @@ class AgreementReport:
                     or self.geometry_violations or self.confinement_violations)
 
     def to_json_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "found_both": self.found_both,
-            "never_both": self.never_both,
-            "beyond_horizon": self.beyond_horizon,
-            "mismatches": list(self.mismatches),
-            "bound_violations": list(self.bound_violations),
-            "geometry_violations": list(self.geometry_violations),
-            "confinement_violations": list(self.confinement_violations),
-            "clean": self.clean,
-        }
+        return {**asdict(self), "clean": self.clean}
 
 
 def random_instance(rng):
@@ -525,8 +504,8 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
     still checked exactly: the forward route then runs to that level.
     """
     searcher = AncestrySearcher(rules, l1)
-    run = LayeredSearch(searcher, word_to_pattern(word, direction))
-    res = run.finish(word, direction)
+    run = LayeredSearch(searcher, word, direction)
+    res = run.finish()
     horizon = max(max_level, res.level) if res.found else max_level
     fwd = forward_first_appearance(word, direction, l1, rules, horizon)
     desc = (f"dim={rules.dimension} n={rules.n} rules={rules.text()} "

@@ -29,7 +29,6 @@ from .patterns import (
     Pattern,
     occurrences,
     pattern_from_rows,
-    word_to_pattern,
 )
 
 DEFAULT_MARKER = "X"
@@ -136,6 +135,12 @@ def load_puzzle(path: str) -> PuzzleSpec:
             raise PuzzleFormatError(f"bad answer length {value!r}", lineno) from None
         if answer_length < 0:
             raise PuzzleFormatError(f"negative answer length {answer_length}", lineno)
+        if answer_length % 2 or not 4 <= answer_length <= 4 * ANSWER_WINDOW_RADIUS:
+            # the X reading of answer_window needs two diagonals of at
+            # least 2 letters inside the 2 * ANSWER_WINDOW_RADIUS window
+            raise PuzzleFormatError(
+                f"answer length {answer_length} is not an even number from 4 "
+                f"to {4 * ANSWER_WINDOW_RADIUS}", lineno)
     directions = list(DIRECTION_ORDER)
     if "directions" in sections:
         directions = []
@@ -165,14 +170,13 @@ def load_puzzle(path: str) -> PuzzleSpec:
 # solving
 # ---------------------------------------------------------------------------
 
-def _placement(spec: PuzzleSpec, raw: str, result: SearchResult,
-               nodes_expanded: int = 0, patterns_seen: int = 0) -> Placement:
+def _placement(spec: PuzzleSpec, raw: str, result: SearchResult) -> Placement:
     addresses = witness_coordinates(result, spec.l1, spec.rules)
     return Placement(
         raw=raw, word=result.word, direction=result.direction,
         level=result.level, ancestor=result.ancestor, anchor=result.anchor,
         offsets=result.offsets, addresses=tuple(addresses),
-        nodes_expanded=nodes_expanded, patterns_seen=patterns_seen,
+        nodes_expanded=result.nodes_expanded, patterns_seen=result.patterns_seen,
     )
 
 
@@ -188,28 +192,24 @@ def _place_word(searcher: AncestrySearcher, spec: PuzzleSpec, raw: str,
     placement and the placements to cross out: the placement alone, or
     with ``cross_all`` every grounding at the winning depth.
     """
-    direction_of: dict[Pattern, Direction] = {}
+    runs: dict[Pattern, LayeredSearch] = {}
     for d in DIRECTION_ORDER:
         if d in spec.allowed_directions:
             # a 1-letter word is the same pattern in all directions
-            direction_of.setdefault(word_to_pattern(word, d), d)
-    runs = [LayeredSearch(searcher, target) for target in direction_of]
-    won = first_grounded(runs, word)
-    if won is None:
+            run = LayeredSearch(searcher, word, d)
+            runs.setdefault(run.target, run)
+    result = first_grounded(list(runs.values()))
+    if result is None:
         raise SolveError(
             f"word {word!r} cannot appear on any level for this start grid")
-    run, grounded = won
-    placement = _placement(
-        spec, raw, run.result_found(word, direction_of[run.target], grounded),
-        sum(rr.nodes_expanded for rr in runs), sum(len(rr.links) for rr in runs))
+    placement = _placement(spec, raw, result)
     cross = [placement]
     if cross_all:
         # an exhausted run's frontier is empty
-        for rr in runs:
-            for pat in rr.frontier:
+        for run in runs.values():
+            for pat in run.frontier:
                 for pos in searcher.ground_positions(pat):
-                    cross.append(_placement(spec, raw, rr.result_found(
-                        word, direction_of[rr.target], (pos, pat))))
+                    cross.append(_placement(spec, raw, run.result((pos, pat))))
     return placement, cross
 
 

@@ -75,7 +75,7 @@ class TestEnumerateParents:
 
     def test_requires_trimmed_input(self, abc_1d):
         with pytest.raises(ValueError):
-            LayeredSearch(AncestrySearcher(abc_1d), parse_pattern("A*"))
+            LayeredSearch(AncestrySearcher(abc_1d), "A*", None)
 
     def test_product_cap_is_enforced(self, abc_2d, monkeypatch):
         monkeypatch.setattr(ancestry, "PRODUCT_CAP", 1)
@@ -380,7 +380,7 @@ class TestFirstAppearance:
     def test_never_appears_is_a_fixpoint_not_a_cap(self, abc_1d):
         res = first_appearance("CC", Direction.E, Grid.from_text("A"), abc_1d)
         assert not res.found
-        assert res.stats.patterns_seen >= 1
+        assert res.patterns_seen >= 1
 
     def test_depth_cap_raises_unresolved(self, abc_1d):
         with pytest.raises(UnresolvedSearchError) as err:
@@ -444,60 +444,71 @@ class TestLockstep:
     @staticmethod
     def runs(rules, l1, *words):
         searcher = AncestrySearcher(rules, Grid.from_text(l1))
-        return [LayeredSearch(searcher, word_to_pattern(w, Direction.E))
-                for w in words]
+        return [LayeredSearch(searcher, w, Direction.E) for w in words]
 
     @pytest.mark.parametrize("words", [("BA", "AC"), ("AC", "BA")])
     def test_tie_at_the_same_depth_goes_to_the_earlier_run(self, abc_1d, words):
         # From "A": A, AB, ABAC -- both words first appear on level 3.
         runs = self.runs(abc_1d, "A", *words)
-        won = first_grounded(runs, "tie")
-        assert won is not None
-        run, (anchor, ancestor) = won
-        assert run is runs[0]
+        res = first_grounded(runs)
+        assert res is not None
+        assert (res.word, res.direction, res.level) == (words[0], Direction.E, 3)
+        assert res.target == runs[0].target
         assert [r.depth for r in runs] == [2, 2]
-        assert run.result_found(words[0], Direction.E, (anchor, ancestor)).level == 3
 
     def test_exhausted_run_stops_while_the_other_continues(self, abc_1d):
         # CC never appears (its frontier empties at once); CACABA is on level 6.
         never, found = self.runs(abc_1d, "A", "CC", "CACABA")
-        run, _ = first_grounded([never, found], "CACABA")
-        assert run is found and found.depth == 5
+        res = first_grounded([never, found])
+        assert res.word == "CACABA" and res.level == 6 and found.depth == 5
         assert never.frontier == [] and never.depth == 0
         assert never.nodes_expanded == 1
 
     def test_all_runs_exhausted_gives_none(self, abc_1d):
-        assert first_grounded(self.runs(abc_1d, "A", "CC", "BBAC"), "x") is None
+        assert first_grounded(self.runs(abc_1d, "A", "CC", "BBAC")) is None
 
     def test_depth_cap_raises_with_the_search_effort(self, abc_1d):
         runs = self.runs(abc_1d, "A", "CACABA", "CC")
         with pytest.raises(UnresolvedSearchError) as err:
-            first_grounded(runs, "CACABA", depth_cap=2)
+            first_grounded(runs, depth_cap=2)
         assert err.value.depth == 3
         assert err.value.nodes_expanded == sum(r.nodes_expanded for r in runs) > 0
         assert err.value.patterns_seen == sum(len(r.links) for r in runs) > 0
         assert "depth cap 2" in str(err.value)
+        assert "for 'CACABA'" in str(err.value)
+
+    def test_result_counts_the_effort_the_depth_cap_reports(self, abc_1d):
+        # CACABA grounds at depth 5; capping the same runs at depth 4
+        # stops them after the same expansions, one layer short.
+        words = ("BBAC", "CACABA", "CC")
+        res = first_grounded(self.runs(abc_1d, "A", *words))
+        with pytest.raises(UnresolvedSearchError) as err:
+            first_grounded(self.runs(abc_1d, "A", *words), depth_cap=4)
+        assert err.value.depth == 5
+        assert (res.nodes_expanded, res.patterns_seen) == \
+            (err.value.nodes_expanded, err.value.patterns_seen)
+        # the sums cover every run, not only the winner
+        alone = first_grounded(self.runs(abc_1d, "A", "CACABA"))
+        assert res.nodes_expanded > alone.nodes_expanded
+        assert res.patterns_seen > alone.patterns_seen
 
     @pytest.mark.parametrize("word,found,max_depth", [
         ("CACABA", True, 5), ("BBAC", False, 2)])
     def test_search_agrees_with_driving_one_run(self, abc_1d, word, found,
                                                 max_depth):
         searcher = AncestrySearcher(abc_1d, Grid.from_text("A"))
-        run = LayeredSearch(searcher, word_to_pattern(word, Direction.E))
+        run = LayeredSearch(searcher, word, Direction.E)
         while True:
             grounded = run.check_grounding()
-            if grounded is not None:
-                direct = run.result_found(word, Direction.E, grounded)
+            if grounded is not None or not run.advance():
                 break
-            if not run.advance():
-                direct = run.result_never(word, Direction.E)
-                break
+        direct = run.result(grounded)
         res = searcher.search(word, Direction.E)
         assert res == direct
         assert (res.found, res.max_depth) == (found, max_depth)
         assert next(iter(run.links)) == res.target
-        assert res.stats.patterns_seen == len(run.links)
-
+        assert res.patterns_seen == len(run.links)
+        assert res.nodes_expanded == run.nodes_expanded
 
 class TestParentLevelShift:
     @settings(max_examples=30, deadline=None)

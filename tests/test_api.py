@@ -98,26 +98,42 @@ def _referenced_names(node: ast.AST) -> list[str]:
     return []
 
 
+def _uncalled(references, path, definitions) -> list[str]:
+    """Names of the definitions referenced nowhere but inside themselves."""
+    return [node.name for node in definitions
+            if all(where == path and node.lineno <= line <= node.end_lineno
+                   for where, line in references[node.name])]
+
+
 def test_every_public_name_has_a_caller():
     """Each public module-level function or class in the package is
     referenced from src/, scripts/ or bench/ outside its own definition,
-    or is exported from the package root."""
+    or is exported from the package root; each public method or property
+    of a package class is read as an attribute (or named in a string)
+    there outside its own definition."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for folder in ("src", "scripts", "bench")
              for path in (ROOT / folder).rglob("*.py")}
     references = defaultdict(list)      # name -> [(path, line)]
+    attributes = defaultdict(list)      # attribute reads and strings only
     for path, tree in trees.items():
         for node in ast.walk(tree):
             for name in _referenced_names(node):
                 references[name].append((path, node.lineno))
-    uncalled = sorted(
-        node.name
-        for path in (ROOT / "src" / "fractalsearch").glob("*.py")
-        for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in fractalsearch.__all__
-        and node.name not in UNCALLED_ON_PURPOSE
-        and all(where == path and node.lineno <= line <= node.end_lineno
-                for where, line in references[node.name]))
-    assert uncalled == []
+                if not isinstance(node, (ast.Name, ast.alias)):
+                    attributes[name].append((path, node.lineno))
+    uncalled = []
+    for path in (ROOT / "src" / "fractalsearch").glob("*.py"):
+        body = trees[path].body
+        uncalled += _uncalled(references, path, [
+            node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in fractalsearch.__all__
+            and node.name not in UNCALLED_ON_PURPOSE])
+        uncalled += _uncalled(attributes, path, [
+            node for cls in body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")])
+    assert sorted(uncalled) == []

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,21 @@ from fractalsearch.cli import main
 
 RULES_1D = "src/fractalsearch/data/abc_1d.rules"
 RULES_2D = "src/fractalsearch/data/abc_2d.rules"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``fractalsearch`` lines of README's "Command line" block, with
+    continuation lines joined and comments dropped."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    argvs = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    assert all(argv[0] == "fractalsearch" for argv in argvs)
+    return [argv[1:] for argv in argvs]
 
 
 def run(capsys, *argv):
@@ -301,3 +319,17 @@ class TestUsageErrors:
                              "--grid", "A", "--steps", "40")
         assert code == 2 and out == ""
         assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+class TestReadmeCommands:
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_exits_zero(self, capsys, monkeypatch, argv):
+        monkeypatch.chdir(ROOT)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out
+
+    def test_cacaba_search_prints_level_6(self, capsys, monkeypatch):
+        [argv] = [a for a in readme_commands() if "CACABA" in a and a[0] == "search"]
+        monkeypatch.chdir(ROOT)
+        assert run(capsys, *argv) == (0, "level 6\n", "")

@@ -113,7 +113,15 @@ ABQ
     @pytest.mark.parametrize("answer, bad_line, message", [
         ("length = -4", "length = -4", "negative answer length -4"),
         ("length = 8\nlength = 6", "length = 6", "repeated answer length"),
-    ], ids=["negative", "repeated"])
+        ("length = 0", "length = 0",
+         "answer length 0 is not an even number from 4 to 16"),
+        ("length = 2", "length = 2",
+         "answer length 2 is not an even number from 4 to 16"),
+        ("length = 7", "length = 7",
+         "answer length 7 is not an even number from 4 to 16"),
+        ("length = 18", "length = 18",
+         "answer length 18 is not an even number from 4 to 16"),
+    ], ids=["negative", "repeated", "zero", "two", "odd", "too-long"])
     def test_bad_answer_length_fails_with_line(self, tmp_path, answer, bad_line,
                                                message):
         body = ABC_1D_HEADER + "[grid]\nAB\n[words]\nAB\n[answer]\n" + answer + "\n"
@@ -122,6 +130,11 @@ ABQ
             load_puzzle(path)
         assert err.value.line == body.splitlines().index(bad_line) + 1
         assert str(err.value) == f"line {err.value.line}: {message}"
+
+    @pytest.mark.parametrize("length", [4, 16])
+    def test_answer_length_range_ends_load(self, tmp_path, length):
+        body = ABC_1D_HEADER + f"[grid]\nAB\n[words]\nAB\n[answer]\nlength = {length}\n"
+        assert load_puzzle(write_puzzle(tmp_path, body)).answer_length == length
 
     def test_missing_sections_fail(self, tmp_path):
         path = write_puzzle(tmp_path, "[alphabet]\nA = AB\nB = AA\n")
