@@ -196,7 +196,8 @@ class AncestrySearcher:
 
     def ground_positions(self, pattern: Pattern) -> tuple[tuple[int, int], ...]:
         """1-indexed positions where the trimmed pattern occurs in the start
-        grid, row-major; matched through the start grid's letter index."""
+        grid, row-major; matched against the start grid's per-letter bit
+        masks (:class:`GridIndex`), built once per searcher."""
         if self._l1_index is None:
             raise ValueError("searcher was built without a start grid")
         return tuple(self._l1_index.positions(pattern))

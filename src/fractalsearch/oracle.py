@@ -34,6 +34,7 @@ from .patterns import (
     DIAGONALS,
     WILDCARD,
     Direction,
+    GridIndex,
     Pattern,
     two_diagonal_support,
     word_to_pattern,
@@ -158,16 +159,8 @@ def _fills(pattern: Pattern, letters: tuple[str, ...]):
         yield Grid(pattern.rows, pattern.cols, "".join(chars), 1)
 
 
-def _occurs_in(pattern: Pattern, grid: Grid) -> bool:
-    if pattern.rows > grid.rows or pattern.cols > grid.cols:
-        return False
-    lines = grid.lines()
-    cells = list(pattern.concrete_cells())
-    for r0 in range(grid.rows - pattern.rows + 1):
-        for c0 in range(grid.cols - pattern.cols + 1):
-            if all(lines[r0 + r][c0 + c] == ch for r, c, ch in cells):
-                return True
-    return False
+def _occurs_in(pattern: Pattern, index: GridIndex) -> bool:
+    return index.starts(pattern) != 0
 
 
 def latest_with_searcher(searcher: AncestrySearcher, word: str,
@@ -197,9 +190,10 @@ def latest_with_searcher(searcher: AncestrySearcher, word: str,
             break
         for pat in by_depth_asc[d]:
             for candidate in _fills(pat, letters):
+                index = GridIndex(candidate)
                 first = None
                 for d2, group in enumerate(by_depth_asc):
-                    if any(_occurs_in(p, candidate) for p in group):
+                    if any(_occurs_in(p, index) for p in group):
                         first = d2 + 1
                         break
                 if first is not None and (best.level is None or first > best.level):

@@ -10,6 +10,7 @@ patterns by orientation in one of the eight compass directions.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Iterator, NamedTuple
 
 from .core import Grid
@@ -142,45 +143,65 @@ def is_trimmed(pattern: Pattern) -> bool:
     return set(first_col) != {WILDCARD} and set(last_col) != {WILDCARD}
 
 
-class GridIndex:
-    """Occurrence matcher for one concrete grid.
+@functools.lru_cache(maxsize=4096)
+def _fitting(rows: int, cols: int, prows: int, pcols: int) -> int:
+    """Mask of the top-left starts ``r * cols + c`` where a prows x pcols
+    box fits in a rows x cols grid; cached per grid and pattern shape, as
+    the sweep builds a matcher for every throwaway fill."""
+    width = cols - pcols + 1
+    if prows > rows or width < 1:
+        return 0
+    row = (1 << width) - 1
+    return sum(row << r * cols for r in range(rows - prows + 1))
 
-    The grid is indexed once as letter -> that letter's cells in
-    row-major order.  A pattern is matched by anchoring on its concrete
-    cell whose letter is rarest in the grid: only the top-left positions
-    that anchor implies are tried, so a pattern using a letter the grid
-    lacks costs one lookup.  Translating row-major anchor cells by a
-    fixed offset keeps them row-major, so positions come out in that
-    order without sorting.
+
+class GridIndex:
+    """Bit-parallel occurrence matcher for one concrete grid.
+
+    The grid is held as one int per letter, with bit ``r * cols + c`` set
+    where that letter sits.  A pattern's matches start from the mask of
+    every top-left start whose box fits (:func:`_fitting`); each
+    concrete cell (pr, pc, ch) then ANDs in ``bits[ch] >> (pr * cols +
+    pc)``, which keeps the starts whose cell holds ``ch``.  A start's
+    column plus ``pc`` stays below ``cols``, so no shift wraps a row into
+    the next, and a mismatch anywhere ends the scan at once.  The bits
+    left, lowest first, are the starts in row-major order.
     """
 
     def __init__(self, grid: Grid):
         self.rows = grid.rows
         self.cols = grid.cols
-        self._lines = grid.lines()
-        cells: dict[str, list[tuple[int, int]]] = {}
-        for r, line in enumerate(self._lines):
-            for c, ch in enumerate(line):
-                cells.setdefault(ch, []).append((r, c))
-        self._cells = cells
+        bits: dict[str, int] = {}
+        for i, ch in enumerate(grid.cells):
+            bits[ch] = bits.get(ch, 0) | 1 << i
+        self._bits = bits
+
+    def starts(self, pattern: Pattern) -> int:
+        """Mask of the 0-indexed starts ``r * cols + c`` where the trimmed
+        pattern's box fits in the grid and every concrete cell matches."""
+        found = _fitting(self.rows, self.cols, pattern.rows, pattern.cols)
+        if not found:
+            return 0
+        bits = self._bits
+        cols, pcols = self.cols, pattern.cols
+        for i, ch in enumerate(pattern.cells):
+            if ch != WILDCARD:
+                found &= bits.get(ch, 0) >> (i // pcols * cols + i % pcols)
+                if not found:
+                    return 0
+        return found
 
     def positions(self, pattern: Pattern) -> list[tuple[int, int]]:
         """All 1-indexed top-left positions where the trimmed pattern's box
         fits in the grid and every concrete cell matches, row-major."""
-        rmax = self.rows - pattern.rows
-        cmax = self.cols - pattern.cols
-        if rmax < 0 or cmax < 0:
-            return []
-        index = self._cells
-        concrete = list(pattern.concrete_cells())
-        ar, ac, letter = min(concrete, key=lambda cell: len(index.get(cell[2], ())))
-        lines = self._lines
+        found = self.starts(pattern)
+        cols = self.cols
         out: list[tuple[int, int]] = []
-        for r, c in index.get(letter, ()):
-            r0, c0 = r - ar, c - ac
-            if (0 <= r0 <= rmax and 0 <= c0 <= cmax
-                    and all(lines[r0 + pr][c0 + pc] == ch for pr, pc, ch in concrete)):
-                out.append((r0 + 1, c0 + 1))
+        while found:
+            low = found & -found
+            r, c = divmod(low.bit_length() - 1, cols)
+            out.append((r + 1, c + 1))
+            found ^= low
         return out
 
 

@@ -20,7 +20,7 @@ from .ancestry import (
     witness_coordinates,
 )
 from .core import (CellAddress, Grid, RuleSet, check_letters, contract,
-                   descendant_block_range, letter_at, level_shape)
+                   descendant_block_range, level_shape)
 from .errors import PuzzleFormatError, SolveError, UnknownLetterError
 from .files import parse_grid_section, parse_rules_section, read_sections
 from .patterns import (
@@ -228,6 +228,34 @@ def crossed_out_l1_cells(placements, rules: RuleSet) -> frozenset[tuple[int, int
     return frozenset(crossed)
 
 
+def _window(l1: Grid, rules: RuleSet, level: int, rows: tuple[int, int],
+            cols: tuple[int, int]) -> tuple[str, ...]:
+    """Rows of the inclusive 1-indexed rectangle ``rows`` x ``cols`` of
+    ``level``, read in one walk down the levels.
+
+    The rectangle's ancestors on each level above form a rectangle too,
+    found by ceiling division; from level one, each level's rectangle is
+    expanded into its blocks and cut down to the next level's, so every
+    level holds only a few cells more than the window.
+    """
+    rh, b = rules.rule_rows, rules.b
+    spans = [(rows, cols)]
+    for _ in range(level - 1):
+        (top, bottom), (left, right) = spans[-1]
+        spans.append((((top - 1) // rh + 1, (bottom - 1) // rh + 1),
+                      ((left - 1) // b + 1, (right - 1) // b + 1)))
+    (top, bottom), (left, right) = spans.pop()
+    lines = [line[left - 1:right] for line in l1.lines()[top - 1:bottom]]
+    while spans:
+        # The expansion's first cell is at ((top-1)*rh + 1, (left-1)*b + 1).
+        r0, c0 = (top - 1) * rh, (left - 1) * b
+        (top, bottom), (left, right) = spans.pop()
+        blocks = [[rules.rules[ch] for ch in line] for line in lines]
+        lines = ["".join(block[br] for block in row)[left - 1 - c0:right - c0]
+                 for row in blocks for br in range(rh)][top - 1 - r0:bottom - r0]
+    return tuple(lines)
+
+
 def answer_window(spec: PuzzleSpec, target_level: int) -> AnswerWindow:
     """Read the answer region on ``target_level``.
 
@@ -252,13 +280,8 @@ def answer_window(spec: PuzzleSpec, target_level: int) -> AnswerWindow:
     bottom = min(max_rows, mid_r + ANSWER_WINDOW_RADIUS - 1)
     left = max(1, mid_c - ANSWER_WINDOW_RADIUS)
     right = min(max_cols, mid_c + ANSWER_WINDOW_RADIUS - 1)
-    window = tuple(
-        "".join(
-            letter_at(spec.l1, spec.rules, CellAddress(target_level, r, c))
-            for c in range(left, right + 1)
-        )
-        for r in range(top, bottom + 1)
-    )
+    window = _window(spec.l1, spec.rules, target_level, (top, bottom),
+                     (left, right))
     x_size = spec.answer_length // 2
     x_top, x_left = mid_r - x_size // 2, mid_c - x_size // 2
     fits = (

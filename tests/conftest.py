@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from fractalsearch.core import Grid, RuleSet
+from fractalsearch.patterns import Pattern, trim
 
 PUZZLE_PATH = "src/fractalsearch/data/in_the_details.puzzle"
 
@@ -26,6 +27,20 @@ def abc_2d() -> RuleSet:
 @pytest.fixture(scope="session")
 def puzzle_path() -> str:
     return PUZZLE_PATH
+
+
+def scan_occurrences(pattern: Pattern, grid: Grid) -> list[tuple[int, int]]:
+    """Reference matcher: try every top-left window of the grid in
+    row-major order."""
+    boxed = trim(pattern)
+    cells = list(boxed.concrete_cells())
+    lines = grid.lines()
+    return [
+        (r0 + 1, c0 + 1)
+        for r0 in range(grid.rows - boxed.rows + 1)
+        for c0 in range(grid.cols - boxed.cols + 1)
+        if all(lines[r0 + r][c0 + c] == ch for r, c, ch in cells)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ from fractalsearch.patterns import (
     trim,
     word_to_pattern,
 )
-from tests.conftest import grids_for, rule_sets
+from fractalsearch.puzzle import load_puzzle
+from tests.conftest import grids_for, rule_sets, scan_occurrences, seeded_rng
 
 
 def parents_of(word_or_pattern, rules, direction=Direction.E):
@@ -419,6 +420,33 @@ class TestFirstAppearance:
 
 
 class TestGrounding:
+    """The bit-parallel matcher against the brute-force window scan."""
+
+    @staticmethod
+    def assert_scan(rules, l1, patterns):
+        searcher = AncestrySearcher(rules, l1)
+        for pattern in patterns:
+            assert list(searcher.ground_positions(pattern)) == \
+                scan_occurrences(pattern, l1), pattern.text()
+
+    @staticmethod
+    def cut(rng, grid, rows, cols):
+        """A rows x cols piece of the grid at a random place, about a
+        third of its cells turned to wildcards, trimmed."""
+        r0 = rng.randrange(grid.rows - rows + 1)
+        c0 = rng.randrange(grid.cols - cols + 1)
+        cells = [WILDCARD if rng.random() < 1 / 3 else ch
+                 for line in grid.lines()[r0:r0 + rows]
+                 for ch in line[c0:c0 + cols]]
+        if set(cells) == {WILDCARD}:
+            cells[0] = grid.lines()[r0][c0]
+        return trim(Pattern(rows, cols, "".join(cells)))
+
+    @staticmethod
+    def random_grid(rng, rows, cols, letters="ABC"):
+        return Grid(rows, cols,
+                    "".join(rng.choice(letters) for _ in range(rows * cols)), 1)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_ground_positions_equal_occurrences(self, data):
@@ -429,9 +457,59 @@ class TestGrounding:
         cells = data.draw(st.text(alphabet=rules.letters + (WILDCARD,),
                                   min_size=rows * cols, max_size=rows * cols))
         assume(cells.count(WILDCARD) < len(cells))
-        pattern = trim(Pattern(rows, cols, cells))
-        searcher = AncestrySearcher(rules, l1)
-        assert list(searcher.ground_positions(pattern)) == occurrences(pattern, l1)
+        self.assert_scan(rules, l1, [trim(Pattern(rows, cols, cells))])
+
+    def test_dimension_anti_diagonal_frontiers(self, puzzle_path):
+        # The 5 x 5 parents of DIMENSION read NE and SW: most of a puzzle
+        # solve's grounding calls, on the shipped 11 x 15 start grid.
+        spec = load_puzzle(puzzle_path)
+        searcher = AncestrySearcher(spec.rules, spec.l1)
+        patterns = []
+        for direction in (Direction.NE, Direction.SW):
+            run = LayeredSearch(searcher, "DIMENSION", direction)
+            assert run.advance()
+            patterns += [p for p in run.frontier if (p.rows, p.cols) == (5, 5)]
+        assert len(patterns) == 1184
+        self.assert_scan(spec.rules, spec.l1, patterns)
+
+    def test_grid_wider_than_a_machine_word(self, abc_2d):
+        # 900-bit masks; a piece cut from the grid at every size up to
+        # 6 x 6, which matches at least once, plus random pieces up to
+        # 3 x 3, which mostly miss.
+        rng = seeded_rng(30)
+        l1 = self.random_grid(rng, 30, 30)
+        patterns = [self.cut(rng, l1, rows, cols)
+                    for rows in range(1, 7) for cols in range(1, 7)]
+        patterns += [self.cut(rng, self.random_grid(rng, rows, cols), rows, cols)
+                     for rows in range(1, 4) for cols in range(1, 4)]
+        self.assert_scan(abc_2d, l1, patterns)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 17), (17, 1)])
+    def test_one_row_and_one_column_grids(self, abc_2d, rows, cols):
+        rng = seeded_rng(rows)
+        l1 = self.random_grid(rng, rows, cols)
+        patterns = [self.cut(rng, l1, min(rows, side), min(cols, side))
+                    for side in range(1, 18) for _ in range(3)]
+        patterns += [parse_pattern("A/A"), parse_pattern("AA"), parse_pattern("A*A")]
+        self.assert_scan(abc_2d, l1, patterns)
+
+    def test_pattern_as_large_as_the_grid(self, abc_2d):
+        l1 = Grid.from_text("ABC/CAB/BCA")
+        hit = [parse_pattern("ABC/CAB/BCA"), parse_pattern("A*C/***/B*A")]
+        miss = [parse_pattern("ABC/CAB/BCB"), parse_pattern("A**/***/**B"),
+                parse_pattern("ABCA/CABC/BCAB")]
+        self.assert_scan(abc_2d, l1, hit + miss)
+        searcher = AncestrySearcher(abc_2d, l1)
+        assert [searcher.ground_positions(p) for p in hit] == [((1, 1),)] * 2
+        assert not any(searcher.ground_positions(p) for p in miss)
+
+    def test_pattern_letter_missing_from_the_grid(self, abc_2d):
+        l1 = Grid.from_text("ABAB/BABA")
+        patterns = [parse_pattern(text)
+                    for text in ("C", "AC", "A*/*C", "C*/*B", "AB/BC")]
+        self.assert_scan(abc_2d, l1, patterns)
+        searcher = AncestrySearcher(abc_2d, l1)
+        assert not any(searcher.ground_positions(p) for p in patterns)
 
     def test_ground_positions_need_a_start_grid(self, abc_1d):
         with pytest.raises(ValueError):

@@ -26,8 +26,14 @@ from fractalsearch.oracle import (
     run_agreement,
     sweep_max_latest,
 )
-from fractalsearch.patterns import Direction, Pattern, parse_pattern
-from tests.conftest import rule_sets, seeded_rng
+from fractalsearch.patterns import (
+    Direction,
+    GridIndex,
+    Pattern,
+    parse_pattern,
+    word_to_pattern,
+)
+from tests.conftest import rule_sets, scan_occurrences, seeded_rng
 
 
 def scan_levels(word, direction, l1, rules, max_level):
@@ -208,6 +214,30 @@ class TestLatestFirstAppearance:
                         mismatches.append((rules.text(), word, direction.name,
                                            claimed, brute))
         assert mismatches == []
+
+
+    @pytest.mark.parametrize("rules, direction", [
+        (RuleSet({"A": ("AB",), "B": ("BC",), "C": ("CA",)}), Direction.E),
+        (RuleSet({"A": ("AB", "CB"), "B": ("AC", "BB"), "C": ("BB", "CC")}),
+         Direction.SE),
+    ])
+    def test_fill_scan_equals_window_scan(self, rules, direction):
+        """Every (closure pattern, fill) check that ``latest_with_searcher``
+        can make, for every word up to length 2, against the brute-force
+        scan; the SE closures carry wildcards."""
+        searcher = AncestrySearcher(rules)
+        checks = 0
+        for length in (1, 2):
+            for word in map("".join, itertools.product(rules.letters, repeat=length)):
+                closure = sorted(searcher.closure(word_to_pattern(word, direction)))
+                for pat in closure:
+                    for fill in oracle._fills(pat, rules.letters):
+                        index = GridIndex(fill)
+                        for p in closure:
+                            assert oracle._occurs_in(p, index) == \
+                                bool(scan_occurrences(p, fill)), (p.text(), fill.text())
+                            checks += 1
+        assert checks == (351 if direction is Direction.E else 5457)
 
 
 class TestSweep:

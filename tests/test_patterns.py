@@ -18,23 +18,9 @@ from fractalsearch.patterns import (
     word_cells,
     word_to_pattern,
 )
-from tests.conftest import grids_for, rule_sets
+from tests.conftest import grids_for, rule_sets, scan_occurrences
 
 WORDS = st.text(alphabet="ABCD", min_size=1, max_size=5)
-
-
-def scan_occurrences(pattern: Pattern, grid: Grid) -> list[tuple[int, int]]:
-    """Reference matcher: try every top-left window of the grid in
-    row-major order."""
-    boxed = trim(pattern)
-    cells = list(boxed.concrete_cells())
-    lines = grid.lines()
-    return [
-        (r0 + 1, c0 + 1)
-        for r0 in range(grid.rows - boxed.rows + 1)
-        for c0 in range(grid.cols - boxed.cols + 1)
-        if all(lines[r0 + r][c0 + c] == ch for r, c, ch in cells)
-    ]
 
 
 @st.composite

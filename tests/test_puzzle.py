@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from fractalsearch.core import CellAddress
+from fractalsearch.core import CellAddress, letter_at
 from fractalsearch.errors import PuzzleFormatError, SolveError
 from fractalsearch.files import load_grid
 from fractalsearch.patterns import Direction
 from fractalsearch.puzzle import (
+    ANSWER_WINDOW_RADIUS,
     Placement,
     answer_window,
     crossed_out_l1_cells,
@@ -229,8 +230,6 @@ E
         assert solve(spec, cross_all=True).message == "AA"
 
     def test_placements_self_verify(self, tmp_path):
-        from fractalsearch.core import letter_at
-
         spec = load_puzzle(write_puzzle(tmp_path, ABC_2D_PUZZLE))
         report = solve(spec)
         for placement in report.placements:
@@ -289,6 +288,35 @@ class TestAnswerWindow:
         rows = [line[got.x_left - 1:got.x_left + 3]
                 for line in level3.lines()[got.x_top - 1:got.x_top + 3]]
         assert tuple(rows) == got.x_rows
+
+    @staticmethod
+    def assert_window_reads_letter_at(spec, level):
+        got = answer_window(spec, level)
+        assert got.window == tuple(
+            "".join(letter_at(spec.l1, spec.rules,
+                              CellAddress(level, got.top + i, got.left + j))
+                    for j in range(len(got.window[0])))
+            for i in range(len(got.window)))
+        return got
+
+    def test_window_equals_letter_at_on_the_shipped_puzzle(self, puzzle_path):
+        got = self.assert_window_reads_letter_at(load_puzzle(puzzle_path), 167)
+        assert (len(got.window), len(got.window[0])) == (8, 8)
+
+    @pytest.mark.parametrize("body", [
+        # 1D: the marker is the last cell, so the window is cut at the
+        # right edge on the early levels and is one row throughout.
+        "[alphabet]\nA = AX\nX = XA\n[grid]\nAAX\n",
+        # 2D: the marker is in the top-right corner of a 2 x 3 grid.
+        "[alphabet]\nA = AX/XA\nX = XX/AA\n[grid]\nAAX\nAAA\n",
+    ], ids=["1d", "2d"])
+    def test_window_equals_letter_at_at_the_level_edge(self, tmp_path, body):
+        spec = load_puzzle(write_puzzle(tmp_path, body + "[words]\nA\n"))
+        clamped = set()
+        for level in range(1, 9):
+            got = self.assert_window_reads_letter_at(spec, level)
+            clamped.add(len(got.window[0]) < 2 * ANSWER_WINDOW_RADIUS)
+        assert clamped == {True, False}
 
 
 class TestSolveInvariants:
