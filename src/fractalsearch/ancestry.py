@@ -18,6 +18,7 @@ the smallest (depth, start-grid row, start-grid col, pattern text).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -42,6 +43,32 @@ from .patterns import (
 
 PRODUCT_CAP = 10 ** 6
 CLOSURE_CAP = 10 ** 6
+_LAYOUT_MARK = "x"
+
+
+@functools.lru_cache(maxsize=4096)
+def _offset_plan(rh: int, b: int, rows: int, cols: int, layout: str) -> tuple:
+    """Where the concrete cells of a rows x cols pattern land under rh x b
+    blocks: per offset (dr, dc), row-major, ``((dr, dc), pr, pc, steps)``
+    with a pr x pc parent box and ``steps`` the ``(cell index, parent
+    cell pi * pc + pj, block slot br * b + bc)`` of each concrete cell,
+    in cell order.  ``layout`` is the pattern with every letter as
+    ``_LAYOUT_MARK``: the plan depends on where the wildcards sit, not on
+    the letters, so one plan serves every searcher of a block shape."""
+    concrete = [(i, *divmod(i, cols))
+                for i, ch in enumerate(layout) if ch != WILDCARD]
+    plan = []
+    for dr in range(rh):
+        pr = (dr + rows + rh - 1) // rh
+        for dc in range(b):
+            pc = (dc + cols + b - 1) // b
+            steps = []
+            for i, r, c in concrete:
+                pi, br = divmod(r + dr, rh)
+                pj, bc = divmod(c + dc, b)
+                steps.append((i, pi * pc + pj, br * b + bc))
+            plan.append(((dr, dc), pr, pc, tuple(steps)))
+    return tuple(plan)
 
 
 @dataclass(frozen=True)
@@ -111,6 +138,8 @@ class AncestrySearcher:
                 for bc, ch in enumerate(row):
                     table[ch][br * b + bc] |= 1 << bi
         self._table = table
+        # Sends every letter to _LAYOUT_MARK: a pattern's offset-plan key.
+        self._layout = str.maketrans(dict.fromkeys(self._letters, _LAYOUT_MARK))
         self._mask_options: dict[int, tuple[str, ...]] = {}
         self._parents: dict[Pattern, tuple[tuple[Pattern, tuple[int, int]], ...]] = {}
         self._l1_index = GridIndex(l1) if l1 is not None else None
@@ -137,10 +166,14 @@ class AncestrySearcher:
         wildcards stays a wildcard.  Outputs are trimmed by construction
         (every border row/column of the box meets a concrete child cell).
 
-        The candidate masks come from the concrete cells alone: one pass
-        per offset sends each letter to its parent cell and block slot
-        and ANDs in that slot's mask, and the offset dies on the first
-        empty intersection.  Wildcards are never visited.
+        The candidate masks come from the concrete cells alone: per
+        offset, each concrete cell ANDs the mask of its letter at its
+        block slot into its parent cell, and the offset dies on the first
+        empty intersection.  Wildcards are never visited.  Which parent
+        cell and slot each concrete cell meets depends only on the block
+        shape and the pattern's layout, so it is read from a plan cached
+        per layout (:func:`_offset_plan`), shared across calls and
+        searchers.
         """
         cached = self._parents.get(pattern)
         if cached is not None:
@@ -150,28 +183,19 @@ class AncestrySearcher:
                 f"pattern {pattern.text()!r} uses letters outside the alphabet"
             )
         rows, cols, cells = pattern
-        rh, b = self.rules.rule_rows, self.rules.b
         table = self._table
-        concrete = [(i // cols, i % cols, table[ch])
-                    for i, ch in enumerate(cells) if ch != WILDCARD]
+        plan = _offset_plan(self.rules.rule_rows, self.rules.b, rows, cols,
+                            cells.translate(self._layout))
         out: list[tuple[Pattern, tuple[int, int]]] = []
         seen: set[Pattern] = set()
-        for dr in range(rh):
-            pr = (dr + rows + rh - 1) // rh
-            for dc in range(b):
-                pc = (dc + cols + b - 1) // b
-                masks = [-1] * (pr * pc)
-                mask = -1
-                for r, c, slots in concrete:
-                    pi, br = divmod(r + dr, rh)
-                    pj, bc = divmod(c + dc, b)
-                    k = pi * pc + pj
-                    mask = masks[k] & slots[br * b + bc]
-                    if not mask:
-                        break
-                    masks[k] = mask
+        for off, pr, pc, steps in plan:
+            masks = [-1] * (pr * pc)
+            for i, k, s in steps:
+                mask = masks[k] & table[cells[i]][s]
                 if not mask:
-                    continue
+                    break
+                masks[k] = mask
+            else:
                 options = [(WILDCARD,) if m == -1 else self._options(m)
                            for m in masks]
                 total = 1
@@ -180,9 +204,8 @@ class AncestrySearcher:
                 if total > PRODUCT_CAP:
                     raise ResourceLimitError(
                         f"parent product {total} exceeds cap {PRODUCT_CAP} "
-                        f"for pattern {pattern.text()!r} at offset ({dr}, {dc})"
+                        f"for pattern {pattern.text()!r} at offset {off}"
                     )
-                off = (dr, dc)
                 for combo in itertools.product(*options):
                     q = Pattern(pr, pc, "".join(combo))
                     if q not in seen:

@@ -41,7 +41,7 @@ from fractalsearch.patterns import (
     trim,
     word_to_pattern,
 )
-from fractalsearch.puzzle import load_puzzle
+from fractalsearch.puzzle import load_puzzle, solve
 from tests.conftest import grids_for, rule_sets, scan_occurrences, seeded_rng
 
 
@@ -198,6 +198,53 @@ class TestParentsMatchReference:
         rules = request.getfixturevalue(rules_name)
         with pytest.raises(UnknownLetterError):
             AncestrySearcher(rules).parents(parse_pattern(text))
+
+
+class TestOffsetPlan:
+    """The offset plan is cached per layout and shared across searchers,
+    so it must hold for any alphabet: checked against the box walk on
+    every enumeration of a 26-letter solve and across two alphabets that
+    share a block shape."""
+
+    def test_every_enumeration_of_a_puzzle_solve(self, puzzle_path):
+        spec = load_puzzle(puzzle_path)
+        enumerated = {}
+        real = AncestrySearcher.parents
+
+        def spy(searcher, pattern):
+            got = real(searcher, pattern)
+            enumerated.setdefault(pattern, got)
+            return got
+
+        with mock.patch.object(AncestrySearcher, "parents", spy):
+            solve(spec)
+        assert len(spec.rules.letters) == 26
+        assert len(enumerated) == 2193
+        # 5 x 5 patterns, DIMENSION's depth-1 frontier among them.
+        assert sum(p.rows == p.cols == 5 for p in enumerated) == 1200
+        for pattern, got in enumerated.items():
+            assert got == reference_parents(spec.rules, pattern), pattern.text()
+
+    @pytest.mark.parametrize("first,second", [
+        (RuleSet({"A": ("AB",), "B": ("AC",), "C": ("BB",)}),
+         RuleSet({"x": ("xy",), "y": ("yx",)})),
+        (RuleSet({"A": ("AB", "CB"), "B": ("AC", "BB"), "C": ("BB", "CC")}),
+         RuleSet({"x": ("xy", "yy"), "y": ("yx", "xx")})),
+    ])
+    def test_alphabets_sharing_a_block_shape_share_plans(self, first, second):
+        shape = (1, 4) if first.dimension == 1 else (2, 3)
+
+        def check(rules):
+            searcher = AncestrySearcher(rules)
+            for pattern in _all_trimmed_patterns(*shape, rules.letters):
+                assert searcher.parents(pattern) == reference_parents(rules, pattern)
+
+        check(first)
+        before = ancestry._offset_plan.cache_info()
+        check(second)       # "x", the layout marker, is one of its letters
+        after = ancestry._offset_plan.cache_info()
+        assert after.misses == before.misses     # every plan came from `first`
+        assert after.maxsize is not None
 
 
 class TestClosureCap:

@@ -161,6 +161,24 @@ class TestLatestFirstAppearance:
             got = latest_level(word, Direction.E, abc_1d)
             assert got <= w1(abc_1d.b, abc_1d.n, len(word))
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_pair_family_reaches_n_squared_minus_n_plus_one(self, n):
+        """A>AB, each middle letter -> the next letter doubled, the last
+        letter -> BA: BB first appears on level n*n - n + 1 from the start
+        grid B, the latest level of BB under these rules, n below the
+        paper's pair bound w1 = n*n + 1."""
+        letters = "ABCDEFG"[:n]
+        rules = {"A": ("AB",)}
+        rules.update((ch, (nxt * 2,)) for ch, nxt in zip(letters[1:-1], letters[2:]))
+        rules[letters[-1]] = ("BA",)
+        rules = RuleSet(rules)
+        got = latest_with_searcher(AncestrySearcher(rules), "BB", Direction.E)
+        assert got.level == n * n - n + 1
+        assert got.l1 == Grid.from_text("B")
+        assert forward_first_appearance("BB", Direction.E, got.l1, rules,
+                                        got.level) == got.level
+        assert got.level < w1(2, n, 2)
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_witnessed_by_forward_search(self, data):
