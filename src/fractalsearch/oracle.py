@@ -145,8 +145,11 @@ class LatestResult:
 
 
 def _fills(pattern: Pattern, letters: tuple[str, ...]):
-    """All concrete grids obtained by filling the pattern's wildcards,
-    in lexicographic fill order; more than ``FILL_CAP`` raise."""
+    """All wildcard-free patterns obtained by filling the pattern's
+    wildcards, in lexicographic fill order; more than ``FILL_CAP`` raise.
+    Each is a throwaway start grid: ``GridIndex`` reads only its
+    ``rows``, ``cols`` and ``cells``, so no ``Grid`` is validated per
+    fill."""
     holes = [i for i, ch in enumerate(pattern.cells) if ch == WILDCARD]
     if len(letters) ** len(holes) > FILL_CAP:
         raise ResourceLimitError(
@@ -156,7 +159,7 @@ def _fills(pattern: Pattern, letters: tuple[str, ...]):
     for combo in itertools.product(letters, repeat=len(holes)):
         for i, ch in zip(holes, combo):
             chars[i] = ch
-        yield Grid(pattern.rows, pattern.cols, "".join(chars), 1)
+        yield Pattern(pattern.rows, pattern.cols, "".join(chars))
 
 
 def _occurs_in(pattern: Pattern, index: GridIndex) -> bool:
@@ -164,41 +167,46 @@ def _occurs_in(pattern: Pattern, index: GridIndex) -> bool:
 
 
 def latest_with_searcher(searcher: AncestrySearcher, word: str,
-                         direction: Direction) -> LatestResult:
-    """Worst-case first-appearance level of a word over all start grids.
+                         direction: Direction, floor: int = 0) -> LatestResult:
+    """Worst-case first-appearance level of a word over all start grids
+    if it is above ``floor``, else ``LatestResult(None, None)``.
 
     The candidate start grids are exactly the concrete fills of the
     word's ancestor patterns: for any start grid, restricting it to the
     box of a minimal-depth grounded ancestor preserves the first level,
-    so the maximum is attained on such a fill.  An ancestor at depth d
-    yields first level at most d+1, so deeper ancestors are tried first
-    and the scan stops once no remaining depth can improve the best.
+    so the maximum is attained on such a fill.  A fill of a depth-d
+    ancestor holds that ancestor, so its first level is at most d+1 and
+    only depths 0..d-1 are scanned for an earlier one.  Deeper ancestors
+    are filled first, each depth in sorted order, and the first fill
+    with the highest level wins.  The best level starts at ``floor``:
+    depths whose d+1 cannot beat it are never filled, and the call stops
+    once a depth-d fill reaches d+1.  The target's own fill reaches
+    level 1, so with the default floor of 0 there is always a result.
     """
     rules = searcher.rules
     check_letters(word, rules, "word")
     target = word_to_pattern(word, direction)
     depths = searcher.closure(target)
-    by_depth_asc: list[list[Pattern]] = [[] for _ in range(max(depths.values()) + 1)]
+    by_depth: list[list[Pattern]] = [[] for _ in range(max(depths.values()) + 1)]
     for pat, d in depths.items():
-        by_depth_asc[d].append(pat)
-    for group in by_depth_asc:
-        group.sort()
-    best = LatestResult(None, None)
+        by_depth[d].append(pat)
+    best, winner = floor, None
     letters = rules.letters
-    for d in range(len(by_depth_asc) - 1, -1, -1):
-        if best.level is not None and d + 1 <= best.level:
+    for d in range(len(by_depth) - 1, -1, -1):
+        if d + 1 <= best:
             break
-        for pat in by_depth_asc[d]:
-            for candidate in _fills(pat, letters):
-                index = GridIndex(candidate)
-                first = None
-                for d2, group in enumerate(by_depth_asc):
-                    if any(_occurs_in(p, index) for p in group):
-                        first = d2 + 1
-                        break
-                if first is not None and (best.level is None or first > best.level):
-                    best = LatestResult(first, candidate)
-    return best
+        for pat in sorted(by_depth[d]):
+            for fill in _fills(pat, letters):
+                index = GridIndex(fill)
+                first = next((d2 + 1 for d2 in range(d) if any(
+                    _occurs_in(p, index) for p in by_depth[d2])), d + 1)
+                if first > best:
+                    if first == d + 1:
+                        return LatestResult(first, Grid(*fill))
+                    best, winner = first, fill
+    if winner is None:
+        return LatestResult(None, None)
+    return LatestResult(best, Grid(*winner))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +296,17 @@ def _keep_best(best: dict[int, tuple], length: int, key: tuple) -> None:
 
 def _sweep_chunk(args) -> tuple[list[int], dict]:
     """Worker: latest levels for every (rule set, word) of a list of
-    rule-set indexes.
+    rising rule-set indexes.
 
     Returns the maxima of the rule sets in list order plus the best
     witness per word length, keyed for a deterministic merge.
+
+    A search counts only if its level raises the rule set's maximum or
+    wins the word length's witness, so the lower of those two levels is
+    its floor.  Indexes and words rise, so a later search that ties the
+    kept witness's level loses the tie, except the same word read SE
+    after E, whose start grid may be smaller: then the witness floor is
+    one lower.
     """
     letters, b, dimension, word_len_cap, indexes = args
     blocks = _sweep_blocks(letters, b, dimension)
@@ -304,7 +319,10 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
         rs_max = 0
         for word in words:
             for direction in directions:
-                got = latest_with_searcher(searcher, word, direction)
+                known = best.get(len(word))
+                floor = 0 if known is None else min(
+                    rs_max, -known[0] - (known[1:3] == (idx, word)))
+                got = latest_with_searcher(searcher, word, direction, floor)
                 if got.level is None:
                     continue
                 rs_max = max(rs_max, got.level)
@@ -502,26 +520,29 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
     res = run.finish()
     horizon = max(max_level, res.level) if res.found else max_level
     fwd = forward_first_appearance(word, direction, l1, rules, horizon)
-    desc = (f"dim={rules.dimension} n={rules.n} rules={rules.text()} "
-            f"l1={l1.text()} word={word} dir={direction.name}")
+
+    def desc() -> str:      # built only for an issue: most instances have none
+        return (f"dim={rules.dimension} n={rules.n} rules={rules.text()} "
+                f"l1={l1.text()} word={word} dir={direction.name}")
+
     issues: dict[str, list[str]] = {
         "mismatch": [], "bound": [], "geometry": [], "confinement": []}
     if res.found:
         outcome = "found" if res.level <= max_level else "beyond"
         if fwd != res.level:
             issues["mismatch"].append(
-                f"{desc}: backward {res.level}, forward {fwd}")
+                f"{desc()}: backward {res.level}, forward {fwd}")
     else:
         outcome = "never"
         if fwd is not None:
             issues["mismatch"].append(
-                f"{desc}: backward never, forward {fwd}")
+                f"{desc()}: backward never, forward {fwd}")
     if res.found:
         diagonal = direction in DIAGONALS
         limit = (bounds.w2(rules.b, rules.n, len(word)) if diagonal
                  else bounds.w1(rules.b, rules.n, len(word)))
         if res.level > limit:
-            issues["bound"].append(f"{desc}: level {res.level} > bound {limit}")
+            issues["bound"].append(f"{desc()}: level {res.level} > bound {limit}")
     anti = direction in ANTIDIAGONALS
     shapes = _L_SHAPES_ANTI if anti else _L_SHAPES_MAIN
     for pat in run.links:
@@ -529,18 +550,18 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
             if (q.rows > bounds.max_parent_len(pat.rows, rules.b)
                     or q.cols > bounds.max_parent_len(pat.cols, rules.b)):
                 issues["geometry"].append(
-                    f"{desc}: parent {q.text()} of {pat.text()} too large")
+                    f"{desc()}: parent {q.text()} of {pat.text()} too large")
         if direction in DIAGONALS:
             if not two_diagonal_support(pat, anti=anti):
                 issues["confinement"].append(
-                    f"{desc}: ancestor {pat.text()} off the diagonal band")
+                    f"{desc()}: ancestor {pat.text()} off the diagonal band")
             if pat.rows <= 2 and pat.cols <= 2:
                 concrete = frozenset(
                     (r, c) for r, c, _ in pat.concrete_cells())
                 if len(concrete) > 3 or (
                         len(concrete) == 3 and concrete not in shapes):
                     issues["confinement"].append(
-                        f"{desc}: bad 2x2 ancestor {pat.text()}")
+                        f"{desc()}: bad 2x2 ancestor {pat.text()}")
     return {"outcome": outcome, "issues": issues}
 
 

@@ -156,7 +156,9 @@ def _fitting(rows: int, cols: int, prows: int, pcols: int) -> int:
 
 
 class GridIndex:
-    """Bit-parallel occurrence matcher for one concrete grid.
+    """Bit-parallel occurrence matcher for one concrete grid: a ``Grid``
+    or a wildcard-free ``Pattern``, of which only ``rows``, ``cols`` and
+    ``cells`` are read.
 
     The grid is held as one int per letter, with bit ``r * cols + c`` set
     where that letter sits.  A pattern's matches start from the mask of
@@ -168,7 +170,7 @@ class GridIndex:
     left, lowest first, are the starts in row-major order.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid | Pattern):
         self.rows = grid.rows
         self.cols = grid.cols
         bits: dict[str, int] = {}

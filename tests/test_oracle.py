@@ -179,6 +179,24 @@ class TestLatestFirstAppearance:
                                         got.level) == got.level
         assert got.level < w1(2, n, 2)
 
+    @pytest.mark.parametrize("rules_name, directions", [
+        ("abc_1d", (Direction.E,)), ("abc_2d", (Direction.E, Direction.SE))])
+    def test_floor_hides_only_levels_at_or_below_it(self, request, rules_name,
+                                                    directions):
+        """Above the floor the result is the floorless one, start grid
+        included; at or below it the search answers nothing."""
+        rules = request.getfixturevalue(rules_name)
+        searcher = AncestrySearcher(rules)
+        for length in (1, 2):
+            for word in map("".join, itertools.product(rules.letters, repeat=length)):
+                for direction in directions:
+                    full = latest_with_searcher(searcher, word, direction)
+                    for floor in range(full.level + 2):
+                        got = latest_with_searcher(searcher, word, direction, floor)
+                        want = (full if full.level > floor
+                                else oracle.LatestResult(None, None))
+                        assert got == want, (word, direction.name, floor)
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_witnessed_by_forward_search(self, data):
@@ -298,6 +316,33 @@ class TestSweep:
         monkeypatch.setattr(oracle.multiprocessing, "Pool", InProcessPool)
         assert sweep_max_latest(2, 2, 1, 2, jobs=jobs) == serial
         assert started == [workers]
+
+    @pytest.mark.parametrize("word_len_cap", [2, 3])
+    def test_floors_keep_every_one_rule_set_chunk(self, word_len_cap):
+        """Each 2D n=2 rule set alone in a chunk gives the maxima and
+        witness keys of a search of every (word, direction) with no
+        floor.  In rule set 21, AA read SE only ties AA read E on level
+        3 but wins on its smaller start grid, so the SE search must not
+        be floored at the E witness's level."""
+        letters = ("A", "B")
+        blocks = oracle._sweep_blocks(letters, 2, 2)
+        words = list(oracle._sweep_words(letters, word_len_cap))
+        mismatches = []
+        for idx in range(len(blocks) ** len(letters)):
+            searcher = AncestrySearcher(oracle._ruleset_by_index(idx, letters, blocks))
+            rs_max, best = 0, {}
+            for word in words:
+                for direction in (Direction.E, Direction.SE):
+                    got = latest_with_searcher(searcher, word, direction)
+                    rs_max = max(rs_max, got.level)
+                    oracle._keep_best(best, len(word), (
+                        -got.level, idx, word, got.l1.text(), direction.name))
+            if idx == 21:
+                assert best[2] == (-3, 21, "AA", "A", "SE")
+            chunk = oracle._sweep_chunk((letters, 2, 2, word_len_cap, [idx]))
+            if chunk != ([rs_max], best):
+                mismatches.append(idx)
+        assert mismatches == []
 
     def test_per_length_maxima_are_reported(self):
         report = sweep_max_latest(2, 2, 1, 2)
