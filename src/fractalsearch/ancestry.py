@@ -263,6 +263,46 @@ class AncestrySearcher:
             frontier = nxt
         return depths
 
+    def deepest_layers(self, targets: list[Pattern]) -> list[int]:
+        """The deepest layer of every target's closure, from one
+        breadth-first walk over all their ancestors at once: entry t is
+        ``max(self.closure(targets[t]).values())``.
+
+        Each pattern carries a mask whose bit t says target t reaches
+        it, and a layer passes on only the bits new to each parent, so
+        bit t spreads exactly as the closure of target t does.  A layer
+        whose new masks hold bit t is a layer of that closure.  The walk
+        holds the union of the closures; more than ``CLOSURE_CAP``
+        patterns raise ResourceLimitError as in :meth:`closure`."""
+        masks: dict[Pattern, int] = {}
+        for t, target in enumerate(targets):
+            masks[target] = masks.get(target, 0) | 1 << t
+        deepest = [0] * len(targets)
+        fresh = dict(masks)
+        depth = 0
+        while fresh:
+            depth += 1
+            nxt: dict[Pattern, int] = {}
+            reached = 0
+            for pat, bits in fresh.items():
+                for q, _ in self.parents(pat):
+                    had = masks.get(q, 0)
+                    new = bits & ~had
+                    if new:
+                        masks[q] = had | new
+                        nxt[q] = nxt.get(q, 0) | new
+                        reached |= new
+                if len(masks) > CLOSURE_CAP:
+                    raise ResourceLimitError(
+                        f"ancestor closures exceed {CLOSURE_CAP} patterns"
+                    )
+            while reached:
+                low = reached & -reached
+                deepest[low.bit_length() - 1] = depth
+                reached ^= low
+            fresh = nxt
+        return deepest
+
 
 class LayeredSearch:
     """One backward search, advanced a depth layer at a time.

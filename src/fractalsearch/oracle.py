@@ -307,27 +307,38 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
     kept witness's level loses the tie, except the same word read SE
     after E, whose start grid may be smaller: then the witness floor is
     one lower.
+
+    A word's latest level is at most its closure's deepest layer + 1,
+    so a search whose deepest layer + 1 is at or below its floor would
+    answer nothing and is skipped.  The deepest layers of all the
+    (word, direction) targets, built once per chunk, come from one
+    shared ancestor walk per rule set
+    (:meth:`AncestrySearcher.deepest_layers`).
     """
     letters, b, dimension, word_len_cap, indexes = args
     blocks = _sweep_blocks(letters, b, dimension)
     directions = (Direction.E,) if dimension == 1 else (Direction.E, Direction.SE)
-    words = list(_sweep_words(letters, word_len_cap))
+    cases = [(word, direction) for word in _sweep_words(letters, word_len_cap)
+             for direction in directions]
+    targets = [word_to_pattern(word, direction) for word, direction in cases]
     per_ruleset: list[int] = []
     best: dict[int, tuple] = {}     # word length -> witness key
     for idx in indexes:
         searcher = AncestrySearcher(_ruleset_by_index(idx, letters, blocks))
         rs_max = 0
-        for word in words:
-            for direction in directions:
-                known = best.get(len(word))
-                floor = 0 if known is None else min(
-                    rs_max, -known[0] - (known[1:3] == (idx, word)))
-                got = latest_with_searcher(searcher, word, direction, floor)
-                if got.level is None:
-                    continue
-                rs_max = max(rs_max, got.level)
-                _keep_best(best, len(word), (-got.level, idx, word,
-                                             got.l1.text(), direction.name))
+        for (word, direction), deepest in zip(cases,
+                                              searcher.deepest_layers(targets)):
+            known = best.get(len(word))
+            floor = 0 if known is None else min(
+                rs_max, -known[0] - (known[1:3] == (idx, word)))
+            if deepest + 1 <= floor:
+                continue
+            got = latest_with_searcher(searcher, word, direction, floor)
+            if got.level is None:
+                continue
+            rs_max = max(rs_max, got.level)
+            _keep_best(best, len(word), (-got.level, idx, word,
+                                         got.l1.text(), direction.name))
         per_ruleset.append(rs_max)
     return per_ruleset, best
 

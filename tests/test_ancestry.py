@@ -287,6 +287,44 @@ class TestClosureCap:
         with pytest.raises(ResourceLimitError):
             AncestrySearcher(abc_1d).closure(target)
 
+    def test_shared_walk_is_capped_at_the_union(self, abc_2d, monkeypatch):
+        """The shared walk holds the union of the targets' closures, so a
+        cap that every single closure fits under can still refuse it."""
+        targets = [word_to_pattern(w, Direction.SE) for w in ("AA", "BB", "CC")]
+        closures = [AncestrySearcher(abc_2d).closure(t) for t in targets]
+        union = set().union(*closures)
+        assert [len(c) for c in closures] == [1, 21, 19] and len(union) == 26
+        monkeypatch.setattr(ancestry, "CLOSURE_CAP", len(union))
+        want = [max(closure.values()) for closure in closures]
+        assert AncestrySearcher(abc_2d).deepest_layers(targets) == want
+        monkeypatch.setattr(ancestry, "CLOSURE_CAP", len(union) - 1)
+        with pytest.raises(ResourceLimitError, match="exceed 25 patterns"):
+            AncestrySearcher(abc_2d).deepest_layers(targets)
+
+
+class TestDeepestLayers:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_each_targets_closure_depth(self, data):
+        """One shared walk gives every target the deepest layer of its
+        own closure, duplicate targets included."""
+        rules = data.draw(rule_sets(max_n=3, bs=(2, 3)))
+        cases = data.draw(st.lists(st.tuples(
+            st.text(alphabet=rules.letters, min_size=1, max_size=3),
+            st.sampled_from((Direction.E, Direction.SE))), min_size=1, max_size=6))
+        cases += cases[:data.draw(st.integers(0, len(cases)))]
+        targets = [word_to_pattern(word, direction) for word, direction in cases]
+        searcher = AncestrySearcher(rules)
+        want = [max(searcher.closure(t).values()) for t in targets]
+        assert AncestrySearcher(rules).deepest_layers(targets) == want
+
+    def test_a_one_letter_target_of_two_directions_carries_both(self, abc_2d):
+        targets = [word_to_pattern("A", Direction.E),
+                   word_to_pattern("A", Direction.SE)]
+        assert targets[0] == targets[1]
+        depth = max(AncestrySearcher(abc_2d).closure(targets[0]).values())
+        assert AncestrySearcher(abc_2d).deepest_layers(targets) == [depth, depth]
+
 
 def _fills(pattern: Pattern, letters):
     holes = [i for i, ch in enumerate(pattern.cells) if ch == WILDCARD]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalsearch import oracle
+from fractalsearch import ancestry, oracle
 from fractalsearch.ancestry import AncestrySearcher
 from fractalsearch.bounds import w1
 from fractalsearch.core import Grid, RuleSet, expand
@@ -138,6 +138,16 @@ class TestForwardFirstAppearance:
                 == scan_levels(word, direction, l1, rules, max_level))
 
 
+def pair_family(n: int) -> RuleSet:
+    """A>AB, each middle letter -> the next letter doubled, the last
+    letter -> BA."""
+    letters = "ABCDEFG"[:n]
+    rules = {"A": ("AB",)}
+    rules.update((ch, (nxt * 2,)) for ch, nxt in zip(letters[1:-1], letters[2:]))
+    rules[letters[-1]] = ("BA",)
+    return RuleSet(rules)
+
+
 def latest_level(word, direction, rules):
     return latest_with_searcher(AncestrySearcher(rules), word, direction).level
 
@@ -163,21 +173,37 @@ class TestLatestFirstAppearance:
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_pair_family_reaches_n_squared_minus_n_plus_one(self, n):
-        """A>AB, each middle letter -> the next letter doubled, the last
-        letter -> BA: BB first appears on level n*n - n + 1 from the start
-        grid B, the latest level of BB under these rules, n below the
-        paper's pair bound w1 = n*n + 1."""
-        letters = "ABCDEFG"[:n]
-        rules = {"A": ("AB",)}
-        rules.update((ch, (nxt * 2,)) for ch, nxt in zip(letters[1:-1], letters[2:]))
-        rules[letters[-1]] = ("BA",)
-        rules = RuleSet(rules)
+        """BB first appears on level n*n - n + 1 from the start grid B,
+        the latest level of BB under the pair family's rules, n below
+        the paper's pair bound w1 = n*n + 1."""
+        rules = pair_family(n)
         got = latest_with_searcher(AncestrySearcher(rules), "BB", Direction.E)
         assert got.level == n * n - n + 1
         assert got.l1 == Grid.from_text("B")
         assert forward_first_appearance("BB", Direction.E, got.l1, rules,
                                         got.level) == got.level
         assert got.level < w1(2, n, 2)
+
+    @pytest.mark.parametrize("length", range(2, 5))
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_pair_family_meets_the_measured_law(self, n, length):
+        """Over every word of a length L >= 2 read E, the latest level
+        under the pair family's rules is n*n - n + 1 + floor(log2(L - 1)),
+        the law the sweeps measured for n = 3 and 4; the forward route
+        confirms it from the returned start grid, and it stays below
+        the paper's bound w1."""
+        rules = pair_family(n)
+        searcher = AncestrySearcher(rules)
+        level, word, l1 = 0, None, None
+        for candidate in map("".join, itertools.product(rules.letters,
+                                                        repeat=length)):
+            got = latest_with_searcher(searcher, candidate, Direction.E, level)
+            if got.level is not None:
+                level, word, l1 = got.level, candidate, got.l1
+        assert level == n * n - n + 1 + (length - 1).bit_length() - 1
+        assert forward_first_appearance(word, Direction.E, l1, rules,
+                                        level) == level
+        assert level < w1(2, n, length)
 
     @pytest.mark.parametrize("rules_name, directions", [
         ("abc_1d", (Direction.E,)), ("abc_2d", (Direction.E, Direction.SE))])
@@ -376,6 +402,11 @@ class TestSweep:
         with pytest.raises(ResourceLimitError):
             sweep_max_latest(5, 2, 1, 2)
 
+    def test_closure_cap_refuses_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(ancestry, "CLOSURE_CAP", 3)
+        with pytest.raises(ResourceLimitError, match="exceed 3 patterns"):
+            sweep_max_latest(2, 2, 1, 2)
+
     def test_json_dict_is_serializable(self):
         import json
 
@@ -463,19 +494,22 @@ class TestSweepSymmetry:
 
     # sha256 of json.dumps(report.to_json_dict(), sort_keys=True), as the
     # sweep gave when it searched every rule set
-    @pytest.mark.parametrize("n, dimension, word_len_cap, jobs, digest", [
-        (2, 1, 2, 1, "178ef08ad040abc39816c7a672b853c9bc4ec5eac5b0f31874d72bea12fdd19b"),
-        (3, 1, 2, 1, "f53e81a4f23323644976b0d54dbfcca11c728336d6a977448c9ab21fa139cdc4"),
-        (2, 1, 3, 1, "f7a336835fc4d6587b8a1cbbc0b9f7152a2370b805a385beef4744fb0c2050f5"),
-        (3, 1, 3, 1, "755e65f84d87af9255662522ac4b92fa3d0bc25988666f2d0bef302dc3529848"),
-        (4, 1, 2, 1, "c9ea2bd6f91a0d6da6ed6e773188dd5dd611e34ea1853d3e9b379795bce563ef"),
-        (2, 2, 2, 1, "c829506fff1f19131291c7f703d58e84aa2e000d733ba663b5a86ab73c71fbc5"),
-        (2, 2, 3, 2, "d58965828aea5b7bb1fa5ee71af8a31e4fbc81f16092469d0efe4110df0fd108"),
+    @pytest.mark.parametrize("n, b, dimension, word_len_cap, jobs, digest", [
+        (2, 2, 1, 2, 1, "178ef08ad040abc39816c7a672b853c9bc4ec5eac5b0f31874d72bea12fdd19b"),
+        (3, 2, 1, 2, 1, "f53e81a4f23323644976b0d54dbfcca11c728336d6a977448c9ab21fa139cdc4"),
+        (2, 2, 1, 3, 1, "f7a336835fc4d6587b8a1cbbc0b9f7152a2370b805a385beef4744fb0c2050f5"),
+        (3, 2, 1, 3, 1, "755e65f84d87af9255662522ac4b92fa3d0bc25988666f2d0bef302dc3529848"),
+        (4, 2, 1, 2, 1, "c9ea2bd6f91a0d6da6ed6e773188dd5dd611e34ea1853d3e9b379795bce563ef"),
+        (2, 2, 2, 2, 1, "c829506fff1f19131291c7f703d58e84aa2e000d733ba663b5a86ab73c71fbc5"),
+        (2, 2, 2, 3, 2, "d58965828aea5b7bb1fa5ee71af8a31e4fbc81f16092469d0efe4110df0fd108"),
+        (2, 3, 1, 2, 1, "02f3a08c7aa564031fc60e333a7726d3a11eabd41164651ecef51797cba98e77"),
+        (3, 3, 1, 2, 1, "35837eee0af079b9222d26288969e5a29cbf9fa289cd704ad263a3f71abafe4f"),
     ], ids=["1d-n2-len2", "1d-n3-len2", "1d-n2-len3", "1d-n3-len3",
-            "1d-n4-len2", "2d-n2-len2", "2d-n2-len3-jobs2"])
-    def test_report_matches_the_full_search(self, n, dimension, word_len_cap,
+            "1d-n4-len2", "2d-n2-len2", "2d-n2-len3-jobs2", "1d-n2-b3-len2",
+            "1d-n3-b3-len2"])
+    def test_report_matches_the_full_search(self, n, b, dimension, word_len_cap,
                                             jobs, digest):
-        report = sweep_max_latest(n, 2, dimension, word_len_cap, jobs=jobs)
+        report = sweep_max_latest(n, b, dimension, word_len_cap, jobs=jobs)
         text = json.dumps(report.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
