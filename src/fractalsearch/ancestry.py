@@ -315,11 +315,14 @@ class LayeredSearch:
     def __init__(self, searcher: AncestrySearcher, word: str,
                  direction: Direction | None):
         """Search ``word`` read along ``direction``; with ``direction``
-        None, ``word`` is a raw pattern in its wire form."""
-        target = (parse_pattern(word) if direction is None
-                  else word_to_pattern(word, direction))
-        if not is_trimmed(target):
-            raise ValueError(f"target pattern {target.text()!r} is not trimmed")
+        None, ``word`` is a raw pattern in its wire form, which must be
+        trimmed.  A laid-out word is trimmed by construction."""
+        if direction is not None:
+            target = word_to_pattern(word, direction)
+        else:
+            target = parse_pattern(word)
+            if not is_trimmed(target):
+                raise ValueError(f"target pattern {target.text()!r} is not trimmed")
         self.searcher = searcher
         self.word = word
         self.direction = direction

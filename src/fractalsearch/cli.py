@@ -114,6 +114,8 @@ def build_parser() -> _Parser:
     asp.add_argument("--instances", type=_int_at_least(1), default=1000)
     asp.add_argument("--seed", type=int, default=2013)
     asp.add_argument("--max-level", type=_int_at_least(1), default=10)
+    asp.add_argument("--b", type=_int_at_least(2), default=2,
+                     help="block side of the random rules")
     asp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("solve", help="solve a puzzle file end to end")
@@ -255,7 +257,8 @@ def _cmd_oracle(args) -> int:
             print(f"witness: word {report.witness_word} with start grid "
                   f"{report.witness_l1} under {report.witness_rules}")
         return 0
-    report = run_agreement(args.instances, args.seed, max_level=args.max_level)
+    report = run_agreement(args.instances, args.seed, max_level=args.max_level,
+                           b=args.b)
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:

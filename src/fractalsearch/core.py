@@ -39,7 +39,7 @@ def _check_symbol(ch: str) -> None:
         raise UnknownLetterError(f"invalid alphabet symbol {ch!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleSet:
     """Total map from letters to replacement blocks, in letter order.
 
@@ -97,7 +97,7 @@ class RuleSet:
         return ";".join(f"{ch}>{'/'.join(block)}" for ch, block in self.rules.items())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Grid:
     """Concrete rectangular array of letters tagged with its level."""
 

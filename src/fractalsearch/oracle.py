@@ -18,6 +18,7 @@ Three instruments live here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 from collections import Counter
@@ -50,6 +51,34 @@ OUTSIDE = "#"       # cells outside the start grid; reserved, never a letter
 # ---------------------------------------------------------------------------
 # forward window fixpoint
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=256)
+def _children(shape: tuple, rh: int, b: int) -> tuple:
+    """Getters of the same-shape windows inside the expansion of a
+    window, in anchor order.  The expansion is the window's cells'
+    rh x b blocks joined in shape order, so the plan depends only on the
+    shape and the block shape, and one plan serves every rule set."""
+    # (row, col) of every expanded cell -> its index in the expansion;
+    # the shape's first offset is (0, 0), so children anchor on such cells
+    index = {(r * rh + i, c * b + j): k * rh * b + i * b + j
+             for k, (r, c) in enumerate(shape)
+             for i in range(rh) for j in range(b)}
+    return tuple(itemgetter(*(index[ar + sr, ac + sc] for sr, sc in shape))
+                 for ar, ac in sorted(index)
+                 if all((ar + sr, ac + sc) in index for sr, sc in shape))
+
+
+@functools.lru_cache(maxsize=256)
+def _reader(shape: tuple, width: int) -> tuple:
+    """``(start, span, getter)`` reading one placement of the shape off a
+    grid of ``width`` columns flattened into one string: the placement
+    anchored at flat position p is ``getter(flat[p + start:p + start +
+    span])``.  Keyed by width, not grid size, so grids of one width
+    share a reader."""
+    flat = [sr * width + sc for sr, sc in shape]
+    start = min(flat)
+    return start, max(flat) - start + 1, itemgetter(*(f - start for f in flat))
+
 
 def forward_first_appearance(word: str, direction: Direction, l1: Grid,
                              rules: RuleSet, max_level: int) -> int | None:
@@ -91,28 +120,26 @@ def forward_first_appearance(word: str, direction: Direction, l1: Grid,
     if dr and dc:
         shape += ([(r, c + 1) for r, c in shape] if rules.dimension == 2 else
                   [(i, j * dc) for i in range(s) for j in range(s) if i != j])
+    shape = tuple(shape)
     # Every placement touching the start grid, read off the grid padded
-    # with s OUTSIDE cells on each side: no offset of the shape exceeds s.
-    blank = [OUTSIDE * (l1.cols + 2 * s)] * s
-    padded = blank + [OUTSIDE * s + line + OUTSIDE * s
-                      for line in l1.lines()] + blank
+    # with s OUTSIDE cells on each side and flattened into one string: no
+    # offset of the shape exceeds s, so no placement wraps a row.
+    width = l1.cols + 2 * s
+    side = OUTSIDE * s
+    edge = OUTSIDE * (width * s)
+    flat = edge + side + (side + side).join(l1.lines()) + side + edge
+    start, span, read = _reader(shape, width)
     rows, cols = zip(*shape)
-    seen = {"".join([padded[r + sr][c + sc] for sr, sc in shape])
+    left, right = s - max(cols) + start, s + l1.cols - min(cols) + start
+    seen = {"".join(read(flat[p:p + span]))
             for r in range(s - max(rows), s + l1.rows)
-            for c in range(s - max(cols), s + l1.cols - min(cols))}
+            for p in range(r * width + left, r * width + right)}
     if any(window.startswith(target) for window in seen):
         return 1
     rh, b = rules.rule_rows, rules.b
     blocks = {ord(ch): "".join(block) for ch, block in rules.rules.items()}
     blocks[ord(OUTSIDE)] = OUTSIDE * (rh * b)
-    # (row, col) of every expanded cell -> its index in the expansion;
-    # the shape's first offset is (0, 0), so children anchor on such cells
-    index = {(r * rh + i, c * b + j): k * rh * b + i * b + j
-             for k, (r, c) in enumerate(shape)
-             for i in range(rh) for j in range(b)}
-    children = [itemgetter(*(index[ar + sr, ac + sc] for sr, sc in shape))
-                for ar, ac in sorted(index)
-                if all((ar + sr, ac + sc) in index for sr, sc in shape)]
+    children = _children(shape, rh, b)
     frontier = list(seen)
     for level in range(2, max_level + 1):
         new = []
@@ -463,8 +490,8 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
 # ---------------------------------------------------------------------------
 
 # Shape of the audit's random instances: up to AUDIT_MAX_N letters with
-# b = AUDIT_B, start grids up to AUDIT_MAX_SIDE on a side, and words of
-# up to AUDIT_MAX_WORD letters.
+# b = AUDIT_B unless asked otherwise, start grids up to AUDIT_MAX_SIDE on
+# a side, and words of up to AUDIT_MAX_WORD letters.
 AUDIT_MAX_N = 4
 AUDIT_B = 2
 AUDIT_MAX_SIDE = 4
@@ -498,13 +525,14 @@ class AgreementReport:
         return {**asdict(self), "clean": self.clean}
 
 
-def random_instance(rng):
-    """One random (rules, l1, word, direction) quadruple."""
+def random_instance(rng, b: int = AUDIT_B):
+    """One random (rules, l1, word, direction) quadruple with block side
+    ``b``."""
     dimension = rng.choice((1, 2))
     n = rng.randint(1, AUDIT_MAX_N)
     letters = tuple("ABCD"[:n])
-    rh = 1 if dimension == 1 else AUDIT_B
-    rules = RuleSet({ch: tuple("".join(rng.choice(letters) for _ in range(AUDIT_B))
+    rh = 1 if dimension == 1 else b
+    rules = RuleSet({ch: tuple("".join(rng.choice(letters) for _ in range(b))
                                for _ in range(rh))
                      for ch in letters})
     rows = 1 if dimension == 1 else rng.randint(1, AUDIT_MAX_SIDE)
@@ -577,10 +605,10 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
 
 
 def run_agreement(instances: int = 1000, seed: int = 2013, *,
-                  max_level: int = 10) -> AgreementReport:
-    """Randomized backward/forward equivalence audit; deterministic for a
-    given seed.  An audit of no instances is refused, not reported
-    clean."""
+                  max_level: int = 10, b: int = AUDIT_B) -> AgreementReport:
+    """Randomized backward/forward equivalence audit over rules of block
+    side ``b``; deterministic for a given seed and ``b``.  An audit of no
+    instances is refused, not reported clean."""
     import random
 
     if instances < 1:
@@ -591,7 +619,7 @@ def run_agreement(instances: int = 1000, seed: int = 2013, *,
     issue_lists: dict[str, list[str]] = {
         "mismatch": [], "bound": [], "geometry": [], "confinement": []}
     for _ in range(instances):
-        rules, l1, word, direction = random_instance(rng)
+        rules, l1, word, direction = random_instance(rng, b)
         got = check_instance(rules, l1, word, direction, max_level=max_level)
         tallies[got["outcome"]] += 1
         for kind, items in got["issues"].items():

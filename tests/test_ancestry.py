@@ -468,6 +468,12 @@ class TestFirstAppearance:
         assert not res.found
         assert res.patterns_seen >= 1
 
+    def test_a_raw_target_must_be_trimmed(self, abc_1d):
+        searcher = AncestrySearcher(abc_1d, Grid.from_text("A"))
+        with pytest.raises(ValueError, match="not trimmed"):
+            LayeredSearch(searcher, "*AB", None)
+        assert LayeredSearch(searcher, "A*B", None).target == parse_pattern("A*B")
+
     def test_depth_cap_raises_unresolved(self, abc_1d):
         with pytest.raises(UnresolvedSearchError) as err:
             first_appearance("CACABA", Direction.E, Grid.from_text("A"), abc_1d,

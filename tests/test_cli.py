@@ -165,6 +165,12 @@ class TestOracle:
         assert code == 0
         assert json.loads(out)["clean"] is True
 
+    def test_agree_at_b_3(self, capsys):
+        code, out, _ = run(capsys, "oracle", "agree", "--instances", "100",
+                           "--b", "3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["clean"] is True
+
 
 class TestSolve:
     def test_small_puzzle_text_and_trees(self, capsys, tmp_path):
@@ -267,12 +273,13 @@ class TestUsageErrors:
         ["expand", "--rules", RULES_1D, "--grid", "A", "--steps", "-1"],
         ["contract", "--rules", RULES_1D, "--grid", "AB", "--steps", "-1"],
         ["contract", "--rules", RULES_1D, "--grid", "AB", "--level", "0"],
+        ["oracle", "agree", "--instances", "5", "--b", "1"],
     ], ids=["depth-cap", "sweep-jobs", "sweep-n", "sweep-len-cap",
             "search-product-cap", "tree-product-cap", "expand-product-cap",
             "solve-json", "bounds-len-min", "agree-instances-negative",
             "agree-instances-zero", "agree-max-level", "bounds-b", "bounds-n",
             "bounds-len", "sweep-b", "expand-steps", "contract-steps",
-            "contract-level"])
+            "contract-level", "agree-b"])
     def test_bad_value_exits_64(self, capsys, argv):
         try:
             code = main(argv)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,21 @@ class TestTypes:
         assert first.letters == ("A", "B") and second.letters == ("B", "A")
         assert first != second
         assert first.text() != second.text()
+
+    def test_value_types_are_slotted_and_still_pickle_compare_and_hash(self):
+        rules = RuleSet({"A": ("AB", "BA"), "B": ("BA", "AB")})
+        grid = Grid.from_text("AB/BA")
+        for value in (rules, grid):
+            assert not hasattr(value, "__dict__")
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(value, protocol))
+                assert back == value and hash(back) == hash(value)
+                assert back is not value
+        back = pickle.loads(pickle.dumps(rules))
+        assert (back.letters, back.rule_rows, back.b, back.dimension, back.n) == (
+            ("A", "B"), 2, 2, 2, 2)
+        assert grid != Grid.from_text("AB/BA", level=2)
+        assert len({grid, Grid.from_text("AB/BA"), Grid.from_text("BA/AB")}) == 2
 
     def test_grid_shape_must_match_cells(self):
         with pytest.raises(ValueError):

@@ -36,22 +36,47 @@ from fractalsearch.patterns import (
 from tests.conftest import rule_sets, scan_occurrences, seeded_rng
 
 
+def lines_along(grid: Grid, direction: Direction) -> list[str]:
+    """Every maximal line of the grid read along ``direction``, one from
+    each cell whose predecessor on the line lies off the grid; a word
+    reads along ``direction`` exactly where it is a substring of one."""
+    dr, dc = direction.value
+
+    def inside(r, c):
+        return 0 <= r < grid.rows and 0 <= c < grid.cols
+
+    lines = []
+    for r0, c0 in itertools.product(range(grid.rows), range(grid.cols)):
+        if inside(r0 - dr, c0 - dc):
+            continue
+        chars, r, c = [], r0, c0
+        while inside(r, c):
+            chars.append(grid.cells[r * grid.cols + c])
+            r, c = r + dr, c + dc
+        lines.append("".join(chars))
+    return lines
+
+
+def first_level(word: str, lines_by_level) -> int | None:
+    """First level (1-based) whose lines contain the word, else None."""
+    return next((level for level, lines in enumerate(lines_by_level, 1)
+                 if any(word in line for line in lines)), None)
+
+
+def expand_levels(l1, rules, max_level):
+    """Levels 1..max_level built with ``core.expand``, one at a time."""
+    grid = l1
+    for _ in range(max_level - 1):
+        yield grid
+        grid = expand(grid, rules)
+    yield grid
+
+
 def scan_levels(word, direction, l1, rules, max_level):
     """First level up to ``max_level`` of ``core.expand``'s grids on which
     the word reads along ``direction``; None if absent throughout."""
-    dr, dc = direction.value
-    grid = l1
-    for level in range(1, max_level + 1):
-        lines = grid.lines()
-        for r in range(grid.rows):
-            for c in range(grid.cols):
-                cells = [(r + i * dr, c + i * dc) for i in range(len(word))]
-                if all(0 <= rr < grid.rows and 0 <= cc < grid.cols
-                       and lines[rr][cc] == ch
-                       for (rr, cc), ch in zip(cells, word)):
-                    return level
-        grid = expand(grid, rules)
-    return None
+    return first_level(word, (lines_along(grid, direction) for grid in
+                              expand_levels(l1, rules, max_level)))
 
 
 class TestForwardFirstAppearance:
@@ -136,6 +161,43 @@ class TestForwardFirstAppearance:
         max_level = 6 if rules.b == 2 else 4
         assert (forward_first_appearance(word, direction, l1, rules, max_level)
                 == scan_levels(word, direction, l1, rules, max_level))
+
+    def test_warm_plans_agree_with_expand_and_scan(self):
+        """One process, shapes shared across start grids of 1-5 rows and
+        1-6 columns, so cached children plans and level-1 readers are
+        reused across many padded widths and block shapes: 1D and 2D
+        rules, b = 2 and 3, every direction, words of 1-5 letters, one
+        random and one read off the deepest level built where it fits.
+        The word length cycles with the grid size, so each (direction,
+        length) pair meets six grid sizes."""
+        oracle._children.cache_clear()
+        oracle._reader.cache_clear()
+        rng = seeded_rng(17)
+        for dimension, b in itertools.product((1, 2), (2, 3)):
+            rh = 1 if dimension == 1 else b
+            rules = RuleSet({ch: tuple("".join(rng.choice("ABC") for _ in range(b))
+                                       for _ in range(rh)) for ch in "ABC"})
+            max_level = 4 if b == 2 else 3
+            for rows, cols in itertools.product(range(1, 6), range(1, 7)):
+                l1 = Grid(rows, cols, "".join(rng.choice("ABC")
+                                              for _ in range(rows * cols)))
+                levels = list(expand_levels(l1, rules, max_level))
+                length = 1 + (rows * 6 + cols) % 5
+                for direction in Direction:
+                    lines = [lines_along(grid, direction) for grid in levels]
+                    words = ["".join(rng.choice("ABC") for _ in range(length))]
+                    long = [line for line in lines[-1] if len(line) >= length]
+                    if long:
+                        line = rng.choice(long)
+                        at = rng.randrange(len(line) - length + 1)
+                        words.append(line[at:at + length])
+                    for word in words:
+                        assert forward_first_appearance(
+                            word, direction, l1, rules, max_level) == (
+                            first_level(word, lines)), (rules, l1, word, direction)
+        for cache in (oracle._children, oracle._reader):
+            info = cache.cache_info()
+            assert 0 < info.currsize <= info.maxsize and info.hits > 0
 
 
 def pair_family(n: int) -> RuleSet:
@@ -588,6 +650,14 @@ class TestAgreementHarness:
     def test_an_empty_audit_is_refused(self, instances):
         with pytest.raises(ValueError):
             run_agreement(instances)
+
+    def test_clean_at_b_3(self):
+        """Rules of 1 x 3 and 3 x 3 blocks."""
+        rng = seeded_rng(4)
+        assert {random_instance(rng, 3)[0].b for _ in range(20)} == {3}
+        report = run_agreement(400, seed=4, b=3)
+        assert report.clean, report.to_json_dict()
+        assert report.found_both and report.never_both
 
     def test_deterministic_for_a_seed(self):
         assert run_agreement(25, seed=3) == run_agreement(25, seed=3)

@@ -83,8 +83,9 @@ class TestWordToPattern:
         assert word_to_pattern(word, Direction.NW) == word_to_pattern(rev, Direction.SE)
         assert word_to_pattern(word, Direction.SW) == word_to_pattern(rev, Direction.NE)
 
-    @given(word=WORDS)
+    @given(word=st.text(alphabet="ABCD", min_size=1, max_size=8))
     def test_always_trimmed(self, word):
+        # LayeredSearch skips its trim check for a laid-out word on this.
         for direction in Direction:
             assert is_trimmed(word_to_pattern(word, direction))
 
