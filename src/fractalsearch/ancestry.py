@@ -43,6 +43,7 @@ from .patterns import (
 
 PRODUCT_CAP = 10 ** 6
 CLOSURE_CAP = 10 ** 6
+TREE_JSON_INDENT = 2
 _LAYOUT_MARK = "x"
 
 
@@ -543,8 +544,8 @@ def ancestor_tree(word: str, direction: Direction, rules: RuleSet,
     return root
 
 
-def tree_to_json(root: TreeNode, indent: int | None = 2) -> str:
-    return json.dumps(root.to_dict(), indent=indent)
+def tree_to_json(root: TreeNode) -> str:
+    return json.dumps(root.to_dict(), indent=TREE_JSON_INDENT)
 
 
 def tree_to_dot(root: TreeNode) -> str:

@@ -291,9 +291,9 @@ def path_to_address(
 def letter_at(l1: Grid, rules: RuleSet, addr: CellAddress) -> str:
     """Letter at ``addr`` on level ``addr.level``.
 
-    Runs in O(level) time and O(1) memory: finds the level-1 ancestor
-    cell, then descends the digit path through the rule blocks.  No grid
-    beyond level 1 is ever built.
+    Runs in O(level) time and memory: finds the level-1 ancestor cell
+    and the digit path, then descends the path through the rule blocks.
+    No grid beyond level 1 is ever built.
     """
     if l1.level != 1:
         raise ValueError("start grid must be tagged level 1")

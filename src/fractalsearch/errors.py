@@ -41,8 +41,9 @@ class AmbiguousRulesError(FractalSearchError):
 
 
 class ResourceLimitError(FractalSearchError):
-    """A resource guard was exceeded (parent product cap, forward window
-    cap, closure size cap)."""
+    """A resource guard was exceeded: ``PRODUCT_CAP``, ``CLOSURE_CAP``,
+    ``WINDOW_CAP``, ``FILL_CAP``, ``SWEEP_RULESET_CAP`` or
+    ``EXPAND_CELL_CAP``."""
 
 
 class UnresolvedSearchError(FractalSearchError):

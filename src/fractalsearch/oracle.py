@@ -435,6 +435,8 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
         raise ValueError("n must be >= 1")
     if word_len_cap < 1:
         raise ValueError("word_len_cap must be >= 1")
+    if dimension not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, not {dimension}")
     letters = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:n])
     rh = 1 if dimension == 1 else b
     count = (n ** (b * rh)) ** n

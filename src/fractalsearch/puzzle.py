@@ -10,7 +10,7 @@ the marker letter's descendant block on that level.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .ancestry import (
     AncestrySearcher,
@@ -28,6 +28,7 @@ from .patterns import (
     Direction,
     Pattern,
     occurrences,
+    parse_pattern,
     pattern_from_rows,
 )
 
@@ -349,80 +350,49 @@ def solve(spec: PuzzleSpec, *, cross_all: bool = False) -> SolveReport:
 # report serialization
 # ---------------------------------------------------------------------------
 
+def _to_json(value):
+    """JSON form of a report value: dataclasses become objects in field
+    order, directions their names, patterns their wire text, cell
+    addresses ``[level, row, col]``, frozensets sorted lists, tuples lists."""
+    if isinstance(value, CellAddress):
+        return [value.level, value.row, value.col]
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Direction):
+        return value.name
+    if isinstance(value, Pattern):      # a NamedTuple: before the tuple case
+        return value.text()
+    if isinstance(value, dict):
+        return {str(k): _to_json(v) for k, v in value.items()}
+    if isinstance(value, frozenset):
+        return sorted(_to_json(v) for v in value)
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
 def report_to_json_dict(report: SolveReport) -> dict:
-    return {
-        "placements": [
-            {
-                "raw": p.raw,
-                "word": p.word,
-                "direction": p.direction.name,
-                "level": p.level,
-                "ancestor": p.ancestor.text(),
-                "anchor": list(p.anchor),
-                "offsets": [list(off) for off in p.offsets],
-                "addresses": [[a.level, a.row, a.col] for a in p.addresses],
-                "nodes_expanded": p.nodes_expanded,
-                "patterns_seen": p.patterns_seen,
-            }
-            for p in report.placements
-        ],
-        "level_counts": {str(k): v for k, v in report.level_counts.items()},
-        "crossed_cells": sorted(list(c) for c in report.crossed_cells),
-        "message": report.message,
-        "level_sum": report.level_sum,
-        "answer": None if report.answer is None else {
-            "level": report.answer.level,
-            "top": report.answer.top,
-            "left": report.answer.left,
-            "window": list(report.answer.window),
-            "found": report.answer.found,
-            "x_top": report.answer.x_top,
-            "x_left": report.answer.x_left,
-            "x_rows": list(report.answer.x_rows),
-            "main_diagonal": report.answer.main_diagonal,
-            "anti_diagonal": report.answer.anti_diagonal,
-            "answer": report.answer.answer,
-        },
-        "nodes_expanded": report.nodes_expanded,
-        "patterns_seen": report.patterns_seen,
-    }
+    return _to_json(report)
 
 
 def report_from_json_dict(data: dict) -> SolveReport:
-    from .patterns import parse_pattern
-
+    """Inverse of :func:`report_to_json_dict`; only the fields whose JSON
+    type differs from the dataclass's are converted back."""
     placements = tuple(
-        Placement(
-            raw=p["raw"], word=p["word"], direction=Direction[p["direction"]],
-            level=p["level"], ancestor=parse_pattern(p["ancestor"]),
-            anchor=tuple(p["anchor"]),
-            offsets=tuple(tuple(off) for off in p["offsets"]),
-            addresses=tuple(CellAddress(*a) for a in p["addresses"]),
-            nodes_expanded=p["nodes_expanded"],
-            patterns_seen=p["patterns_seen"],
-        )
+        Placement(**dict(
+            p, direction=Direction[p["direction"]],
+            ancestor=parse_pattern(p["ancestor"]), anchor=tuple(p["anchor"]),
+            offsets=tuple(map(tuple, p["offsets"])),
+            addresses=tuple(CellAddress(*a) for a in p["addresses"])))
         for p in data["placements"]
     )
     ans = data["answer"]
-    window = None if ans is None else AnswerWindow(
-        level=ans["level"], top=ans["top"], left=ans["left"],
-        window=tuple(ans["window"]), found=ans["found"],
-        x_top=ans["x_top"], x_left=ans["x_left"],
-        x_rows=tuple(ans["x_rows"]),
-        main_diagonal=ans["main_diagonal"],
-        anti_diagonal=ans["anti_diagonal"],
-        answer=ans["answer"],
-    )
-    return SolveReport(
-        placements=placements,
+    window = None if ans is None else AnswerWindow(**dict(
+        ans, window=tuple(ans["window"]), x_rows=tuple(ans["x_rows"])))
+    return SolveReport(**dict(
+        data, placements=placements, answer=window,
         level_counts={int(k): v for k, v in data["level_counts"].items()},
-        crossed_cells=frozenset(tuple(c) for c in data["crossed_cells"]),
-        message=data["message"],
-        level_sum=data["level_sum"],
-        answer=window,
-        nodes_expanded=data["nodes_expanded"],
-        patterns_seen=data["patterns_seen"],
-    )
+        crossed_cells=frozenset(map(tuple, data["crossed_cells"]))))
 
 
 def report_to_text(report: SolveReport) -> str:

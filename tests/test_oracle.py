@@ -449,6 +449,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_max_latest(n, 2, 1, word_len_cap)
 
+    @pytest.mark.parametrize("dimension", [0, 3])
+    def test_rejects_a_dimension_other_than_1_or_2(self, dimension):
+        with pytest.raises(ValueError, match="dimension"):
+            sweep_max_latest(2, 2, dimension, 1)
+
     def test_failed_revalidation_names_the_witness(self, monkeypatch):
         real = oracle.forward_first_appearance
         monkeypatch.setattr(oracle, "forward_first_appearance",

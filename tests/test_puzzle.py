@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -356,6 +357,15 @@ class TestReportSerialization:
         report = solve(spec)
         data = json.loads(json.dumps(report_to_json_dict(report)))
         assert report_from_json_dict(data) == report
+
+    def test_shipped_puzzle_report_matches_golden(self, puzzle_path):
+        # The benchmark's golden report, pinned byte for byte: indent,
+        # key order and the trailing newline included.
+        golden = (Path(__file__).resolve().parent.parent / "bench" / "golden"
+                  / "puzzle_report.json").read_text(encoding="utf-8")
+        report = solve(load_puzzle(puzzle_path))
+        assert json.dumps(report_to_json_dict(report), indent=2) + "\n" == golden
+        assert report_from_json_dict(json.loads(golden)) == report
 
     def test_text_rendering_mentions_the_essentials(self, tmp_path):
         spec = load_puzzle(write_puzzle(tmp_path, ABC_2D_PUZZLE))
