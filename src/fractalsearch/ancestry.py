@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .core import CellAddress, Grid, RuleSet, check_letters, letter_at, path_to_address
@@ -117,7 +118,16 @@ class AncestrySearcher:
     Caches the parents of each pattern, so reuse one instance when
     searching many words against the same rules: the sweep and the
     audit's geometry re-check ask for the same parents again and again.
-    Groundings are not cached: a search seldom grounds a pattern twice.
+
+    With a start grid, :meth:`parents` also settles each large product
+    of parent letter sets as a whole (:meth:`_settle`): a product with
+    no start left in the grid marks every member ungrounded, and one
+    whose every offset has an empty parent cell caches every member as
+    parentless.  Their members then skip the per-pattern grid scan or
+    offset walk; 41 of the 42 products a puzzle solve settles are one or
+    both.  Other groundings are not cached: a search seldom grounds a
+    pattern twice.  A grid-free searcher, as the sweep uses, settles
+    nothing.
     """
 
     def __init__(self, rules: RuleSet, l1: Grid | None = None):
@@ -142,8 +152,10 @@ class AncestrySearcher:
         # Sends every letter to _LAYOUT_MARK: a pattern's offset-plan key.
         self._layout = str.maketrans(dict.fromkeys(self._letters, _LAYOUT_MARK))
         self._mask_options: dict[int, tuple[str, ...]] = {}
+        self._mask_unions: dict[int, list[int]] = {}
         self._parents: dict[Pattern, tuple[tuple[Pattern, tuple[int, int]], ...]] = {}
         self._l1_index = GridIndex(l1) if l1 is not None else None
+        self._ungrounded: set[Pattern] = set()
 
     # -- parent enumeration -------------------------------------------------
 
@@ -155,6 +167,16 @@ class AncestrySearcher:
             )
             self._mask_options[mask] = opts
         return opts
+
+    def _unions(self, mask: int) -> list[int]:
+        """Per block slot, the union of the parent-letter masks of every
+        letter in ``mask``."""
+        unions = self._mask_unions.get(mask)
+        if unions is None:
+            unions = [functools.reduce(operator.or_, slot) for slot in
+                      zip(*(self._table[ch] for ch in self._options(mask)))]
+            self._mask_unions[mask] = unions
+        return unions
 
     def parents(self, pattern: Pattern) -> tuple[tuple[Pattern, tuple[int, int]], ...]:
         """All (parent, offset) pairs, deduplicated on the parent pattern.
@@ -175,6 +197,10 @@ class AncestrySearcher:
         shape and the pattern's layout, so it is read from a plan cached
         per layout (:func:`_offset_plan`), shared across calls and
         searchers.
+
+        A searcher with a start grid settles a large product, one of
+        more patterns than the plan has offsets, as a whole
+        (:meth:`_settle`) before handing its members out.
         """
         cached = self._parents.get(pattern)
         if cached is not None:
@@ -187,6 +213,7 @@ class AncestrySearcher:
         table = self._table
         plan = _offset_plan(self.rules.rule_rows, self.rules.b, rows, cols,
                             cells.translate(self._layout))
+        settle = self._l1_index is not None
         out: list[tuple[Pattern, tuple[int, int]]] = []
         seen: set[Pattern] = set()
         for off, pr, pc, steps in plan:
@@ -207,23 +234,62 @@ class AncestrySearcher:
                         f"parent product {total} exceeds cap {PRODUCT_CAP} "
                         f"for pattern {pattern.text()!r} at offset {off}"
                     )
+                first = len(out)
                 for combo in itertools.product(*options):
                     q = Pattern(pr, pc, "".join(combo))
                     if q not in seen:
                         seen.add(q)
                         out.append((q, off))
+                if settle and total > len(plan):
+                    self._settle(pr, pc, masks, out[first:])
         result = tuple(out)
         self._parents[pattern] = result
         return result
+
+    def _settle(self, rows: int, cols: int, masks: list[int],
+                found: list[tuple[Pattern, tuple[int, int]]]) -> None:
+        """Test the product of one parent letter set per cell (``masks``,
+        -1 for a free cell) as a whole, with the two kernels its members
+        would run one by one, and record the answers for the members new
+        to this enumeration (``found``, with their offset).
+
+        The start grid's index scans the product as a letter-set
+        pattern (:meth:`GridIndex.starts_any`); with no start left, no
+        member grounds, and :meth:`ground_positions` answers () for them
+        all.  The product's layout plan then ANDs, per offset, the union
+        of each cell's parent-letter masks (:meth:`_unions`) into its
+        parent cell; if every offset has an empty parent cell, no member
+        has parents, and each is cached with none.  Every union holds
+        each member's own mask, so both answers are exact.  A question
+        the product cannot settle is left to the per-pattern kernel."""
+        sets = tuple(WILDCARD if m == -1 else self._options(m) for m in masks)
+        if not self._l1_index.starts_any(Pattern(rows, cols, sets)):
+            self._ungrounded.update(q for q, _ in found)
+        layout = "".join(WILDCARD if m == -1 else _LAYOUT_MARK for m in masks)
+        for _, pr, pc, steps in _offset_plan(self.rules.rule_rows, self.rules.b,
+                                             rows, cols, layout):
+            cells = [-1] * (pr * pc)
+            for i, k, s in steps:
+                mask = cells[k] & self._unions(masks[i])[s]
+                if not mask:
+                    break
+                cells[k] = mask
+            else:
+                return
+        self._parents.update((q, ()) for q, _ in found)
 
     # -- grounding -----------------------------------------------------------
 
     def ground_positions(self, pattern: Pattern) -> tuple[tuple[int, int], ...]:
         """1-indexed positions where the trimmed pattern occurs in the start
         grid, row-major; matched against the start grid's per-letter bit
-        masks (:class:`GridIndex`), built once per searcher."""
+        masks (:class:`GridIndex`), built once per searcher.  A member of
+        a product that :meth:`parents` settled as ungrounded is answered
+        without a scan."""
         if self._l1_index is None:
             raise ValueError("searcher was built without a start grid")
+        if pattern in self._ungrounded:
+            return ()
         return tuple(self._l1_index.positions(pattern))
 
     # -- search ---------------------------------------------------------------

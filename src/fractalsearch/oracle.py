@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
 from collections import Counter
 from dataclasses import asdict, dataclass
 from operator import itemgetter
@@ -452,6 +451,7 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
         for lo in range(0, len(reps), chunk_size)
     ]
     if jobs > 1:
+        import multiprocessing      # here, so that only a pooled sweep pays for it
         with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
             parts = pool.map(_sweep_chunk, chunks)
     else:

@@ -33,6 +33,7 @@ from fractalsearch.errors import (
 )
 from fractalsearch.patterns import (
     Direction,
+    GridIndex,
     Pattern,
     WILDCARD,
     is_trimmed,
@@ -324,6 +325,81 @@ class TestDeepestLayers:
         assert targets[0] == targets[1]
         depth = max(AncestrySearcher(abc_2d).closure(targets[0]).values())
         assert AncestrySearcher(abc_2d).deepest_layers(targets) == [depth, depth]
+
+
+def _answers_alone(rules, l1, pattern):
+    """(parents, groundings) of a pattern from a fresh searcher asked
+    about it alone, so no product settled it beforehand."""
+    fresh = AncestrySearcher(rules, l1)
+    grounded = fresh.ground_positions(pattern)
+    return fresh.parents(pattern), grounded
+
+
+@st.composite
+def crowded_rule_sets(draw):
+    """1D or 2D rules with b in {2, 3} over up to four letters whose
+    blocks use only some of them: many parents share a block letter, so
+    parent products run large, and a letter no block uses has no
+    parents."""
+    letters = "ABCD"[:draw(st.integers(1, 4))]
+    used = draw(st.text(alphabet=letters, min_size=1, max_size=2))
+    b = draw(st.sampled_from((2, 3)))
+    rh = 1 if draw(st.sampled_from((1, 2))) == 1 else b
+    row = st.text(alphabet=used, min_size=b, max_size=b)
+    return RuleSet({ch: tuple(draw(row) for _ in range(rh)) for ch in letters})
+
+
+class TestSettledProducts:
+    """A searcher with a start grid settles large parent products as a
+    whole; each member must still get the parents and groundings that a
+    fresh searcher gives it."""
+
+    @staticmethod
+    def _check(searcher, patterns):
+        for pat in patterns:
+            want = _answers_alone(searcher.rules, searcher.l1, pat)
+            got = searcher.parents(pat), searcher.ground_positions(pat)
+            assert got == want, pat.text()
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_every_linked_pattern_and_its_parents(self, data):
+        rules = data.draw(st.one_of(rule_sets(max_n=4, bs=(2, 3)),
+                                    crowded_rule_sets()))
+        l1 = data.draw(grids_for(rules, max_side=4))
+        directions = ((Direction.E, Direction.W) if rules.dimension == 1
+                      else tuple(Direction))
+        searcher = AncestrySearcher(rules, l1)
+        links = {}
+        for _ in range(data.draw(st.integers(1, 2))):
+            word = data.draw(st.text(alphabet=rules.letters,
+                                     min_size=1, max_size=4))
+            run = LayeredSearch(searcher, word, data.draw(st.sampled_from(directions)))
+            run.finish()
+            links.update(run.links)
+        self._check(searcher, links)
+        # The last layer's parents are settled here for the first time.
+        self._check(searcher, {q for pat in links for q, _ in searcher.parents(pat)})
+
+    def test_dimension_diagonals_on_the_shipped_puzzle(self, puzzle_path):
+        """DIMENSION read NE or SW has 592 parents, none grounded; every
+        SW parent is parentless.  Settling their products answers the
+        grounding of all 1,184 without one grid scan."""
+        spec = load_puzzle(puzzle_path)
+        searcher = AncestrySearcher(spec.rules, spec.l1)
+        runs = [LayeredSearch(searcher, "DIMENSION", d)
+                for d in (Direction.NE, Direction.SW)]
+        for run in runs:
+            assert run.check_grounding() is None
+            run.advance()
+        ne, sw = (run.frontier for run in runs)
+        assert len(ne) == len(sw) == 592
+        with mock.patch.object(GridIndex, "positions",
+                               side_effect=AssertionError("grid scanned")):
+            assert all(run.check_grounding() is None for run in runs)
+        assert all(searcher.parents(q) == () for q in sw)
+        runs[0].advance()
+        self._check(searcher, runs[0].links.keys() | runs[1].links.keys())
 
 
 def _fills(pattern: Pattern, letters):

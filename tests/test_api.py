@@ -70,14 +70,29 @@ assert not outside, outside
 """
 
 
-def test_the_cli_loads_only_the_standard_library():
-    """Run without site-packages (``-S``), so an import of any installed
-    package fails, and check what the commands loaded."""
+def _run_without_site(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter without site-packages (``-S``),
+    with the package importable from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-S", "-c", STDLIB_PROBE], cwd=ROOT,
+    return subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_the_cli_loads_only_the_standard_library():
+    """Run without site-packages, so an import of any installed package
+    fails, and check what the commands loaded."""
+    done = _run_without_site(STDLIB_PROBE)
+    assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_cli_starts_no_multiprocessing():
+    """Only a pooled sweep needs ``multiprocessing``; importing the
+    commands must not pay for it."""
+    done = _run_without_site(
+        "import sys, fractalsearch.oracle, fractalsearch.cli\n"
+        "assert 'multiprocessing' not in sys.modules, sorted(sys.modules)")
     assert done.returncode == 0, done.stderr
 
 

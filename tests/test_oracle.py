@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import multiprocessing
 from collections import defaultdict
 
 import pytest
@@ -401,7 +402,7 @@ class TestSweep:
                 return [fn(item) for item in items]
 
         serial = sweep_max_latest(2, 2, 1, 2, jobs=1)
-        monkeypatch.setattr(oracle.multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
         assert sweep_max_latest(2, 2, 1, 2, jobs=jobs) == serial
         assert started == [workers]
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from fractalsearch.core import Grid, expand
 from fractalsearch.patterns import (
     Direction,
+    GridIndex,
     Pattern,
     WILDCARD,
     is_trimmed,
@@ -165,6 +168,25 @@ class TestOccurrences:
     def test_indexed_matcher_equals_window_scan(self, case):
         grid, pattern = case
         assert occurrences(pattern, grid) == scan_occurrences(pattern, grid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=grid_and_pattern(), data=st.data())
+    def test_product_scan_is_the_union_of_its_members_scans(self, case, data):
+        """Each concrete cell widens to a set of letters that holds it;
+        the letter-set scan keeps exactly the starts where some member
+        of the product matches."""
+        grid, pattern = case
+        sets = tuple(
+            ch if ch == WILDCARD else tuple(sorted(
+                {ch} | set(data.draw(st.text(alphabet="ABCD", max_size=3)))))
+            for ch in pattern.cells)
+        index = GridIndex(grid)
+        got = index.starts_any(Pattern(pattern.rows, pattern.cols, sets))
+        want = 0
+        for combo in itertools.product(*sets):
+            want |= index.starts(Pattern(pattern.rows, pattern.cols, "".join(combo)))
+        assert got == want
+        assert index.starts(pattern) == GridIndex(grid).starts(pattern)
 
 
 class TestWordCells:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -366,6 +367,15 @@ class TestReportSerialization:
         report = solve(load_puzzle(puzzle_path))
         assert json.dumps(report_to_json_dict(report), indent=2) + "\n" == golden
         assert report_from_json_dict(json.loads(golden)) == report
+
+    def test_shipped_puzzle_cross_all_report_is_pinned(self, puzzle_path):
+        # The cross-out path asks for the groundings of every pattern on
+        # each word's winning layer, settled products included.  sha256
+        # of json.dumps(report_to_json_dict(report), indent=2) + "\n".
+        report = solve(load_puzzle(puzzle_path), cross_all=True)
+        text = json.dumps(report_to_json_dict(report), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "04f0ad512a29d8e68d89182f85e1a03e338401391d344d25d0374224a6297fdf")
 
     def test_text_rendering_mentions_the_essentials(self, tmp_path):
         spec = load_puzzle(write_puzzle(tmp_path, ABC_2D_PUZZLE))
