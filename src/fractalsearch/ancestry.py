@@ -294,15 +294,12 @@ class AncestrySearcher:
 
     # -- search ---------------------------------------------------------------
 
-    def search(self, word: str, direction: Direction, *,
+    def search(self, word: str, direction: Direction | None, *,
                depth_cap: int | None = None) -> SearchResult:
-        """Earliest level on which the word appears for the start grid."""
+        """Earliest level on which the word appears for the start grid;
+        with ``direction`` None, ``word`` is a trimmed letter/wildcard
+        pattern in its wire form (``B*/*B``)."""
         return LayeredSearch(self, word, direction).finish(depth_cap)
-
-    def search_pattern(self, target: Pattern, *,
-                       depth_cap: int | None = None) -> SearchResult:
-        """Earliest level of an arbitrary letter/wildcard pattern."""
-        return LayeredSearch(self, target.text(), None).finish(depth_cap)
 
     def closure(self, target: Pattern) -> dict[Pattern, int]:
         """Minimal depth of every ancestor pattern reachable from the

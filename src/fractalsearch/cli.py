@@ -179,11 +179,10 @@ def _cmd_search(args) -> int:
     l1 = grid_argument(args.l1)
     searcher = AncestrySearcher(rules, l1)
     if args.pattern is not None:
-        result = searcher.search_pattern(trim(parse_pattern(args.pattern)),
-                                         depth_cap=args.depth_cap)
+        word, direction = trim(parse_pattern(args.pattern)).text(), None
     else:
-        result = searcher.search(args.word, Direction[args.direction],
-                                 depth_cap=args.depth_cap)
+        word, direction = args.word, Direction[args.direction]
+    result = searcher.search(word, direction, depth_cap=args.depth_cap)
     if args.format == "json":
         payload = {
             "word": result.word,

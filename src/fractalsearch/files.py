@@ -77,7 +77,7 @@ def parse_rules_section(lines: list[tuple[int, str]]) -> RuleSet:
 def parse_grid_section(lines: list[tuple[int, str]]) -> Grid:
     if not lines:
         raise PuzzleFormatError("empty [grid] section")
-    level = 1
+    level = None
     rows: list[str] = []
     first_row_line = None
     for lineno, line in lines:
@@ -85,10 +85,14 @@ def parse_grid_section(lines: list[tuple[int, str]]) -> Grid:
             key, value = (part.strip() for part in line.split("=", 1))
             if key.lower() != "level":
                 raise PuzzleFormatError(f"unexpected key {key!r} in [grid]", lineno)
+            if level is not None:
+                raise PuzzleFormatError("repeated level line", lineno)
             try:
                 level = int(value)
             except ValueError:
                 raise PuzzleFormatError(f"bad level value {value!r}", lineno) from None
+            if level < 1:
+                raise PuzzleFormatError(f"level tag must be >= 1, got {level}", lineno)
             continue
         if first_row_line is None:
             first_row_line = lineno
@@ -98,7 +102,7 @@ def parse_grid_section(lines: list[tuple[int, str]]) -> Grid:
     if any(len(r) != len(rows[0]) for r in rows):
         raise PuzzleFormatError("grid rows differ in length", first_row_line)
     try:
-        return Grid.from_rows(rows, level)
+        return Grid.from_rows(rows, level or 1)
     except Exception as exc:
         raise PuzzleFormatError(str(exc), first_row_line) from exc
 

@@ -19,8 +19,9 @@ from .ancestry import (
     first_grounded,
     witness_coordinates,
 )
+from .bounds import ceil_log
 from .core import (CellAddress, Grid, RuleSet, check_letters, contract,
-                   descendant_block_range, level_shape)
+                   descendant_block_range, expand, letter_at, level_shape)
 from .errors import PuzzleFormatError, SolveError, UnknownLetterError
 from .files import parse_grid_section, parse_rules_section, read_sections
 from .patterns import (
@@ -232,29 +233,25 @@ def crossed_out_l1_cells(placements, rules: RuleSet) -> frozenset[tuple[int, int
 def _window(l1: Grid, rules: RuleSet, level: int, rows: tuple[int, int],
             cols: tuple[int, int]) -> tuple[str, ...]:
     """Rows of the inclusive 1-indexed rectangle ``rows`` x ``cols`` of
-    ``level``, read in one walk down the levels.
-
-    The rectangle's ancestors on each level above form a rectangle too,
-    found by ceiling division; from level one, each level's rectangle is
-    expanded into its blocks and cut down to the next level's, so every
-    level holds only a few cells more than the window.
+    ``level``.  k levels up (stopping at level one), where b**k first
+    reaches the rectangle's longer side, its ancestors lie in at most two
+    blocks per side (under 1D rules its rows do not change); they are
+    read with :func:`letter_at`, expanded k steps with :func:`expand`,
+    and the rectangle is sliced out.
     """
     rh, b = rules.rule_rows, rules.b
-    spans = [(rows, cols)]
-    for _ in range(level - 1):
-        (top, bottom), (left, right) = spans[-1]
-        spans.append((((top - 1) // rh + 1, (bottom - 1) // rh + 1),
-                      ((left - 1) // b + 1, (right - 1) // b + 1)))
-    (top, bottom), (left, right) = spans.pop()
-    lines = [line[left - 1:right] for line in l1.lines()[top - 1:bottom]]
-    while spans:
-        # The expansion's first cell is at ((top-1)*rh + 1, (left-1)*b + 1).
-        r0, c0 = (top - 1) * rh, (left - 1) * b
-        (top, bottom), (left, right) = spans.pop()
-        blocks = [[rules.rules[ch] for ch in line] for line in lines]
-        lines = ["".join(block[br] for block in row)[left - 1 - c0:right - c0]
-                 for row in blocks for br in range(rh)][top - 1 - r0:bottom - r0]
-    return tuple(lines)
+    (top, bottom), (left, right) = rows, cols
+    k = min(level - 1, ceil_log(b, max(bottom - top, right - left) + 1))
+    rspan, cspan = rh ** k, b ** k
+    r0, c0 = (top - 1) // rspan, (left - 1) // cspan
+    ancestors = Grid.from_rows([
+        "".join(letter_at(l1, rules, CellAddress(level - k, r + 1, c + 1))
+                for c in range(c0, (right - 1) // cspan + 1))
+        for r in range(r0, (bottom - 1) // rspan + 1)])
+    lines = expand(ancestors, rules, k).lines()
+    r0, c0 = r0 * rspan, c0 * cspan
+    return tuple(line[left - 1 - c0:right - c0]
+                 for line in lines[top - 1 - r0:bottom - r0])
 
 
 def answer_window(spec: PuzzleSpec, target_level: int) -> AnswerWindow:
@@ -289,16 +286,12 @@ def answer_window(spec: PuzzleSpec, target_level: int) -> AnswerWindow:
         x_size >= 2 and spec.answer_length % 2 == 0
         and x_top >= rows_range[0] and x_top + x_size - 1 <= rows_range[1]
         and x_left >= cols_range[0] and x_left + x_size - 1 <= cols_range[1]
-        and x_top >= top and x_top + x_size - 1 <= bottom
-        and x_left >= left and x_left + x_size - 1 <= right
     )
     if not fits:
         return AnswerWindow(level=target_level, top=top, left=left,
                             window=window, found=False)
-    rows = tuple(
-        window[(x_top - top) + r][(x_left - left):(x_left - left) + x_size]
-        for r in range(x_size)
-    )
+    rows = _window(spec.l1, spec.rules, target_level,
+                   (x_top, x_top + x_size - 1), (x_left, x_left + x_size - 1))
     main = "".join(rows[i][i] for i in range(x_size))
     anti = "".join(rows[x_size - 1 - i][i] for i in range(x_size))
     return AnswerWindow(

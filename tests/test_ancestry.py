@@ -578,7 +578,7 @@ class TestFirstAppearance:
 
     def test_raw_pattern_search(self, abc_2d):
         searcher = AncestrySearcher(abc_2d, Grid.from_text("A"))
-        res = searcher.search_pattern(parse_pattern("B*/*B"))
+        res = searcher.search("B*/*B", None)
         assert res.direction is None
         assert res.level == 3
         assert res.level == searcher.search("BB", Direction.SE).level

@@ -95,6 +95,17 @@ class TestParseGrid:
         with pytest.raises(PuzzleFormatError):
             parse_grid_section([(1, "level = two"), (2, "AB")])
 
+    def test_repeated_level_line_rejected_on_that_line(self):
+        with pytest.raises(PuzzleFormatError, match="repeated level") as err:
+            parse_grid_section([(1, "level = 2"), (2, "AB"), (3, "level = 3")])
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_level_below_one_rejected_on_the_level_line(self, value):
+        with pytest.raises(PuzzleFormatError, match=">= 1") as err:
+            parse_grid_section([(2, f"level = {value}"), (3, "AB")])
+        assert err.value.line == 2
+
 
 class TestLoaders:
     def test_load_rules_file(self, tmp_path):

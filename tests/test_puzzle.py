@@ -5,14 +5,17 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fractalsearch.core import CellAddress, letter_at
+from fractalsearch.core import CellAddress, expand, letter_at, level_shape
 from fractalsearch.errors import PuzzleFormatError, SolveError
 from fractalsearch.files import load_grid
 from fractalsearch.patterns import Direction
 from fractalsearch.puzzle import (
     ANSWER_WINDOW_RADIUS,
     Placement,
+    _window,
     answer_window,
     crossed_out_l1_cells,
     load_puzzle,
@@ -22,6 +25,8 @@ from fractalsearch.puzzle import (
     report_to_text,
     solve,
 )
+
+from tests.conftest import grids_for, rule_sets
 
 
 def write_puzzle(tmp_path, body: str) -> str:
@@ -319,6 +324,25 @@ class TestAnswerWindow:
             got = self.assert_window_reads_letter_at(spec, level)
             clamped.add(len(got.window[0]) < 2 * ANSWER_WINDOW_RADIUS)
         assert clamped == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_window_is_a_slice_of_the_expanded_level(self, data):
+        rules = data.draw(rule_sets(dims=(1, 2), bs=(2, 3)))
+        l1 = data.draw(grids_for(rules))
+        level = data.draw(st.integers(1, 7 if rules.b == 2 else 5))
+        max_rows, max_cols = level_shape(l1, rules, level)
+
+        def span(size):
+            side = data.draw(st.integers(1, min(8, size)))
+            first = data.draw(st.sampled_from([1, size - side + 1])
+                              | st.integers(1, size - side + 1))
+            return first, first + side - 1
+
+        (top, bottom), (left, right) = span(max_rows), span(max_cols)
+        lines = expand(l1, rules, level - 1).lines()
+        assert _window(l1, rules, level, (top, bottom), (left, right)) == \
+            tuple(line[left - 1:right] for line in lines[top - 1:bottom])
 
 
 class TestSolveInvariants:
