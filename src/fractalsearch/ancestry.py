@@ -77,12 +77,12 @@ def _offset_plan(rh: int, b: int, rows: int, cols: int, layout: str) -> tuple:
 class SearchResult:
     """Outcome of one backward search.
 
-    A found result carries the earliest level, the ancestor pattern
-    grounded in the start grid, its 1-indexed anchor position there, and
-    the per-step alignment offsets from the ancestor down to the target
-    (enough to reconstruct exact coordinates on any level).  A result
-    with no level means the frontier reached a fixpoint: the word can
-    never appear for this start grid.  ``nodes_expanded`` and
+    A found result carries the ancestor pattern grounded in the start
+    grid, its 1-indexed anchor position there, and the per-step alignment
+    offsets from the ancestor down to the target (enough to reconstruct
+    exact coordinates on any level); its level is read off that chain.
+    A result with no ancestor means the frontier reached a fixpoint: the
+    word can never appear for this start grid.  ``nodes_expanded`` and
     ``patterns_seen`` count the search's effort, summed over every run
     stepped with it; the patterns themselves live in the
     :class:`LayeredSearch` that ran it (its ``links``), which a caller
@@ -91,7 +91,6 @@ class SearchResult:
 
     word: str
     direction: Direction | None      # None for raw pattern searches
-    level: int | None
     ancestor: Pattern | None
     anchor: tuple[int, int] | None
     offsets: tuple[tuple[int, int], ...]
@@ -102,14 +101,12 @@ class SearchResult:
 
     @property
     def found(self) -> bool:
-        return self.level is not None
+        return self.ancestor is not None
 
-    def __post_init__(self):
-        if self.found and self.level != len(self.offsets) + 1:
-            raise WitnessError(
-                f"level {self.level} inconsistent with offset chain "
-                f"of length {len(self.offsets)}"
-            )
+    @property
+    def level(self) -> int | None:
+        """Level one plus one per offset in the chain; None if never."""
+        return len(self.offsets) + 1 if self.found else None
 
 
 class AncestrySearcher:
@@ -299,7 +296,7 @@ class AncestrySearcher:
         """Earliest level on which the word appears for the start grid;
         with ``direction`` None, ``word`` is a trimmed letter/wildcard
         pattern in its wire form (``B*/*B``)."""
-        return LayeredSearch(self, word, direction).finish(depth_cap)
+        return first_grounded([LayeredSearch(self, word, direction)], depth_cap)
 
     def closure(self, target: Pattern) -> dict[Pattern, int]:
         """Minimal depth of every ancestor pattern reachable from the
@@ -445,36 +442,32 @@ class LayeredSearch:
 
     def result(self, grounded: tuple[tuple[int, int], Pattern] | None = None,
                runs: list[LayeredSearch] | None = None) -> SearchResult:
-        """This run's answer: found one level below the current depth
-        when given its grounding (anchor, ancestor), else never.  Its
-        effort is summed over ``runs``, the runs stepped in lockstep
-        with it (by default this run alone)."""
+        """This run's answer: found when given its grounding (anchor,
+        ancestor) on the current layer, else never.  Its effort is summed
+        over ``runs``, the runs stepped in lockstep with it (by default
+        this run alone)."""
         anchor, ancestor = grounded or (None, None)
         return SearchResult(
             word=self.word, direction=self.direction,
-            level=None if grounded is None else self.depth + 1,
             ancestor=ancestor, anchor=anchor,
             offsets=() if grounded is None else self._chain(ancestor),
             target=self.target, max_depth=self.depth,
             **_effort(runs or [self]),
         )
 
-    def finish(self, depth_cap: int | None = None) -> SearchResult:
-        """Step this run alone to its first grounded layer or its fixpoint."""
-        return first_grounded([self], depth_cap) or self.result()
-
 
 def first_grounded(runs: list[LayeredSearch],
-                   depth_cap: int | None = None) -> SearchResult | None:
-    """Step the runs in lockstep until one grounds in the start grid.
+                   depth_cap: int | None = None) -> SearchResult:
+    """Step the runs in lockstep until one grounds in the start grid:
+    the one ending of every backward search.
 
     Every live run's frontier is checked before any run advances, so the
     first grounded layer is the minimum depth over all runs; ties at
     that depth go to the earlier run in the list.  A run whose frontier
-    empties stops advancing.  Returns the winning run's result, its
-    effort summed over all the runs, or None once every run is
-    exhausted.  Advancing past ``depth_cap`` raises
-    UnresolvedSearchError with the same sums.
+    empties stops advancing.  Returns the winning run's result or, once
+    every run is exhausted, the first run's never-result; either way its
+    effort is summed over all the runs.  Advancing past ``depth_cap``
+    raises UnresolvedSearchError with the same sums.
     """
     live = list(runs)
     while live:
@@ -489,7 +482,7 @@ def first_grounded(runs: list[LayeredSearch],
                 f"{sum(len(run.frontier) for run in live)} open patterns "
                 f"for {runs[0].word!r}",
                 depth=live[0].depth, **_effort(runs))
-    return None
+    return runs[0].result(runs=runs)
 
 
 def _effort(runs: list[LayeredSearch]) -> dict[str, int]:
@@ -501,9 +494,10 @@ def _effort(runs: list[LayeredSearch]) -> dict[str, int]:
 # module-level convenience wrappers
 # ---------------------------------------------------------------------------
 
-def first_appearance(word: str, direction: Direction, l1: Grid,
+def first_appearance(word: str, direction: Direction | None, l1: Grid,
                      rules: RuleSet, depth_cap: int | None = None) -> SearchResult:
-    """Earliest level on which ``word`` (read along ``direction``) appears
+    """Earliest level on which ``word`` (read along ``direction``, or a
+    trimmed pattern in its wire form when ``direction`` is None) appears
     when starting from ``l1``, found without materializing any level."""
     searcher = AncestrySearcher(rules, l1)
     return searcher.search(word, direction, depth_cap=depth_cap)

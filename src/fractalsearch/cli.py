@@ -14,8 +14,8 @@ import sys
 
 from . import bounds as bounds_mod
 from .ancestry import (
-    AncestrySearcher,
     ancestor_tree,
+    first_appearance,
     tree_to_dot,
     tree_to_json,
     witness_coordinates,
@@ -177,12 +177,11 @@ def _cmd_search(args) -> int:
         return USAGE_EXIT
     rules = load_rules(args.rules)
     l1 = grid_argument(args.l1)
-    searcher = AncestrySearcher(rules, l1)
     if args.pattern is not None:
         word, direction = trim(parse_pattern(args.pattern)).text(), None
     else:
         word, direction = args.word, Direction[args.direction]
-    result = searcher.search(word, direction, depth_cap=args.depth_cap)
+    result = first_appearance(word, direction, l1, rules, args.depth_cap)
     if args.format == "json":
         payload = {
             "word": result.word,
@@ -237,7 +236,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import run_agreement, sweep_max_latest
+    from .oracle import ISSUE_FIELDS, run_agreement, sweep_max_latest
 
     if args.oracle_command == "sweep":
         report = sweep_max_latest(args.n, args.b, args.dim, args.len_cap,
@@ -263,8 +262,7 @@ def _cmd_oracle(args) -> int:
     else:
         print(f"instances: {report.instances}  found: {report.found_both}  "
               f"never: {report.never_both}  beyond horizon: {report.beyond_horizon}")
-        for name in ("mismatches", "bound_violations",
-                     "geometry_violations", "confinement_violations"):
+        for name in ISSUE_FIELDS.values():
             items = getattr(report, name)
             print(f"{name}: {len(items)}")
             for item in items[:5]:

@@ -291,9 +291,11 @@ def path_to_address(
 def letter_at(l1: Grid, rules: RuleSet, addr: CellAddress) -> str:
     """Letter at ``addr`` on level ``addr.level``.
 
-    Runs in O(level) time and memory: finds the level-1 ancestor cell
-    and the digit path, then descends the path through the rule blocks.
-    No grid beyond level 1 is ever built.
+    Finds the level-1 ancestor cell and the digit path, then descends
+    the path through the rule blocks, in O(level) time and memory.  No
+    grid beyond level 1 is ever built.  Every call first checks each
+    letter of the start grid, though, so a call costs O(level + rows x
+    cols) in all.
     """
     if l1.level != 1:
         raise ValueError("start grid must be tagged level 1")

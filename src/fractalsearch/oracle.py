@@ -1,6 +1,6 @@
 """Desk-scale ground truth for the backward search.
 
-Three instruments live here:
+Four instruments live here:
 
 * the forward window fixpoint: a breadth-first walk over the distinct
   word-shaped windows of each level, exact on every level and ending in
@@ -13,7 +13,11 @@ Three instruments live here:
   fills of single ancestor boxes);
 * the exhaustive rule-set sweep: the latest first appearance over every
   rule assignment for a small alphabet, searched once per symmetry
-  orbit of rule sets, with re-validated witnesses.
+  orbit of rule sets, with re-validated witnesses;
+* the randomized agreement audit: random small instances run through
+  both the backward search and the forward window walk, checking that
+  their levels agree and that the search's ancestors keep to the
+  paper's bounds and geometry.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from operator import itemgetter
 from typing import ClassVar
 
 from . import bounds
-from .ancestry import AncestrySearcher, LayeredSearch
+from .ancestry import AncestrySearcher, LayeredSearch, first_grounded
 from .core import Grid, RuleSet, check_letters
 from .errors import ResourceLimitError, WitnessError
 from .patterns import (
@@ -504,6 +508,12 @@ _L_SHAPES_MAIN = (frozenset({(0, 0), (1, 0), (1, 1)}),
 _L_SHAPES_ANTI = (frozenset({(0, 1), (1, 0), (1, 1)}),
                   frozenset({(0, 0), (0, 1), (1, 0)}))
 
+# Each kind of audit issue, as :func:`check_instance` keys it, and the
+# :class:`AgreementReport` field that collects it.
+ISSUE_FIELDS = {"mismatch": "mismatches", "bound": "bound_violations",
+                "geometry": "geometry_violations",
+                "confinement": "confinement_violations"}
+
 
 @dataclass(frozen=True)
 class AgreementReport:
@@ -520,8 +530,7 @@ class AgreementReport:
 
     @property
     def clean(self) -> bool:
-        return not (self.mismatches or self.bound_violations
-                    or self.geometry_violations or self.confinement_violations)
+        return not any(getattr(self, name) for name in ISSUE_FIELDS.values())
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "clean": self.clean}
@@ -558,7 +567,7 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
     """
     searcher = AncestrySearcher(rules, l1)
     run = LayeredSearch(searcher, word, direction)
-    res = run.finish()
+    res = first_grounded([run])
     horizon = max(max_level, res.level) if res.found else max_level
     fwd = forward_first_appearance(word, direction, l1, rules, horizon)
 
@@ -566,21 +575,14 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
         return (f"dim={rules.dimension} n={rules.n} rules={rules.text()} "
                 f"l1={l1.text()} word={word} dir={direction.name}")
 
-    issues: dict[str, list[str]] = {
-        "mismatch": [], "bound": [], "geometry": [], "confinement": []}
+    issues: dict[str, list[str]] = {kind: [] for kind in ISSUE_FIELDS}
+    if fwd != res.level:
+        issues["mismatch"].append(
+            f"{desc()}: backward {res.level or 'never'}, forward {fwd}")
+    outcome = "never"
     if res.found:
         outcome = "found" if res.level <= max_level else "beyond"
-        if fwd != res.level:
-            issues["mismatch"].append(
-                f"{desc()}: backward {res.level}, forward {fwd}")
-    else:
-        outcome = "never"
-        if fwd is not None:
-            issues["mismatch"].append(
-                f"{desc()}: backward never, forward {fwd}")
-    if res.found:
-        diagonal = direction in DIAGONALS
-        limit = (bounds.w2(rules.b, rules.n, len(word)) if diagonal
+        limit = (bounds.w2(rules.b, rules.n, len(word)) if direction in DIAGONALS
                  else bounds.w1(rules.b, rules.n, len(word)))
         if res.level > limit:
             issues["bound"].append(f"{desc()}: level {res.level} > bound {limit}")
@@ -618,8 +620,7 @@ def run_agreement(instances: int = 1000, seed: int = 2013, *,
 
     rng = random.Random(seed)
     tallies = Counter()
-    issue_lists: dict[str, list[str]] = {
-        "mismatch": [], "bound": [], "geometry": [], "confinement": []}
+    issue_lists: dict[str, list[str]] = {kind: [] for kind in ISSUE_FIELDS}
     for _ in range(instances):
         rules, l1, word, direction = random_instance(rng, b)
         got = check_instance(rules, l1, word, direction, max_level=max_level)
@@ -631,8 +632,5 @@ def run_agreement(instances: int = 1000, seed: int = 2013, *,
         found_both=tallies["found"],
         never_both=tallies["never"],
         beyond_horizon=tallies["beyond"],
-        mismatches=tuple(issue_lists["mismatch"]),
-        bound_violations=tuple(issue_lists["bound"]),
-        geometry_violations=tuple(issue_lists["geometry"]),
-        confinement_violations=tuple(issue_lists["confinement"]),
+        **{name: tuple(issue_lists[kind]) for kind, name in ISSUE_FIELDS.items()},
     )

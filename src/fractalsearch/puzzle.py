@@ -97,10 +97,13 @@ class SolveReport:
     patterns_seen: int
 
 
-def normalize_word(raw: str) -> str:
-    """Uppercase and drop everything that is not a letter
-    (``LEVY DRAGON`` -> ``LEVYDRAGON``, ``T-SQUARE`` -> ``TSQUARE``)."""
-    word = "".join(ch for ch in raw if ch.isalpha()).upper()
+def normalize_word(raw: str, letters: tuple[str, ...]) -> str:
+    """The word of a ``[words]`` entry over the alphabet ``letters``: its
+    alphabet letters as written, any other letter or digit uppercased
+    (to name a letter or fail the load), the rest dropped (``LEVY
+    DRAGON`` -> ``LEVYDRAGON``, ``T-SQUARE`` -> ``TSQUARE``)."""
+    word = "".join(ch if ch in letters else ch.upper()
+                   for ch in raw if ch in letters or ch.isalnum())
     if not word:
         raise ValueError(f"word entry {raw!r} has no letters")
     return word
@@ -116,7 +119,7 @@ def load_puzzle(path: str) -> PuzzleSpec:
     words: list[str] = []
     for lineno, line in sections["words"]:
         try:
-            word = normalize_word(line)
+            word = normalize_word(line, rules.letters)
             check_letters(word, rules, f"word {word!r}")
         except (ValueError, UnknownLetterError) as exc:
             raise PuzzleFormatError(str(exc), lineno) from None
@@ -201,7 +204,7 @@ def _place_word(searcher: AncestrySearcher, spec: PuzzleSpec, raw: str,
             run = LayeredSearch(searcher, word, d)
             runs.setdefault(run.target, run)
     result = first_grounded(list(runs.values()))
-    if result is None:
+    if not result.found:
         raise SolveError(
             f"word {word!r} cannot appear on any level for this start grid")
     placement = _placement(spec, raw, result)

@@ -375,7 +375,7 @@ class TestSettledProducts:
             word = data.draw(st.text(alphabet=rules.letters,
                                      min_size=1, max_size=4))
             run = LayeredSearch(searcher, word, data.draw(st.sampled_from(directions)))
-            run.finish()
+            first_grounded([run])
             links.update(run.links)
         self._check(searcher, links)
         # The last layer's parents are settled here for the first time.
@@ -710,7 +710,15 @@ class TestLockstep:
         assert never.nodes_expanded == 1
 
     def test_all_runs_exhausted_gives_none(self, abc_1d):
-        assert first_grounded(self.runs(abc_1d, "A", "CC", "BBAC")) is None
+        """No run grounds: the answer is the first run's never-result."""
+        runs = self.runs(abc_1d, "A", "CC", "BBAC")
+        res = first_grounded(runs)
+        assert not res.found and res.level is None and res.ancestor is None
+        assert (res.word, res.target, res.max_depth) == \
+            ("CC", runs[0].target, runs[0].depth)
+        assert res.nodes_expanded == sum(r.nodes_expanded for r in runs)
+        assert res.patterns_seen == sum(len(r.links) for r in runs)
+        assert res.nodes_expanded > runs[0].nodes_expanded
 
     def test_depth_cap_raises_with_the_search_effort(self, abc_1d):
         runs = self.runs(abc_1d, "A", "CACABA", "CC")
@@ -830,11 +838,11 @@ class TestWitnessCoordinates:
     def test_inconsistent_chain_is_rejected_at_construction(self, abc_1d):
         import dataclasses
 
-        from fractalsearch.errors import WitnessError
-
         res = first_appearance("CAB", Direction.E, Grid.from_text("A"), abc_1d)
-        with pytest.raises(WitnessError):
+        # The level is read off the chain, so no result can disagree with it.
+        with pytest.raises(TypeError):
             dataclasses.replace(res, level=2)
+        assert res.level == len(res.offsets) + 1
 
 
 class TestAncestorTree:

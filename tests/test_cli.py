@@ -9,6 +9,8 @@ import pytest
 
 from fractalsearch import ancestry, core, oracle
 from fractalsearch.cli import main
+from fractalsearch.files import load_rules
+from fractalsearch.patterns import Direction
 
 RULES_1D = "src/fractalsearch/data/abc_1d.rules"
 RULES_2D = "src/fractalsearch/data/abc_2d.rules"
@@ -60,6 +62,14 @@ class TestSearch:
         data = json.loads(out)
         assert data["level"] == 4
         assert [a[0] for a in data["addresses"]] == [4, 4, 4]
+
+    def test_json_payload_of_a_never_word(self, capsys):
+        code, out, _ = run(capsys, "search", "--rules", RULES_1D, "--l1", "A",
+                           "--word", "CC", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "word": "CC", "direction": "E", "found": False, "level": None,
+            "nodes_expanded": 1, "patterns_seen": 1, "fixpoint_depth": 0}
 
     def test_depth_cap_exit_code_is_resource(self, capsys):
         code, _, err = run(capsys, "search", "--rules", RULES_1D, "--l1", "A",
@@ -151,6 +161,16 @@ class TestOracle:
                            "--format", "json")
         assert json.loads(out)["global_max"] == 4
 
+    def test_sweep_csv(self, capsys):
+        code, out, _ = run(capsys, "oracle", "sweep", "--n", "2",
+                           "--format", "csv")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "ruleset_index,max_level"
+        levels = oracle.sweep_max_latest(2).per_ruleset_max
+        assert rows == [f"{idx},{level}" for idx, level in enumerate(levels)]
+        assert len(rows) == 16 and max(levels) == 4
+
     def test_failed_revalidation_exits_one(self, capsys, monkeypatch):
         real = oracle.forward_first_appearance
         monkeypatch.setattr(oracle, "forward_first_appearance",
@@ -227,6 +247,18 @@ class TestTree:
                            "--word", "CAB", "--format", "dot")
         assert code == 0
         assert out.startswith("digraph") and '"BA"' in out
+
+    def test_json_output(self, capsys):
+        code, out, _ = run(capsys, "tree", "--rules", RULES_2D, "--l1", "AB/CA",
+                           "--word", "BBAC", "--format", "json")
+        assert code == 0
+        tree = json.loads(out)
+        assert tree == ancestry.ancestor_tree(
+            "BBAC", Direction.E, load_rules(RULES_2D),
+            core.Grid.from_text("AB/CA")).to_dict()
+        assert (tree["pattern"], tree["depth"], tree["status"]) == \
+            ("BBAC", 0, "interior")
+        assert [child["pattern"] for child in tree["children"]] == ["CB"]
 
     def test_text_output_shows_statuses(self, capsys):
         code, out, _ = run(capsys, "tree", "--rules", RULES_1D,

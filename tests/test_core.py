@@ -259,6 +259,16 @@ class TestLetterAt:
         assert letter_at(l1, rules, CellAddress(level, r, c)) == full.letter(r, c)
 
 
+@pytest.mark.parametrize("use", [
+    lambda l1, rules: AncestrySearcher(rules, l1),
+    lambda l1, rules: letter_at(l1, rules, CellAddress(2, 1, 1)),
+    lambda l1, rules: forward_first_appearance("A", Direction.E, l1, rules, 2),
+], ids=["searcher", "letter_at", "forward_first_appearance"])
+def test_start_grid_must_be_tagged_level_one(abc_1d, use):
+    with pytest.raises(ValueError, match="start grid must be tagged level 1"):
+        use(Grid.from_text("AB", level=2), abc_1d)
+
+
 class TestAddressing:
     def test_block_range_small(self, abc_2d):
         assert descendant_block_range((1, 1), 2, abc_2d) == ((1, 2), (1, 2))

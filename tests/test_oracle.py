@@ -133,15 +133,22 @@ class TestForwardFirstAppearance:
                                        abc_2d, 30)
         assert got == 3
 
-    def test_rauzy_is_on_level_86(self, puzzle_path):
-        """The puzzle's deepest word: on level 86 and on no level before."""
-        from fractalsearch.puzzle import load_puzzle
+    def test_placed_levels_are_first_levels_forward(self, puzzle_path):
+        """The forward walk proves the solver's level of the 28 words it
+        places on levels 1-4 and of RAUZY on level 86: read in some
+        direction by that level, and in none before it.  LEVYDRAGON (6),
+        ESCAPE (15) and DIMENSION (17) are left out: their walks take
+        seconds each."""
+        from fractalsearch.puzzle import load_puzzle, solve
 
         spec = load_puzzle(puzzle_path)
-        assert forward_first_appearance("RAUZY", Direction.NW, spec.l1,
-                                        spec.rules, 100) == 86
-        assert forward_first_appearance("RAUZY", Direction.NW, spec.l1,
-                                        spec.rules, 85) is None
+        placed = {p.word: p.level for p in solve(spec).placements
+                  if p.level <= 4 or p.word == "RAUZY"}
+        assert len(placed) == 29 and placed["RAUZY"] == 86
+        for word, level in placed.items():
+            got = (forward_first_appearance(word, d, spec.l1, spec.rules, level)
+                   for d in Direction)
+            assert min((g for g in got if g is not None), default=None) == level, word
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -228,6 +235,13 @@ class TestLatestFirstAppearance:
         # A pair cannot sit inside a one-cell start grid, so the
         # adversarial setup delays it to level 2 (= the pair bound n*n+1).
         assert latest_level("AA", Direction.E, rules) == 2
+
+    def test_fill_cap_is_enforced(self, abc_2d, monkeypatch):
+        # AA read SE has the ancestor A*/*A, whose two holes take 9 fills.
+        monkeypatch.setattr(oracle, "FILL_CAP", 8)
+        with pytest.raises(ResourceLimitError,
+                           match=r"9 fills of 'A\*/\*A' exceed cap 8"):
+            latest_with_searcher(AncestrySearcher(abc_2d), "AA", Direction.SE)
 
     def test_respects_straight_bound(self, abc_1d):
         for word in ("A", "B", "AB", "CA", "CAB"):
@@ -621,6 +635,33 @@ class TestAgreementHarness:
         assert got["issues"]["mismatch"] == [
             "dim=1 n=4 rules=A>AB;B>CC;C>DD;D>BA l1=B word=BB dir=E: "
             "backward 13, forward None"]
+
+    def test_forward_level_for_a_never_word_is_a_mismatch(self, abc_1d,
+                                                          monkeypatch):
+        monkeypatch.setattr(oracle, "forward_first_appearance",
+                            lambda *args: 1)
+        got = check_instance(abc_1d, Grid.from_text("A"), "CC", Direction.E)
+        assert got["outcome"] == "never"
+        assert got["issues"]["mismatch"] == [
+            f"dim=1 n=3 rules={abc_1d.text()} l1=A word=CC dir=E: "
+            "backward never, forward 1"]
+
+    @pytest.mark.parametrize("bound, dimension, word, direction, level", [
+        ("w1", 1, "CAB", Direction.E, 4),
+        ("w2", 2, "BB", Direction.SE, 3),
+    ])
+    def test_level_over_its_bound_is_a_bound_issue(
+            self, abc_1d, abc_2d, monkeypatch, bound, dimension, word,
+            direction, level):
+        rules = abc_1d if dimension == 1 else abc_2d
+        monkeypatch.setattr(oracle.bounds, bound, lambda b, n, length: level - 1)
+        got = check_instance(rules, Grid.from_text("A"), word, direction)
+        desc = (f"dim={dimension} n=3 rules={rules.text()} l1=A word={word} "
+                f"dir={direction.name}")
+        assert got["outcome"] == "found"
+        assert got["issues"]["bound"] == [
+            f"{desc}: level {level} > bound {level - 1}"]
+        assert not got["issues"]["mismatch"]
 
     def test_oversized_parent_is_a_geometry_issue(self, abc_2d, monkeypatch):
         # AB is in the start grid, so the search stops at depth 0 and the

@@ -62,19 +62,25 @@ C = BB
 """
 
 
+AZ = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+
 class TestNormalizeWord:
     def test_strips_spaces(self):
-        assert normalize_word("LEVY DRAGON") == "LEVYDRAGON"
+        assert normalize_word("LEVY DRAGON", AZ) == "LEVYDRAGON"
 
     def test_strips_hyphens(self):
-        assert normalize_word("T-SQUARE") == "TSQUARE"
+        assert normalize_word("T-SQUARE", AZ) == "TSQUARE"
 
     def test_uppercases(self):
-        assert normalize_word("abc") == "ABC"
+        assert normalize_word("abc", AZ) == "ABC"
 
     def test_rejects_letterless_entries(self):
         with pytest.raises(ValueError):
-            normalize_word("1234 --")
+            normalize_word("-- !? .", AZ)
+
+    def test_keeps_alphabet_letters_as_written(self):
+        assert normalize_word("a1-b", ("a", "1", "b")) == "a1b"
 
 
 class TestLoadPuzzle:
@@ -106,6 +112,28 @@ A
         with pytest.raises(Exception) as err:
             load_puzzle(path)
         assert "divisible" in str(err.value)
+
+    def test_word_with_digits_fails_with_its_line(self, tmp_path):
+        body = ABC_1D_HEADER + "[grid]\nAB\n[words]\nAB\nBA 22\n"
+        with pytest.raises(PuzzleFormatError) as err:
+            load_puzzle(write_puzzle(tmp_path, body))
+        assert err.value.line == body.splitlines().index("BA 22") + 1
+
+    def test_digit_letters_of_the_alphabet_stay_in_words(self, tmp_path):
+        path = write_puzzle(tmp_path, """
+[alphabet]
+A = A1
+1 = BA
+B = 1B
+[grid]
+A1B
+[words]
+A1B
+""")
+        spec = load_puzzle(path)
+        assert spec.words == ("A1B",)
+        (placement,) = solve(spec).placements
+        assert (placement.level, placement.direction) == (1, Direction.E)
 
     def test_word_outside_alphabet_fails_with_line(self, tmp_path):
         path = write_puzzle(tmp_path, ABC_1D_HEADER + """
@@ -235,6 +263,25 @@ E
         spec = load_puzzle(path)
         assert solve(spec).message == "AAB"
         assert solve(spec, cross_all=True).message == "AA"
+
+    def test_text_report_prints_the_raw_window(self, tmp_path):
+        # The level sum is 1, so the marker's block is the marker cell
+        # alone: too small for a marker-shaped reading.
+        path = write_puzzle(tmp_path, """
+[alphabet]
+A = AX
+X = XA
+[grid]
+AXA
+[words]
+AX
+[directions]
+E
+""")
+        report = solve(load_puzzle(path))
+        assert report.answer is not None and not report.answer.found
+        assert "\nno marker-shaped answer found; raw window:\n  AXA\n" in \
+            report_to_text(report)
 
     def test_placements_self_verify(self, tmp_path):
         spec = load_puzzle(write_puzzle(tmp_path, ABC_2D_PUZZLE))
