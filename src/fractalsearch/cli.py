@@ -52,9 +52,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _add_common(sp, *, rules=True, l1=False, grid=False, fmt=("text", "json")):
-    if rules:
-        sp.add_argument("--rules", required=True, help="rules file")
+def _add_common(sp, *, l1=False, grid=False, fmt=("text", "json")):
+    sp.add_argument("--rules", required=True, help="rules file")
     if l1:
         sp.add_argument("--l1", required=True,
                         help="level-1 grid, inline (A or AB/CB) or @FILE")
@@ -82,12 +81,12 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("search", help="earliest level of a word or pattern")
     _add_common(sp, l1=True)
-    sp.add_argument("--word", default=None)
+    target = sp.add_mutually_exclusive_group(required=True)
+    target.add_argument("--word")
+    target.add_argument("--pattern",
+                        help="letter/wildcard pattern like C**/*A*/**T")
     sp.add_argument("--direction", default="E",
                     choices=[d.name for d in Direction])
-    sp.add_argument("--pattern", default=None,
-                    help="letter/wildcard pattern like C**/*A*/**T "
-                         "(alternative to --word)")
     sp.add_argument("--depth-cap", type=_int_at_least(0), default=None)
     sp.add_argument("--expect-found", action="store_true",
                     help="exit 1 when the word can never appear")
@@ -171,10 +170,6 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if (args.word is None) == (args.pattern is None):
-        print("search: exactly one of --word / --pattern is required",
-              file=sys.stderr)
-        return USAGE_EXIT
     rules = load_rules(args.rules)
     l1 = grid_argument(args.l1)
     if args.pattern is not None:

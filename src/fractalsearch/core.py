@@ -189,14 +189,11 @@ def expand(grid: Grid, rules: RuleSet, steps: int = 1) -> Grid:
     if rows * cols > EXPAND_CELL_CAP:
         raise ResourceLimitError(
             f"{steps} steps give {rows * cols} cells, over the cap {EXPAND_CELL_CAP}")
-    lines = list(grid.lines())
+    tables = [str.maketrans({ch: block[br] for ch, block in rules.rules.items()})
+              for br in range(rules.rule_rows)]
+    lines = grid.lines()
     for _ in range(steps):
-        nxt: list[str] = []
-        for line in lines:
-            blocks = [rules.rules[ch] for ch in line]
-            for br in range(rules.rule_rows):
-                nxt.append("".join(block[br] for block in blocks))
-        lines = nxt
+        lines = [line.translate(table) for line in lines for table in tables]
     return Grid(rows, cols, "".join(lines), grid.level + steps)
 
 

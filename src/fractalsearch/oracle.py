@@ -375,7 +375,8 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Outcome of an exhaustive rule-set sweep."""
+    """Outcome of an exhaustive rule-set sweep; ``per_ruleset_max`` and
+    :meth:`histogram` cover the searched directions only."""
 
     n: int
     b: int
@@ -418,7 +419,10 @@ class SweepReport:
 def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
                      word_len_cap: int = 2, *, jobs: int = 1) -> SweepReport:
     """Global latest first-appearance level over every rule assignment
-    for an n-letter alphabet, all words up to ``word_len_cap``.
+    for an n-letter alphabet, all words up to ``word_len_cap`` read E
+    (1D) or E and SE (2D).  Reversal, and transposing or mirroring every
+    block, carry the per-length maxima to all eight directions, but not
+    a rule set's own maximum: in 2D its S or SW words may appear later.
 
     Only the smallest index of each symmetry orbit (see
     :func:`_sweep_orbits`) is searched; its maximum is copied to every
@@ -503,11 +507,6 @@ AUDIT_B = 2
 AUDIT_MAX_SIDE = 4
 AUDIT_MAX_WORD = 4
 
-_L_SHAPES_MAIN = (frozenset({(0, 0), (1, 0), (1, 1)}),
-                  frozenset({(0, 0), (0, 1), (1, 1)}))
-_L_SHAPES_ANTI = (frozenset({(0, 1), (1, 0), (1, 1)}),
-                  frozenset({(0, 0), (0, 1), (1, 0)}))
-
 # Each kind of audit issue, as :func:`check_instance` keys it, and the
 # :class:`AgreementReport` field that collects it.
 ISSUE_FIELDS = {"mismatch": "mismatches", "bound": "bound_violations",
@@ -564,6 +563,8 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
     Returns a dict of issue lists (empty when everything agrees) plus the
     outcome classification.  A backward level past ``max_level`` is
     still checked exactly: the forward route then runs to that level.
+    A diagonal word's ancestors are held to :func:`two_diagonal_support`
+    alone: the paper's 3-letter corners of 2 x 2 boxes are its 2 x 2 case.
     """
     searcher = AncestrySearcher(rules, l1)
     run = LayeredSearch(searcher, word, direction)
@@ -587,24 +588,15 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
         if res.level > limit:
             issues["bound"].append(f"{desc()}: level {res.level} > bound {limit}")
     anti = direction in ANTIDIAGONALS
-    shapes = _L_SHAPES_ANTI if anti else _L_SHAPES_MAIN
     for pat in run.links:
         for q, _ in searcher.parents(pat):
             if (q.rows > bounds.max_parent_len(pat.rows, rules.b)
                     or q.cols > bounds.max_parent_len(pat.cols, rules.b)):
                 issues["geometry"].append(
                     f"{desc()}: parent {q.text()} of {pat.text()} too large")
-        if direction in DIAGONALS:
-            if not two_diagonal_support(pat, anti=anti):
-                issues["confinement"].append(
-                    f"{desc()}: ancestor {pat.text()} off the diagonal band")
-            if pat.rows <= 2 and pat.cols <= 2:
-                concrete = frozenset(
-                    (r, c) for r, c, _ in pat.concrete_cells())
-                if len(concrete) > 3 or (
-                        len(concrete) == 3 and concrete not in shapes):
-                    issues["confinement"].append(
-                        f"{desc()}: bad 2x2 ancestor {pat.text()}")
+        if direction in DIAGONALS and not two_diagonal_support(pat, anti=anti):
+            issues["confinement"].append(
+                f"{desc()}: ancestor {pat.text()} off the diagonal band")
     return {"outcome": outcome, "issues": issues}
 
 

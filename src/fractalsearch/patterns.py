@@ -59,14 +59,9 @@ class Pattern(NamedTuple):
             if ch != WILDCARD:
                 yield i // cols, i % cols, ch
 
-    def lines(self) -> tuple[str, ...]:
-        return tuple(
-            self.cells[i * self.cols:(i + 1) * self.cols] for i in range(self.rows)
-        )
-
-    def text(self) -> str:
-        """Wire form: rows joined by ``/``, wildcard ``*``."""
-        return "/".join(self.lines())
+    # Grid's text forms (rows joined by ``/``) read only rows, cols, cells.
+    lines = Grid.lines
+    text = Grid.text
 
 
 def pattern_from_rows(rows: list[str] | tuple[str, ...]) -> Pattern:
@@ -237,7 +232,8 @@ def occurrences(pattern: Pattern, grid: Grid) -> list[tuple[int, int]]:
 
 def two_diagonal_support(pattern: Pattern, anti: bool = False) -> bool:
     """True iff every concrete cell lies on one of two fixed adjacent
-    diagonals: i-j in {d, d+1} for some d (or i+j for anti-diagonals)."""
+    diagonals: i-j in {d, d+1} for some d (or i+j for anti-diagonals);
+    the paper's 3-letter corners of 2 x 2 boxes are its 2 x 2 case."""
     keys = sorted(
         {r + c if anti else r - c for r, c, _ in pattern.concrete_cells()}
     )

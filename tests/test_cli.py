@@ -84,9 +84,10 @@ class TestSearch:
         assert out.strip() == "level 3"
 
     def test_word_and_pattern_conflict_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "search", "--rules", RULES_1D, "--l1", "A",
-                           "--word", "AB", "--pattern", "AB")
-        assert code == 64
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--rules", RULES_1D, "--l1", "A",
+                  "--word", "AB", "--pattern", "AB"])
+        assert err.value.code == 64
 
 
 class TestExpandContract:
@@ -306,12 +307,14 @@ class TestUsageErrors:
         ["contract", "--rules", RULES_1D, "--grid", "AB", "--steps", "-1"],
         ["contract", "--rules", RULES_1D, "--grid", "AB", "--level", "0"],
         ["oracle", "agree", "--instances", "5", "--b", "1"],
+        # search takes exactly one of --word and --pattern
+        ["search", "--rules", RULES_1D, "--l1", "A"],
     ], ids=["depth-cap", "sweep-jobs", "sweep-n", "sweep-len-cap",
             "search-product-cap", "tree-product-cap", "expand-product-cap",
             "solve-json", "bounds-len-min", "agree-instances-negative",
             "agree-instances-zero", "agree-max-level", "bounds-b", "bounds-n",
             "bounds-len", "sweep-b", "expand-steps", "contract-steps",
-            "contract-level", "agree-b"])
+            "contract-level", "agree-b", "search-no-target"])
     def test_bad_value_exits_64(self, capsys, argv):
         try:
             code = main(argv)

@@ -220,6 +220,27 @@ class TestTwoDiagonalSupport:
         assert two_diagonal_support(pat, anti=True)
         assert not two_diagonal_support(pat)
 
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_rejects_every_layout_the_corner_rule_flags(self, anti):
+        """The paper's 2 x 2 rule, kept here as a reference: an ancestor
+        in a box of at most 2 x 2 cells holds at most three letters, and
+        three only as one of the two corners along the box's diagonal.
+        Every non-empty layout of a 1 x 1 to 2 x 2 box that this rule
+        flags is off the two-diagonal band as well."""
+        corners = (({(0, 1), (1, 0), (1, 1)}, {(0, 0), (0, 1), (1, 0)}) if anti
+                   else ({(0, 0), (1, 0), (1, 1)}, {(0, 0), (0, 1), (1, 1)}))
+        flagged = []
+        for rows, cols in itertools.product((1, 2), repeat=2):
+            for cells in itertools.product(("A", WILDCARD), repeat=rows * cols):
+                pattern = Pattern(rows, cols, "".join(cells))
+                concrete = {(r, c) for r, c, _ in pattern.concrete_cells()}
+                if len(concrete) > 3 or (len(concrete) == 3
+                                         and concrete not in corners):
+                    flagged.append(pattern)
+        assert len(flagged) == 3
+        assert [p.text() for p in flagged
+                if two_diagonal_support(p, anti=anti)] == []
+
 
 class TestWireFormat:
     def test_round_trip(self):
