@@ -75,9 +75,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("contract", help="invert replacement steps")
     _add_common(sp, grid=True)
-    sp.add_argument("--steps", type=_int_at_least(0), default=1)
-    sp.add_argument("--level", type=_int_at_least(1), default=None,
-                    help="level tag of the input grid (default: steps + 1)")
+    sp.add_argument("--steps", type=_int_at_least(0), default=1,
+                    help="an untagged input grid is on level steps + 1")
 
     sp = sub.add_parser("search", help="earliest level of a word or pattern")
     _add_common(sp, l1=True)
@@ -85,8 +84,7 @@ def build_parser() -> _Parser:
     target.add_argument("--word")
     target.add_argument("--pattern",
                         help="letter/wildcard pattern like C**/*A*/**T")
-    sp.add_argument("--direction", default="E",
-                    choices=[d.name for d in Direction])
+    sp.add_argument("--direction", choices=[d.name for d in Direction])
     sp.add_argument("--depth-cap", type=_int_at_least(0), default=None)
     sp.add_argument("--expect-found", action="store_true",
                     help="exit 1 when the word can never appear")
@@ -161,8 +159,7 @@ def _cmd_contract(args) -> int:
     rules = load_rules(args.rules)
     grid = grid_argument(args.grid)
     if grid.level == 1:
-        level = args.level if args.level is not None else args.steps + 1
-        grid = Grid(grid.rows, grid.cols, grid.cells, level)
+        grid = Grid(grid.rows, grid.cols, grid.cells, args.steps + 1)
     for _ in range(args.steps):
         grid = contract_grid(grid, rules)
     _print_grid(grid, args.format)
@@ -173,9 +170,12 @@ def _cmd_search(args) -> int:
     rules = load_rules(args.rules)
     l1 = grid_argument(args.l1)
     if args.pattern is not None:
+        if args.direction is not None:
+            print("search: --direction applies only to --word", file=sys.stderr)
+            return USAGE_EXIT
         word, direction = trim(parse_pattern(args.pattern)).text(), None
     else:
-        word, direction = args.word, Direction[args.direction]
+        word, direction = args.word, Direction[args.direction or "E"]
     result = first_appearance(word, direction, l1, rules, args.depth_cap)
     if args.format == "json":
         payload = {

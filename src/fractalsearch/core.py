@@ -108,7 +108,7 @@ class Grid:
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must be at least 1 x 1")
+            raise ValueError("shape must be at least 1 x 1")
         if len(self.cells) != self.rows * self.cols:
             raise ValueError(
                 f"cell count {len(self.cells)} != {self.rows} x {self.cols}"
@@ -119,10 +119,10 @@ class Grid:
     @classmethod
     def from_rows(cls, rows: list[str] | tuple[str, ...], level: int = 1) -> "Grid":
         if not rows:
-            raise ValueError("grid needs at least one row")
+            raise ValueError("at least one row is needed")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
-            raise ValueError("grid rows must all have the same length")
+            raise ValueError("rows must all have the same length")
         return cls(len(rows), width, "".join(rows), level)
 
     @classmethod

@@ -99,8 +99,6 @@ def parse_grid_section(lines: list[tuple[int, str]]) -> Grid:
         rows.append(line)
     if not rows:
         raise PuzzleFormatError("grid section has no rows", lines[-1][0])
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise PuzzleFormatError("grid rows differ in length", first_row_line)
     try:
         return Grid.from_rows(rows, level or 1)
     except Exception as exc:

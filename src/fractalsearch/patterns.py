@@ -64,18 +64,10 @@ class Pattern(NamedTuple):
     text = Grid.text
 
 
-def pattern_from_rows(rows: list[str] | tuple[str, ...]) -> Pattern:
-    if not rows:
-        raise ValueError("pattern needs at least one row")
-    width = len(rows[0])
-    if width == 0 or any(len(r) != width for r in rows):
-        raise ValueError("pattern rows must be non-empty and equal-length")
-    return Pattern(len(rows), width, "".join(rows))
-
-
 def parse_pattern(text: str) -> Pattern:
-    """Parse the ``C**/*A*/**T`` wire form."""
-    return pattern_from_rows(text.strip().split("/"))
+    """Parse the ``C**/*A*/**T`` wire form as :meth:`Grid.from_text` does."""
+    grid = Grid.from_text(text)
+    return Pattern(grid.rows, grid.cols, grid.cells)
 
 
 def word_cells(word: str, direction: Direction) -> list[tuple[int, int, str]]:
@@ -125,17 +117,13 @@ def trim(pattern: Pattern) -> Pattern:
     c1 = max(c for _, c in concrete)
     if (r0, c0) == (0, 0) and (r1, c1) == (pattern.rows - 1, pattern.cols - 1):
         return pattern
-    lines = pattern.lines()
-    return pattern_from_rows([line[c0:c1 + 1] for line in lines[r0:r1 + 1]])
+    cells = "".join(line[c0:c1 + 1] for line in pattern.lines()[r0:r1 + 1])
+    return Pattern(r1 - r0 + 1, c1 - c0 + 1, cells)
 
 
 def is_trimmed(pattern: Pattern) -> bool:
-    lines = pattern.lines()
-    if set(lines[0]) == {WILDCARD} or set(lines[-1]) == {WILDCARD}:
-        return False
-    first_col = pattern.cells[::pattern.cols]
-    last_col = pattern.cells[pattern.cols - 1::pattern.cols]
-    return set(first_col) != {WILDCARD} and set(last_col) != {WILDCARD}
+    """True iff the pattern has a concrete cell and :func:`trim` keeps it."""
+    return bool(pattern.cells.strip(WILDCARD)) and trim(pattern) is pattern
 
 
 @functools.lru_cache(maxsize=4096)
@@ -225,8 +213,8 @@ class GridIndex:
 
 
 def occurrences(pattern: Pattern, grid: Grid) -> list[tuple[int, int]]:
-    """All 1-indexed top-left positions where the pattern's box fits in
-    the grid and every concrete cell matches, in row-major order."""
+    """All 1-indexed top-left positions, row-major, where the pattern's
+    trimmed box fits in the grid and every concrete cell matches."""
     return GridIndex(grid).positions(trim(pattern))
 
 

@@ -30,7 +30,6 @@ from .patterns import (
     Pattern,
     occurrences,
     parse_pattern,
-    pattern_from_rows,
 )
 
 DEFAULT_MARKER = "X"
@@ -129,17 +128,15 @@ def load_puzzle(path: str) -> PuzzleSpec:
         raise PuzzleFormatError(f"{path}: empty [words] section")
     answer_length = 0
     for i, (lineno, line) in enumerate(sections.get("answer", [])):
-        key, _, value = line.partition("=")
-        if key.strip().lower() != "length":
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key.lower() != "length":
             raise PuzzleFormatError(f"unexpected [answer] line {line!r}", lineno)
         if i:
             raise PuzzleFormatError("repeated answer length", lineno)
         try:
-            answer_length = int(value.strip())
+            answer_length = int(value)
         except ValueError:
             raise PuzzleFormatError(f"bad answer length {value!r}", lineno) from None
-        if answer_length < 0:
-            raise PuzzleFormatError(f"negative answer length {answer_length}", lineno)
         if answer_length % 2 or not 4 <= answer_length <= 4 * ANSWER_WINDOW_RADIUS:
             # the X reading of answer_window needs two diagonals of at
             # least 2 letters inside the 2 * ANSWER_WINDOW_RADIUS window
@@ -267,7 +264,7 @@ def answer_window(spec: PuzzleSpec, target_level: int) -> AnswerWindow:
     box, main diagonal top-down then anti-diagonal bottom-up.  When the
     block is too small for that box the raw window is returned unread.
     """
-    marks = occurrences(pattern_from_rows([DEFAULT_MARKER]), spec.l1)
+    marks = occurrences(parse_pattern(DEFAULT_MARKER), spec.l1)
     if len(marks) != 1:
         raise SolveError(
             f"marker {DEFAULT_MARKER!r} occurs {len(marks)} times on level one,"

@@ -98,6 +98,22 @@ class TestMaxParentLen:
             assert max_parent_len(length, b) < length
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: w1(1, 3, 2), "block side b must be >= 2"),
+    (lambda: w1(2, 0, 2), "alphabet size n must be >= 1"),
+    (lambda: w1(2, 3, 0), "word length must be >= 1"),
+    (lambda: w2(1, 3, 2), "block side b must be >= 2"),
+    (lambda: w2(2, 0, 2), "alphabet size n must be >= 1"),
+    (lambda: w2(2, 3, 0), "word length must be >= 1"),
+    (lambda: max_parent_len(0, 2), "length must be >= 1"),
+    (lambda: max_parent_len(3, 1), "block side b must be >= 2"),
+], ids=["w1-b", "w1-n", "w1-len", "w2-b", "w2-n", "w2-len", "parent-len",
+        "parent-b"])
+def test_rejects_arguments_below_their_minimum(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestBaseBounds:
     """The base shapes' bounds, whatever the block side: a single letter
     n, a straight pair n**2 + 1 and a diagonal pair 2*n**2 + 1."""

@@ -83,6 +83,21 @@ class TestSearch:
         assert code == 0
         assert out.strip() == "level 3"
 
+    def test_direction_with_pattern_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "search", "--rules", RULES_2D, "--l1", "A",
+                             "--pattern", "B*/*B", "--direction", "NW")
+        assert code == 64
+        assert out == "" and "--direction" in err
+
+    @pytest.mark.parametrize("flag, target, message", [
+        ("--pattern", "AB/C", "rows must all have the same length"),
+        ("--word", "A*", "words cannot contain the wildcard symbol"),
+    ], ids=["ragged-pattern", "wildcard-word"])
+    def test_bad_target_is_a_one_line_error(self, capsys, flag, target, message):
+        code, out, err = run(capsys, "search", "--rules", RULES_2D, "--l1", "A",
+                             flag, target)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_word_and_pattern_conflict_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["search", "--rules", RULES_1D, "--l1", "A",
@@ -102,6 +117,18 @@ class TestExpandContract:
                            "--grid", "ABAC/CBBB/BBAC/CCBB", "--steps", "2")
         assert code == 0
         assert out.strip() == "A"
+
+    @pytest.mark.parametrize("tag, level", [("level = 3\n", 2), ("", 1)],
+                             ids=["tagged", "untagged"])
+    def test_contract_takes_the_level_from_the_grid_file(self, capsys, tmp_path,
+                                                         tag, level):
+        path = tmp_path / "demo.grid"
+        path.write_text(f"[grid]\n{tag}ABAC\nCBBB\nBBAC\nCCBB\n")
+        code, out, _ = run(capsys, "contract", "--rules", RULES_2D,
+                           "--grid", f"@{path}", "--steps", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"rows": 2, "cols": 2, "level": level,
+                                   "lines": ["AB", "CB"]}
 
     def test_contract_error_exits_one(self, capsys):
         code, _, err = run(capsys, "contract", "--rules", RULES_1D,
@@ -293,6 +320,8 @@ class TestUsageErrors:
         # removed options: --format json replaces --json, --len replaces --len-min
         ["solve", "src/fractalsearch/data/in_the_details.puzzle", "--json"],
         ["bounds", "--b", "2", "--n", "3", "--len-min", "1"],
+        # the input level is the grid file's level line, or --steps + 1
+        ["contract", "--rules", RULES_1D, "--grid", "AB", "--level", "7"],
         # an audit of nothing is not a clean audit
         ["oracle", "agree", "--instances", "-1", "--format", "json"],
         ["oracle", "agree", "--instances", "0"],
@@ -305,16 +334,15 @@ class TestUsageErrors:
         ["oracle", "sweep", "--n", "2", "--b", "1"],
         ["expand", "--rules", RULES_1D, "--grid", "A", "--steps", "-1"],
         ["contract", "--rules", RULES_1D, "--grid", "AB", "--steps", "-1"],
-        ["contract", "--rules", RULES_1D, "--grid", "AB", "--level", "0"],
         ["oracle", "agree", "--instances", "5", "--b", "1"],
         # search takes exactly one of --word and --pattern
         ["search", "--rules", RULES_1D, "--l1", "A"],
     ], ids=["depth-cap", "sweep-jobs", "sweep-n", "sweep-len-cap",
             "search-product-cap", "tree-product-cap", "expand-product-cap",
-            "solve-json", "bounds-len-min", "agree-instances-negative",
-            "agree-instances-zero", "agree-max-level", "bounds-b", "bounds-n",
-            "bounds-len", "sweep-b", "expand-steps", "contract-steps",
-            "contract-level", "agree-b", "search-no-target"])
+            "solve-json", "bounds-len-min", "contract-level",
+            "agree-instances-negative", "agree-instances-zero",
+            "agree-max-level", "bounds-b", "bounds-n", "bounds-len", "sweep-b",
+            "expand-steps", "contract-steps", "agree-b", "search-no-target"])
     def test_bad_value_exits_64(self, capsys, argv):
         try:
             code = main(argv)

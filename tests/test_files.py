@@ -31,6 +31,11 @@ class TestScanSections:
             scan_sections("A = AB\n[alphabet]\n")
         assert err.value.line == 1
 
+    def test_empty_section_name_is_an_error(self):
+        with pytest.raises(PuzzleFormatError, match="empty section name") as err:
+            scan_sections("[alphabet]\nA = AB\n[]\n")
+        assert err.value.line == 3
+
     def test_duplicate_section_is_an_error(self):
         with pytest.raises(PuzzleFormatError) as err:
             scan_sections("[grid]\nAB\n[grid]\nCD\n")
@@ -68,6 +73,12 @@ class TestParseRules:
         assert (got.letters, got.b, got.dimension) == \
             (rules.letters, rules.b, rules.dimension)
 
+    @pytest.mark.parametrize("line", ["A =", "A = AB//BA", "A = AB/"])
+    def test_empty_replacement_row_rejected_with_line(self, line):
+        with pytest.raises(PuzzleFormatError, match="empty replacement row") as err:
+            parse_rules_section([(1, "B = BA"), (2, line)])
+        assert err.value.line == 2
+
     def test_duplicate_letter_rejected(self):
         with pytest.raises(PuzzleFormatError) as err:
             parse_rules_section([(1, "A = AB"), (2, "A = BA")])
@@ -90,6 +101,12 @@ class TestParseGrid:
         with pytest.raises(PuzzleFormatError) as err:
             parse_grid_section([(4, "AB"), (5, "A")])
         assert err.value.line == 4
+        assert str(err.value) == "line 4: rows must all have the same length"
+
+    def test_level_line_alone_has_no_rows(self):
+        with pytest.raises(PuzzleFormatError, match="no rows") as err:
+            parse_grid_section([(7, "level = 2")])
+        assert err.value.line == 7
 
     def test_bad_level_value(self):
         with pytest.raises(PuzzleFormatError):

@@ -109,6 +109,11 @@ class TestForwardFirstAppearance:
                                        spec.rules, 1)
         assert got == 1
 
+    def test_rejects_a_max_level_below_one(self, abc_1d):
+        with pytest.raises(ValueError, match="max_level must be >= 1"):
+            forward_first_appearance("AB", Direction.E, Grid.from_text("A"),
+                                     abc_1d, 0)
+
     def test_rejects_foreign_letters(self, abc_1d):
         with pytest.raises(UnknownLetterError):
             forward_first_appearance("AX", Direction.E, Grid.from_text("A"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +16,6 @@ from fractalsearch.patterns import (
     is_trimmed,
     occurrences,
     parse_pattern,
-    pattern_from_rows,
     trim,
     two_diagonal_support,
     word_cells,
@@ -106,6 +106,26 @@ class TestTrim:
         with pytest.raises(ValueError):
             trim(parse_pattern("**/**"))
 
+    def test_is_trimmed_agrees_with_a_border_scan(self):
+        """``is_trimmed`` asks whether ``trim`` keeps the pattern; the
+        reference scans the border instead: a pattern is trimmed when its
+        first and last rows and columns each hold a concrete cell."""
+        def border_scan(pattern):
+            lines = pattern.lines()
+            columns = ["".join(line[c] for line in lines)
+                       for c in (0, pattern.cols - 1)]
+            return all(set(side) != {WILDCARD}
+                       for side in (lines[0], lines[-1], *columns))
+
+        count = 0
+        for rows, cols in itertools.product((1, 2, 3), repeat=2):
+            for cells in itertools.product(("A", "B", WILDCARD),
+                                           repeat=rows * cols):
+                pattern = Pattern(rows, cols, "".join(cells))
+                assert is_trimmed(pattern) == border_scan(pattern), pattern
+                count += 1
+        assert count == 21297
+
     def test_preserves_concrete_offsets(self):
         pat = parse_pattern("****/*AB*/***C/****")
         cells = {(r, c): ch for r, c, ch in pat.concrete_cells()}
@@ -117,7 +137,7 @@ class TestTrim:
 class TestOccurrences:
     def test_counts_single_letters(self):
         g = Grid.from_text("ABAC/CBBB")
-        assert occurrences(pattern_from_rows(["B"]), g) == [(1, 2), (2, 2), (2, 3), (2, 4)]
+        assert occurrences(parse_pattern("B"), g) == [(1, 2), (2, 2), (2, 3), (2, 4)]
 
     def test_absent_pair(self, abc_1d):
         g = expand(Grid.from_text("A"), abc_1d, 3)
@@ -132,7 +152,7 @@ class TestOccurrences:
         from fractalsearch.puzzle import load_puzzle
 
         spec = load_puzzle(puzzle_path)
-        assert occurrences(pattern_from_rows(["X"]), spec.l1) == [(9, 12)]
+        assert occurrences(parse_pattern("X"), spec.l1) == [(9, 12)]
 
     def test_box_must_fit_entirely(self):
         # Interior wildcards cannot be trimmed away, so the 1 x 3 box
@@ -148,7 +168,7 @@ class TestOccurrences:
         rules = data.draw(rule_sets())
         grid = data.draw(grids_for(rules))
         letter = data.draw(st.sampled_from(rules.letters))
-        got = occurrences(pattern_from_rows([letter]), grid)
+        got = occurrences(parse_pattern(letter), grid)
         assert len(got) == grid.cells.count(letter)
 
     @settings(max_examples=40, deadline=None)
@@ -180,6 +200,8 @@ class TestOccurrences:
             ch if ch == WILDCARD else tuple(sorted(
                 {ch} | set(data.draw(st.text(alphabet="ABCD", max_size=3)))))
             for ch in pattern.cells)
+        # the reference below scans every member, so keep the product small
+        assume(math.prod(map(len, sets)) <= 4096)
         index = GridIndex(grid)
         got = index.starts_any(Pattern(pattern.rows, pattern.cols, sets))
         want = 0
@@ -251,8 +273,16 @@ class TestWireFormat:
         assert len(list(parse_pattern("C**/*A*/**T").concrete_cells())) == 3
 
     def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rows must all have the same length"):
             parse_pattern("AB/A")
+
+    @pytest.mark.parametrize("text", ["A//B", "", "/"])
+    def test_rejects_exactly_what_a_grid_rejects(self, text):
+        with pytest.raises(ValueError) as grid_error:
+            Grid.from_text(text)
+        with pytest.raises(ValueError) as pattern_error:
+            parse_pattern(text)
+        assert str(pattern_error.value) == str(grid_error.value)
 
     def test_pattern_is_hashable_value(self):
         assert parse_pattern("AB") == Pattern(1, 2, "AB")

@@ -147,7 +147,8 @@ ABQ
         assert err.value.line is not None
 
     @pytest.mark.parametrize("answer, bad_line, message", [
-        ("length = -4", "length = -4", "negative answer length -4"),
+        ("length = -4", "length = -4",
+         "answer length -4 is not an even number from 4 to 16"),
         ("length = 8\nlength = 6", "length = 6", "repeated answer length"),
         ("length = 0", "length = 0",
          "answer length 0 is not an even number from 4 to 16"),
@@ -157,7 +158,10 @@ ABQ
          "answer length 7 is not an even number from 4 to 16"),
         ("length = 18", "length = 18",
          "answer length 18 is not an even number from 4 to 16"),
-    ], ids=["negative", "repeated", "zero", "two", "odd", "too-long"])
+        ("size = 8", "size = 8", "unexpected [answer] line 'size = 8'"),
+        ("length = eight", "length = eight", "bad answer length 'eight'"),
+    ], ids=["negative", "repeated", "zero", "two", "odd", "too-long", "other-key",
+            "not-a-number"])
     def test_bad_answer_length_fails_with_line(self, tmp_path, answer, bad_line,
                                                message):
         body = ABC_1D_HEADER + "[grid]\nAB\n[words]\nAB\n[answer]\n" + answer + "\n"
@@ -166,6 +170,23 @@ ABQ
             load_puzzle(path)
         assert err.value.line == body.splitlines().index(bad_line) + 1
         assert str(err.value) == f"line {err.value.line}: {message}"
+
+    @pytest.mark.parametrize("tail, section", [
+        ("", "[words]"),
+        ("AB\n[directions]\n,\n", "[directions]"),
+    ], ids=["words", "directions"])
+    def test_empty_section_fails_naming_it(self, tmp_path, tail, section):
+        path = write_puzzle(tmp_path, ABC_1D_HEADER + "[grid]\nAB\n[words]\n" + tail)
+        with pytest.raises(PuzzleFormatError) as err:
+            load_puzzle(path)
+        assert str(err.value) == f"{path}: empty {section} section"
+
+    def test_unknown_direction_fails_with_line(self, tmp_path):
+        body = ABC_1D_HEADER + "[grid]\nAB\n[words]\nAB\n[directions]\nE, UP\n"
+        with pytest.raises(PuzzleFormatError) as err:
+            load_puzzle(write_puzzle(tmp_path, body))
+        assert err.value.line == body.splitlines().index("E, UP") + 1
+        assert str(err.value) == f"line {err.value.line}: unknown direction 'UP'"
 
     @pytest.mark.parametrize("length", [4, 16])
     def test_answer_length_range_ends_load(self, tmp_path, length):
