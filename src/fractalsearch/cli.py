@@ -76,7 +76,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("contract", help="invert replacement steps")
     _add_common(sp, grid=True)
     sp.add_argument("--steps", type=_int_at_least(0), default=1,
-                    help="an untagged input grid is on level steps + 1")
+                    help="an untagged or level 1 input grid is on level steps + 1")
 
     sp = sub.add_parser("search", help="earliest level of a word or pattern")
     _add_common(sp, l1=True)
@@ -167,12 +167,12 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.pattern is not None and args.direction is not None:
+        print("search: --direction applies only to --word", file=sys.stderr)
+        return USAGE_EXIT
     rules = load_rules(args.rules)
     l1 = grid_argument(args.l1)
     if args.pattern is not None:
-        if args.direction is not None:
-            print("search: --direction applies only to --word", file=sys.stderr)
-            return USAGE_EXIT
         word, direction = trim(parse_pattern(args.pattern)).text(), None
     else:
         word, direction = args.word, Direction[args.direction or "E"]

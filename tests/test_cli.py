@@ -83,8 +83,11 @@ class TestSearch:
         assert code == 0
         assert out.strip() == "level 3"
 
-    def test_direction_with_pattern_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "search", "--rules", RULES_2D, "--l1", "A",
+    @pytest.mark.parametrize("rules", [RULES_2D, "missing.rules"],
+                             ids=["rules", "missing-rules"])
+    def test_direction_with_pattern_is_usage_error(self, capsys, rules):
+        # refused before any file is read, as bounds --len-max is
+        code, out, err = run(capsys, "search", "--rules", rules, "--l1", "A",
                              "--pattern", "B*/*B", "--direction", "NW")
         assert code == 64
         assert out == "" and "--direction" in err

@@ -200,14 +200,26 @@ class TestOccurrences:
             ch if ch == WILDCARD else tuple(sorted(
                 {ch} | set(data.draw(st.text(alphabet="ABCD", max_size=3)))))
             for ch in pattern.cells)
-        # the reference below scans every member, so keep the product small
-        assume(math.prod(map(len, sets)) <= 4096)
         index = GridIndex(grid)
         got = index.starts_any(Pattern(pattern.rows, pattern.cols, sets))
+        # A start matches some member exactly when every concrete cell's
+        # grid letter is in that cell's set.
+        lines = grid.lines()
         want = 0
-        for combo in itertools.product(*sets):
-            want |= index.starts(Pattern(pattern.rows, pattern.cols, "".join(combo)))
+        for r in range(grid.rows - pattern.rows + 1):
+            for c in range(grid.cols - pattern.cols + 1):
+                if all(key == WILDCARD
+                       or lines[r + i // pattern.cols][c + i % pattern.cols] in key
+                       for i, key in enumerate(sets)):
+                    want |= 1 << r * grid.cols + c
         assert got == want
+        # Small products are also checked member by member.
+        if math.prod(map(len, sets)) <= 4096:
+            members = 0
+            for combo in itertools.product(*sets):
+                members |= index.starts(
+                    Pattern(pattern.rows, pattern.cols, "".join(combo)))
+            assert got == members
         assert index.starts(pattern) == GridIndex(grid).starts(pattern)
 
 
