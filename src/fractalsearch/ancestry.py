@@ -38,6 +38,7 @@ from .patterns import (
     Pattern,
     is_trimmed,
     parse_pattern,
+    to_json,
     word_cells,
     word_to_pattern,
 )
@@ -547,14 +548,6 @@ class TreeNode:
     status: str = "interior"
     children: list["TreeNode"] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "pattern": self.pattern.text(),
-            "depth": self.depth,
-            "status": self.status,
-            "children": [child.to_dict() for child in self.children],
-        }
-
 
 def ancestor_tree(word: str, direction: Direction, rules: RuleSet,
                   l1: Grid | None = None) -> TreeNode:
@@ -602,7 +595,7 @@ def ancestor_tree(word: str, direction: Direction, rules: RuleSet,
 
 
 def tree_to_json(root: TreeNode) -> str:
-    return json.dumps(root.to_dict(), indent=TREE_JSON_INDENT)
+    return json.dumps(to_json(root), indent=TREE_JSON_INDENT)
 
 
 def tree_to_dot(root: TreeNode) -> str:

@@ -23,10 +23,9 @@ from .ancestry import (
 from .core import Grid, expand as expand_grid, contract as contract_grid
 from .errors import FractalSearchError, ResourceLimitError, UnresolvedSearchError
 from .files import grid_argument, load_rules
-from .patterns import Direction, parse_pattern, trim
+from .patterns import Direction, parse_pattern, to_json, trim
 from .puzzle import (
     load_puzzle,
-    report_to_json_dict,
     report_to_text,
     solve as solve_puzzle,
 )
@@ -76,7 +75,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("contract", help="invert replacement steps")
     _add_common(sp, grid=True)
     sp.add_argument("--steps", type=_int_at_least(0), default=1,
-                    help="an untagged or level 1 input grid is on level steps + 1")
+                    help="an untagged input grid is on level steps + 1")
 
     sp = sub.add_parser("search", help="earliest level of a word or pattern")
     _add_common(sp, l1=True)
@@ -157,9 +156,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_contract(args) -> int:
     rules = load_rules(args.rules)
-    grid = grid_argument(args.grid)
-    if grid.level == 1:
-        grid = Grid(grid.rows, grid.cols, grid.cells, args.steps + 1)
+    grid = grid_argument(args.grid, args.steps + 1)
     for _ in range(args.steps):
         grid = contract_grid(grid, rules)
     _print_grid(grid, args.format)
@@ -180,22 +177,19 @@ def _cmd_search(args) -> int:
     if args.format == "json":
         payload = {
             "word": result.word,
-            "direction": result.direction.name if result.direction else None,
+            "direction": result.direction,
             "found": result.found,
             "level": result.level,
             "nodes_expanded": result.nodes_expanded,
             "patterns_seen": result.patterns_seen,
         }
         if result.found:
-            payload["ancestor"] = result.ancestor.text()
-            payload["anchor"] = list(result.anchor)
-            payload["addresses"] = [
-                [a.level, a.row, a.col]
-                for a in witness_coordinates(result, l1, rules)
-            ]
+            payload["ancestor"] = result.ancestor
+            payload["anchor"] = result.anchor
+            payload["addresses"] = witness_coordinates(result, l1, rules)
         else:
             payload["fixpoint_depth"] = result.max_depth
-        print(json.dumps(payload))
+        print(json.dumps(to_json(payload)))
     elif result.found:
         print(f"level {result.level}")
     else:
@@ -269,7 +263,7 @@ def _cmd_solve(args) -> int:
     spec = load_puzzle(args.puzzle)
     report = solve_puzzle(spec, cross_all=args.cross_all)
     if args.format == "json":
-        print(json.dumps(report_to_json_dict(report)))
+        print(json.dumps(to_json(report)))
     else:
         print(report_to_text(report))
     if args.tree_dir:

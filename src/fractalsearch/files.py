@@ -74,10 +74,11 @@ def parse_rules_section(lines: list[tuple[int, str]]) -> RuleSet:
         raise PuzzleFormatError(str(exc), lines[0][0]) from exc
 
 
-def parse_grid_section(lines: list[tuple[int, str]]) -> Grid:
+def parse_grid_section(lines: list[tuple[int, str]], level: int = 1) -> Grid:
+    """Rows and an optional ``level = k`` line; untagged, on ``level``."""
     if not lines:
         raise PuzzleFormatError("empty [grid] section")
-    level = None
+    tag = None
     rows: list[str] = []
     first_row_line = None
     for lineno, line in lines:
@@ -85,14 +86,14 @@ def parse_grid_section(lines: list[tuple[int, str]]) -> Grid:
             key, value = (part.strip() for part in line.split("=", 1))
             if key.lower() != "level":
                 raise PuzzleFormatError(f"unexpected key {key!r} in [grid]", lineno)
-            if level is not None:
+            if tag is not None:
                 raise PuzzleFormatError("repeated level line", lineno)
             try:
-                level = int(value)
+                tag = int(value)
             except ValueError:
                 raise PuzzleFormatError(f"bad level value {value!r}", lineno) from None
-            if level < 1:
-                raise PuzzleFormatError(f"level tag must be >= 1, got {level}", lineno)
+            if tag < 1:
+                raise PuzzleFormatError(f"level tag must be >= 1, got {tag}", lineno)
             continue
         if first_row_line is None:
             first_row_line = lineno
@@ -100,7 +101,7 @@ def parse_grid_section(lines: list[tuple[int, str]]) -> Grid:
     if not rows:
         raise PuzzleFormatError("grid section has no rows", lines[-1][0])
     try:
-        return Grid.from_rows(rows, level or 1)
+        return Grid.from_rows(rows, level if tag is None else tag)
     except Exception as exc:
         raise PuzzleFormatError(str(exc), first_row_line) from exc
 
@@ -121,14 +122,14 @@ def load_rules(path: str | os.PathLike) -> RuleSet:
     return parse_rules_section(read_sections(path, "alphabet")["alphabet"])
 
 
-def load_grid(path: str | os.PathLike) -> Grid:
-    """Read a grid file (must contain a [grid] section)."""
-    return parse_grid_section(read_sections(path, "grid")["grid"])
+def load_grid(path: str | os.PathLike, level: int = 1) -> Grid:
+    """Read a grid file's [grid] section; untagged, it is on ``level``."""
+    return parse_grid_section(read_sections(path, "grid")["grid"], level)
 
 
-def grid_argument(value: str) -> Grid:
+def grid_argument(value: str, level: int = 1) -> Grid:
     """CLI helper: ``@path`` loads a grid file; anything else is an inline
-    level-1 grid (``ABAC/CBBB``), even when a file of that name exists."""
+    grid (``ABAC/CBBB``) on ``level``, even when a file of that name exists."""
     if value.startswith("@"):
-        return load_grid(value[1:])
-    return Grid.from_text(value)
+        return load_grid(value[1:], level)
+    return Grid.from_text(value, level)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import ClassVar
 
@@ -40,6 +40,7 @@ from .patterns import (
     Direction,
     GridIndex,
     Pattern,
+    to_json,
     two_diagonal_support,
     word_to_pattern,
 )
@@ -532,7 +533,7 @@ class AgreementReport:
         return not any(getattr(self, name) for name in ISSUE_FIELDS.values())
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "clean": self.clean}
+        return {**to_json(self), "clean": self.clean}
 
 
 def random_instance(rng, b: int = AUDIT_B):
@@ -563,8 +564,11 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
     Returns a dict of issue lists (empty when everything agrees) plus the
     outcome classification.  A backward level past ``max_level`` is
     still checked exactly: the forward route then runs to that level.
-    A diagonal word's ancestors are held to :func:`two_diagonal_support`
-    alone: the paper's 3-letter corners of 2 x 2 boxes are its 2 x 2 case.
+    Under 2D rules a parent's sides keep to :func:`bounds.max_parent_len`
+    and a diagonal word's ancestors to :func:`two_diagonal_support` alone
+    (the paper's 3-letter corners of 2 x 2 boxes are its 2 x 2 case).
+    Under 1 x b blocks a parent has its child's rows and a diagonal's
+    parents drift along the rows, so only the columns are bounded.
     """
     searcher = AncestrySearcher(rules, l1)
     run = LayeredSearch(searcher, word, direction)
@@ -588,13 +592,16 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
         if res.level > limit:
             issues["bound"].append(f"{desc()}: level {res.level} > bound {limit}")
     anti = direction in ANTIDIAGONALS
+    banded = rules.dimension == 2 and direction in DIAGONALS
     for pat in run.links:
+        max_rows = (bounds.max_parent_len(pat.rows, rules.b)
+                    if rules.dimension == 2 else pat.rows)
+        max_cols = bounds.max_parent_len(pat.cols, rules.b)
         for q, _ in searcher.parents(pat):
-            if (q.rows > bounds.max_parent_len(pat.rows, rules.b)
-                    or q.cols > bounds.max_parent_len(pat.cols, rules.b)):
+            if q.rows > max_rows or q.cols > max_cols:
                 issues["geometry"].append(
                     f"{desc()}: parent {q.text()} of {pat.text()} too large")
-        if direction in DIAGONALS and not two_diagonal_support(pat, anti=anti):
+        if banded and not two_diagonal_support(pat, anti=anti):
             issues["confinement"].append(
                 f"{desc()}: ancestor {pat.text()} off the diagonal band")
     return {"outcome": outcome, "issues": issues}

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import functools
+from dataclasses import fields, is_dataclass
 from typing import Iterator, NamedTuple
 
-from .core import Grid
+from .core import CellAddress, Grid
 
 WILDCARD = "*"
 
@@ -216,6 +217,28 @@ def occurrences(pattern: Pattern, grid: Grid) -> list[tuple[int, int]]:
     """All 1-indexed top-left positions, row-major, where the pattern's
     trimmed box fits in the grid and every concrete cell matches."""
     return GridIndex(grid).positions(trim(pattern))
+
+
+def to_json(value):
+    """JSON form of a report value: dataclasses become objects in field
+    order, directions their names, patterns their wire text, cell
+    addresses ``[level, row, col]``, frozensets sorted lists, tuples and
+    lists lists."""
+    if isinstance(value, CellAddress):
+        return [value.level, value.row, value.col]
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Direction):
+        return value.name
+    if isinstance(value, Pattern):      # a NamedTuple: before the tuple case
+        return value.text()
+    if isinstance(value, dict):
+        return {str(k): to_json(v) for k, v in value.items()}
+    if isinstance(value, frozenset):
+        return sorted(to_json(v) for v in value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    return value
 
 
 def two_diagonal_support(pattern: Pattern, anti: bool = False) -> bool:

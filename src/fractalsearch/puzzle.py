@@ -10,7 +10,7 @@ the marker letter's descendant block on that level.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 from .ancestry import (
     AncestrySearcher,
@@ -30,6 +30,7 @@ from .patterns import (
     Pattern,
     occurrences,
     parse_pattern,
+    to_json,
 )
 
 DEFAULT_MARKER = "X"
@@ -343,29 +344,7 @@ def solve(spec: PuzzleSpec, *, cross_all: bool = False) -> SolveReport:
 # report serialization
 # ---------------------------------------------------------------------------
 
-def _to_json(value):
-    """JSON form of a report value: dataclasses become objects in field
-    order, directions their names, patterns their wire text, cell
-    addresses ``[level, row, col]``, frozensets sorted lists, tuples lists."""
-    if isinstance(value, CellAddress):
-        return [value.level, value.row, value.col]
-    if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, Direction):
-        return value.name
-    if isinstance(value, Pattern):      # a NamedTuple: before the tuple case
-        return value.text()
-    if isinstance(value, dict):
-        return {str(k): _to_json(v) for k, v in value.items()}
-    if isinstance(value, frozenset):
-        return sorted(_to_json(v) for v in value)
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
-    return value
-
-
-def report_to_json_dict(report: SolveReport) -> dict:
-    return _to_json(report)
+report_to_json_dict = to_json
 
 
 def report_from_json_dict(data: dict) -> SolveReport:

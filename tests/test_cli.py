@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shlex
@@ -10,7 +11,7 @@ import pytest
 from fractalsearch import ancestry, core, oracle
 from fractalsearch.cli import main
 from fractalsearch.files import load_rules
-from fractalsearch.patterns import Direction
+from fractalsearch.patterns import Direction, to_json
 
 RULES_1D = "src/fractalsearch/data/abc_1d.rules"
 RULES_2D = "src/fractalsearch/data/abc_2d.rules"
@@ -71,6 +72,23 @@ class TestSearch:
             "word": "CC", "direction": "E", "found": False, "level": None,
             "nodes_expanded": 1, "patterns_seen": 1, "fixpoint_depth": 0}
 
+    # exact stdout of a found word and of a raw pattern (no direction)
+    @pytest.mark.parametrize("rules, target, expected", [
+        (RULES_1D, ("--word", "CACABA"),
+         '{"word": "CACABA", "direction": "E", "found": true, "level": 6, '
+         '"nodes_expanded": 12, "patterns_seen": 15, "ancestor": "A", '
+         '"anchor": [1, 1], "addresses": [[6, 1, 14], [6, 1, 15], [6, 1, 16], '
+         '[6, 1, 17], [6, 1, 18], [6, 1, 19]]}\n'),
+        (RULES_2D, ("--pattern", "*B*/**B"),
+         '{"word": "B*/*B", "direction": null, "found": true, "level": 3, '
+         '"nodes_expanded": 7, "patterns_seen": 16, "ancestor": "A", '
+         '"anchor": [1, 1], "addresses": [[3, 1, 2], [3, 2, 3]]}\n'),
+    ], ids=["word", "pattern"])
+    def test_json_stdout_is_pinned(self, capsys, rules, target, expected):
+        code, out, _ = run(capsys, "search", "--rules", rules, "--l1", "A",
+                           *target, "--format", "json")
+        assert (code, out) == (0, expected)
+
     def test_depth_cap_exit_code_is_resource(self, capsys):
         code, _, err = run(capsys, "search", "--rules", RULES_1D, "--l1", "A",
                            "--word", "CACABA", "--depth-cap", "1")
@@ -121,17 +139,21 @@ class TestExpandContract:
         assert code == 0
         assert out.strip() == "A"
 
-    @pytest.mark.parametrize("tag, level", [("level = 3\n", 2), ("", 1)],
-                             ids=["tagged", "untagged"])
+    @pytest.mark.parametrize("tag, level", [("level = 3\n", 2), ("", 1),
+                                            ("level = 1\n", None)],
+                             ids=["tagged", "untagged", "tagged-level-1"])
     def test_contract_takes_the_level_from_the_grid_file(self, capsys, tmp_path,
                                                          tag, level):
         path = tmp_path / "demo.grid"
         path.write_text(f"[grid]\n{tag}ABAC\nCBBB\nBBAC\nCCBB\n")
-        code, out, _ = run(capsys, "contract", "--rules", RULES_2D,
-                           "--grid", f"@{path}", "--steps", "1", "--format", "json")
-        assert code == 0
-        assert json.loads(out) == {"rows": 2, "cols": 2, "level": level,
-                                   "lines": ["AB", "CB"]}
+        code, out, err = run(capsys, "contract", "--rules", RULES_2D,
+                             "--grid", f"@{path}", "--steps", "1", "--format", "json")
+        if level is None:
+            assert (code, out, err) == (1, "", "error: cannot contract below level 1\n")
+        else:
+            assert code == 0
+            assert json.loads(out) == {"rows": 2, "cols": 2, "level": level,
+                                       "lines": ["AB", "CB"]}
 
     def test_contract_error_exits_one(self, capsys):
         code, _, err = run(capsys, "contract", "--rules", RULES_1D,
@@ -284,12 +306,24 @@ class TestTree:
                            "--word", "BBAC", "--format", "json")
         assert code == 0
         tree = json.loads(out)
-        assert tree == ancestry.ancestor_tree(
+        assert tree == to_json(ancestry.ancestor_tree(
             "BBAC", Direction.E, load_rules(RULES_2D),
-            core.Grid.from_text("AB/CA")).to_dict()
+            core.Grid.from_text("AB/CA")))
         assert (tree["pattern"], tree["depth"], tree["status"]) == \
             ("BBAC", 0, "interior")
         assert [child["pattern"] for child in tree["children"]] == ["CB"]
+
+    # sha256 of the stdout, as TestSweepSymmetry pins its sweep reports
+    @pytest.mark.parametrize("argv, digest", [
+        (("--rules", RULES_2D, "--l1", "AB/CA", "--word", "BBAC"),
+         "e502d425cf1f8870cb88eb0abaaef098fcae059ec6647e31898d478b5ccfb8ef"),
+        (("--rules", RULES_1D, "--word", "CAB"),
+         "354a21251a59ab21b779bd3ff056976bb0ec41628b374eac8497585d0821eda3"),
+    ], ids=["l1", "no-l1"])
+    def test_json_stdout_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "tree", *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_text_output_shows_statuses(self, capsys):
         code, out, _ = run(capsys, "tree", "--rules", RULES_1D,

@@ -160,6 +160,15 @@ class TestLoaders:
         path.write_text("[grid]\nAB\n")
         assert grid_argument(f"@{path}") == Grid(1, 2, "AB", 1)
 
+    @pytest.mark.parametrize("tag, level", [("", 4), ("level = 1\n", 1)],
+                             ids=["untagged", "tagged-level-1"])
+    def test_the_caller_sets_an_untagged_grid_level(self, tmp_path, tag, level):
+        assert grid_argument("AB", 4) == Grid(1, 2, "AB", 4)
+        path = tmp_path / "demo.grid"
+        path.write_text(f"[grid]\n{tag}AB\n")
+        assert grid_argument(f"@{path}", 4) == Grid(1, 2, "AB", level)
+        assert load_grid(path, 4) == Grid(1, 2, "AB", level)
+
     def test_inline_grid_never_reads_a_file(self, tmp_path, monkeypatch):
         (tmp_path / "A").write_text("[grid]\nBB\n")
         monkeypatch.chdir(tmp_path)

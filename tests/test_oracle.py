@@ -764,6 +764,28 @@ class TestAgreementHarness:
         assert outcomes["found"] and outcomes["never"], outcomes
         assert settled
 
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_clean_under_1d_rules_on_multi_row_grids(self, b):
+        """random_instance draws 1D rules only with one-row start grids read
+        E or W.  Here the start grids have several rows and the words any
+        direction: a parent keeps its child's rows, and a diagonal's
+        parents drift along the rows, off any two-diagonal band."""
+        rng = seeded_rng(25)
+        outcomes = Counter()
+        for _ in range(1000):
+            letters = "ABC"[:rng.randint(1, 3)]
+            rules = RuleSet({ch: ("".join(rng.choice(letters) for _ in range(b)),)
+                             for ch in letters})
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            l1 = Grid(rows, cols, "".join(rng.choice(letters)
+                                          for _ in range(rows * cols)), 1)
+            word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+            got = check_instance(rules, l1, word, rng.choice(tuple(Direction)),
+                                 max_level=8)
+            assert not any(got["issues"].values()), got["issues"]
+            outcomes[got["outcome"]] += 1
+        assert outcomes["found"] and outcomes["never"], outcomes
+
     def test_clean_at_b_3(self):
         """Rules of 1 x 3 and 3 x 3 blocks."""
         rng = seeded_rng(4)
