@@ -24,7 +24,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 
-from .core import CellAddress, Grid, RuleSet, check_letters, letter_at, path_to_address
+from .core import CellAddress, Grid, RuleSet, check_letters, letters_at, path_to_address
 from .errors import (
     ResourceLimitError,
     UnknownLetterError,
@@ -39,7 +39,6 @@ from .patterns import (
     is_trimmed,
     parse_pattern,
     to_json,
-    word_cells,
     word_to_pattern,
 )
 
@@ -47,17 +46,25 @@ PRODUCT_CAP = 10 ** 6
 CLOSURE_CAP = 10 ** 6
 TREE_JSON_INDENT = 2
 _LAYOUT_MARK = "x"
+# Builds a Pattern without the NamedTuple's generated Python __new__.
+_new_pattern = functools.partial(tuple.__new__, Pattern)
 
 
 @functools.lru_cache(maxsize=4096)
-def _offset_plan(rh: int, b: int, rows: int, cols: int, layout: str) -> tuple:
+def _offset_plan(rh: int, b: int, rows: int, cols: int, layout: str) -> tuple | None:
     """Where the concrete cells of a rows x cols pattern land under rh x b
     blocks: per offset (dr, dc), row-major, ``((dr, dc), pr, pc, steps)``
     with a pr x pc parent box and ``steps`` the ``(cell index, parent
     cell pi * pc + pj, block slot br * b + bc)`` of each concrete cell,
     in cell order.  ``layout`` is the pattern with every letter as
     ``_LAYOUT_MARK``: the plan depends on where the wildcards sit, not on
-    the letters, so one plan serves every searcher of a block shape."""
+    the letters, so one plan serves every searcher of a block shape.
+    A layout holding any other symbol than the mark and the wildcard
+    has no plan (None): the pattern uses a letter outside the alphabet,
+    and this cached lookup is where :meth:`AncestrySearcher.parents`
+    finds that out."""
+    if not {WILDCARD, _LAYOUT_MARK}.issuperset(layout):
+        return None
     concrete = [(i, *divmod(i, cols))
                 for i, ch in enumerate(layout) if ch != WILDCARD]
     plan = []
@@ -136,7 +143,6 @@ class AncestrySearcher:
         self.rules = rules
         self.l1 = l1
         self._letters = rules.letters
-        self._letter_ok = frozenset(self._letters) | {WILDCARD}
         # table[ch][br * b + bc]: bitmask of the parent letters whose
         # block has `ch` at (br, bc), one list per letter; candidate sets
         # intersect via &.
@@ -148,7 +154,10 @@ class AncestrySearcher:
                     table[ch][br * b + bc] |= 1 << bi
         self._table = table
         # Sends every letter to _LAYOUT_MARK: a pattern's offset-plan key.
-        self._layout = str.maketrans(dict.fromkeys(self._letters, _LAYOUT_MARK))
+        # The mark itself, unless a letter, goes to a reserved symbol, so
+        # a pattern holding it has no plan.
+        self._layout = str.maketrans({_LAYOUT_MARK: "#",
+                                      **dict.fromkeys(self._letters, _LAYOUT_MARK)})
         self._mask_options: dict[int, tuple[str, ...]] = {}
         self._mask_unions: dict[int, list[int]] = {}
         self._parents: dict[Pattern, tuple[tuple[Pattern, tuple[int, int]], ...]] = {}
@@ -203,14 +212,14 @@ class AncestrySearcher:
         cached = self._parents.get(pattern)
         if cached is not None:
             return cached
-        if not self._letter_ok.issuperset(pattern.cells):
-            raise UnknownLetterError(
-                f"pattern {pattern.text()!r} uses letters outside the alphabet"
-            )
         rows, cols, cells = pattern
         table = self._table
         plan = _offset_plan(self.rules.rule_rows, self.rules.b, rows, cols,
                             cells.translate(self._layout))
+        if plan is None:
+            raise UnknownLetterError(
+                f"pattern {pattern.text()!r} uses letters outside the alphabet"
+            )
         settle = self._l1_index is not None
         out: list[tuple[Pattern, tuple[int, int]]] = []
         seen: set[Pattern] = set()
@@ -234,7 +243,7 @@ class AncestrySearcher:
                     )
                 first = len(out)
                 for combo in itertools.product(*options):
-                    q = Pattern(pr, pc, "".join(combo))
+                    q = _new_pattern((pr, pc, "".join(combo)))
                     if q not in seen:
                         seen.add(q)
                         out.append((q, off))
@@ -508,25 +517,27 @@ def witness_coordinates(result: SearchResult, l1: Grid,
                         rules: RuleSet) -> list[CellAddress]:
     """Absolute addresses of the word's letters on its level, in word
     order.  The word's corner is the grounded anchor followed by the
-    offset chain read as a digit path.  Every address is re-checked
-    against the coordinate oracle; a mismatch is a bug, not bad input."""
+    offset chain read as a digit path.  The letters at all the addresses
+    are read back in one :func:`letters_at` call and re-checked against
+    the word (a raw pattern's concrete cells in reading order); a
+    mismatch is a bug, not bad input."""
     if not result.found:
         raise ValueError("witness coordinates exist only for found results")
     corner = path_to_address(result.anchor, result.offsets, rules)
+    cells = list(result.target.concrete_cells())
     if result.direction is None:
-        # Raw pattern search: report concrete cells in reading order.
-        walk = result.target.concrete_cells()
+        want = "".join(ch for _, _, ch in cells)
     else:
-        walk = word_cells(result.word, result.direction)
-    addrs: list[CellAddress] = []
-    for rr, cc, ch in walk:
-        addr = CellAddress(corner.level, corner.row + rr, corner.col + cc)
-        got = letter_at(l1, rules, addr)
+        want = result.word
+        if result.direction.value < (0, 0):
+            cells.reverse()     # the word lies backwards on its box
+    addrs = [CellAddress(corner.level, corner.row + rr, corner.col + cc)
+             for rr, cc, _ in cells]
+    for addr, got, ch in zip(addrs, letters_at(l1, rules, addrs), want):
         if got != ch:
             raise WitnessError(
                 f"coordinate oracle says {got!r} at {addr}, witness says {ch!r}"
             )
-        addrs.append(addr)
     return addrs
 
 

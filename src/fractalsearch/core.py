@@ -253,28 +253,11 @@ def level_shape(l1: Grid, rules: RuleSet, level: int) -> tuple[int, int]:
             l1.cols * rules.b ** (level - 1))
 
 
-def address_to_path(
-    addr: CellAddress, rules: RuleSet
-) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
-    """Split an address into its level-1 ancestor cell and the per-level
-    sub-cell digits (most significant first, each in [0, block side))."""
-    rh, b = rules.rule_rows, rules.b
-    r, c = addr.row - 1, addr.col - 1
-    rdigits: list[int] = []
-    cdigits: list[int] = []
-    for _ in range(addr.level - 1):
-        r, dr = divmod(r, rh)
-        c, dc = divmod(c, b)
-        rdigits.append(dr)
-        cdigits.append(dc)
-    path = tuple(zip(reversed(rdigits), reversed(cdigits)))
-    return (r + 1, c + 1), path
-
-
 def path_to_address(
     l1_cell: tuple[int, int], path: tuple[tuple[int, int], ...], rules: RuleSet
 ) -> CellAddress:
-    """Inverse of :func:`address_to_path`; round-trips exactly."""
+    """Address of the cell reached from a level-1 cell by per-level
+    sub-cell digits (most significant first, each in [0, block side))."""
     rh, b = rules.rule_rows, rules.b
     r, c = l1_cell[0] - 1, l1_cell[1] - 1
     for dr, dc in path:
@@ -286,28 +269,49 @@ def path_to_address(
 
 
 def letter_at(l1: Grid, rules: RuleSet, addr: CellAddress) -> str:
-    """Letter at ``addr`` on level ``addr.level``.
+    """Letter at ``addr`` on level ``addr.level``: :func:`letters_at` of
+    the one address, so a call costs O(level + rows x cols)."""
+    return letters_at(l1, rules, [addr])
 
-    Finds the level-1 ancestor cell and the digit path, then descends
-    the path through the rule blocks, in O(level) time and memory.  No
-    grid beyond level 1 is ever built.  Every call first checks each
-    letter of the start grid, though, so a call costs O(level + rows x
-    cols) in all.
+
+def letters_at(l1: Grid, rules: RuleSet, addrs: list[CellAddress]) -> str:
+    """Letters at the given addresses, in order, as one string.
+
+    Each address climbs level by level to its parent cell, (ceil(i/rh),
+    ceil(j/b)), until it reaches level one or a cell this call has
+    already resolved, then descends through the rule blocks, recording
+    every cell it passes.  No grid beyond level 1 is ever built.  The
+    start grid's letters are checked once per call, so a call costs
+    O(rows x cols) once plus at most O(level) per address; neighbouring
+    cells, such as a word's letters, share all but a few of their steps.
+    An address outside its level raises AddressRangeError.
     """
     if l1.level != 1:
         raise ValueError("start grid must be tagged level 1")
     check_letters(l1.cells, rules, "grid")
-    max_rows, max_cols = level_shape(l1, rules, addr.level)
-    if not (addr.row <= max_rows and addr.col <= max_cols):
-        raise AddressRangeError(
-            f"({addr.row}, {addr.col}) outside level-{addr.level} grid "
-            f"of {max_rows} x {max_cols}"
-        )
-    (r1, c1), path = address_to_path(addr, rules)
-    ch = l1.letter(r1, c1)
-    for dr, dc in path:
-        ch = rules.rules[ch][dr][dc]
-    return ch
+    rh, b, blocks = rules.rule_rows, rules.b, rules.rules
+    known: dict[tuple[int, int, int], str] = {}
+    out: list[str] = []
+    for addr in addrs:
+        # (level, row, col) with 0-indexed row and col
+        level, r, c = key = (addr.level, addr.row - 1, addr.col - 1)
+        climbed = []
+        while level > 1 and key not in known:
+            climbed.append(key)
+            level, r, c = key = (level - 1, r // rh, c // b)
+        ch = known.get(key)
+        if ch is None:
+            try:
+                ch = l1.letter(r + 1, c + 1)
+            except AddressRangeError:
+                max_rows, max_cols = level_shape(l1, rules, addr.level)
+                raise AddressRangeError(
+                    f"({addr.row}, {addr.col}) outside level-{addr.level} grid "
+                    f"of {max_rows} x {max_cols}") from None
+        for key in reversed(climbed):
+            ch = known[key] = blocks[ch][key[1] % rh][key[2] % b]
+        out.append(ch)
+    return "".join(out)
 
 
 def descendant_block_range(

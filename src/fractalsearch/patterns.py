@@ -71,36 +71,28 @@ def parse_pattern(text: str) -> Pattern:
     return Pattern(grid.rows, grid.cols, grid.cells)
 
 
-def word_cells(word: str, direction: Direction) -> list[tuple[int, int, str]]:
-    """(row, col, letter) of each letter of the word laid out along
-    ``direction``, 0-indexed inside its bounding box, in reading order."""
-    n = len(word)
-    dr, dc = direction.value
-    # Start corner such that the walk stays inside the bounding box.
-    r = n - 1 if dr < 0 else 0
-    c = n - 1 if dc < 0 else 0
-    return [(r + i * dr, c + i * dc, ch) for i, ch in enumerate(word)]
-
-
 def word_to_pattern(word: str, direction: Direction) -> Pattern:
     """Lay a word out along a compass direction and box it.
 
     Horizontal/vertical words give 1 x n / n x 1 patterns; diagonal words
     give n x n patterns with letters on one diagonal and wildcards
-    elsewhere.
+    elsewhere.  A backwards step (W, N, NW, NE) puts the reversed word on
+    the cells of the opposite direction, so row-major order reads each
+    box's letters E, S, SE or SW: a main diagonal steps n + 1 cells, an
+    anti-diagonal n - 1 from column n - 1.
     """
     if not word:
         raise ValueError("word must be non-empty")
     if WILDCARD in word:
         raise ValueError("words cannot contain the wildcard symbol")
-    n = len(word)
     dr, dc = direction.value
-    rows = n if dr else 1
-    cols = n if dc else 1
-    cells = [WILDCARD] * (rows * cols)
-    for r, c, ch in word_cells(word, direction):
-        cells[r * cols + c] = ch
-    return Pattern(rows, cols, "".join(cells))
+    if (dr, dc) < (0, 0):
+        word, dr, dc = word[::-1], -dr, -dc
+    n = len(word)
+    if not (dr and dc):
+        return Pattern(n if dr else 1, n if dc else 1, word)
+    pad = WILDCARD * (n - 1) if dc < 0 else ""
+    return Pattern(n, n, pad + (WILDCARD * (n + dc - 1)).join(word) + pad)
 
 
 def trim(pattern: Pattern) -> Pattern:

@@ -21,7 +21,7 @@ from .ancestry import (
 )
 from .bounds import ceil_log
 from .core import (CellAddress, Grid, RuleSet, check_letters, contract,
-                   descendant_block_range, expand, letter_at, level_shape)
+                   descendant_block_range, expand, letters_at, level_shape)
 from .errors import PuzzleFormatError, SolveError, UnknownLetterError
 from .files import parse_grid_section, parse_rules_section, read_sections
 from .patterns import (
@@ -237,18 +237,18 @@ def _window(l1: Grid, rules: RuleSet, level: int, rows: tuple[int, int],
     ``level``.  k levels up (stopping at level one), where b**k first
     reaches the rectangle's longer side, its ancestors lie in at most two
     blocks per side (under 1D rules its rows do not change); they are
-    read with :func:`letter_at`, expanded k steps with :func:`expand`,
-    and the rectangle is sliced out.
+    read in one :func:`letters_at` call, expanded k steps with
+    :func:`expand`, and the rectangle is sliced out.
     """
     rh, b = rules.rule_rows, rules.b
     (top, bottom), (left, right) = rows, cols
     k = min(level - 1, ceil_log(b, max(bottom - top, right - left) + 1))
     rspan, cspan = rh ** k, b ** k
     r0, c0 = (top - 1) // rspan, (left - 1) // cspan
-    ancestors = Grid.from_rows([
-        "".join(letter_at(l1, rules, CellAddress(level - k, r + 1, c + 1))
-                for c in range(c0, (right - 1) // cspan + 1))
-        for r in range(r0, (bottom - 1) // rspan + 1)])
+    arows = range(r0, (bottom - 1) // rspan + 1)
+    acols = range(c0, (right - 1) // cspan + 1)
+    ancestors = Grid(len(arows), len(acols), letters_at(l1, rules, [
+        CellAddress(level - k, r + 1, c + 1) for r in arows for c in acols]))
     lines = expand(ancestors, rules, k).lines()
     r0, c0 = r0 * rspan, c0 * cspan
     return tuple(line[left - 1 - c0:right - c0]

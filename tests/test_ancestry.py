@@ -200,6 +200,19 @@ class TestParentsMatchReference:
         with pytest.raises(UnknownLetterError):
             AncestrySearcher(rules).parents(parse_pattern(text))
 
+    @pytest.mark.parametrize("cells", ["AZ", "A" + ancestry._LAYOUT_MARK, "A#", "A/"],
+                             ids=["foreign", "layout-mark", "hash", "slash"])
+    def test_symbol_outside_the_alphabet_is_refused_by_name(self, abc_2d, cells):
+        # The offset-plan lookup refuses them; the mark and "#" are what
+        # the layout translation itself writes.
+        pattern = Pattern(1, 2, cells)
+        for searcher in (AncestrySearcher(abc_2d),
+                         AncestrySearcher(abc_2d, Grid.from_text("AB"))):
+            with pytest.raises(UnknownLetterError) as err:
+                searcher.parents(pattern)
+            assert str(err.value) == (
+                f"pattern {cells!r} uses letters outside the alphabet")
+
 
 class TestOffsetPlan:
     """The offset plan is cached per layout and shared across searchers,
@@ -539,6 +552,18 @@ class TestFirstAppearance:
         res = first_appearance("B", Direction.E, Grid.from_text("ABAB"), abc_1d)
         assert res.anchor == (1, 2)
 
+    def test_witness_tie_break_across_patterns_of_a_layer(self, abc_1d):
+        # BA's parents AA and AB both ground in AAB, at (1, 1) and (1, 2):
+        # the smaller (row, col, text) key wins.
+        l1 = Grid.from_text("AAB")
+        searcher = AncestrySearcher(abc_1d, l1)
+        grounded = {p.text(): searcher.ground_positions(p)
+                    for p, _ in searcher.parents(word_to_pattern("BA", Direction.E))}
+        assert {text: pos for text, pos in grounded.items() if pos} == {
+            "AA": ((1, 1),), "AB": ((1, 2),)}
+        res = first_appearance("BA", Direction.E, l1, abc_1d)
+        assert (res.level, res.ancestor, res.anchor) == (2, parse_pattern("AA"), (1, 1))
+
     def test_never_appears_is_a_fixpoint_not_a_cap(self, abc_1d):
         res = first_appearance("CC", Direction.E, Grid.from_text("A"), abc_1d)
         assert not res.found
@@ -834,6 +859,21 @@ class TestWitnessCoordinates:
         doctored = dataclasses.replace(res, anchor=(1, 1))
         with pytest.raises(WitnessError):
             witness_coordinates(doctored, l1, abc_1d)
+
+    def test_doctored_raw_pattern_result_is_trapped(self, abc_2d):
+        import dataclasses
+
+        from fractalsearch.errors import WitnessError
+
+        # B*/*B grounds in the A of AC; moved onto the C, its letters
+        # are no longer B and B.
+        l1 = Grid.from_text("AC")
+        res = first_appearance("B*/*B", None, l1, abc_2d)
+        assert (res.ancestor, res.anchor) == (parse_pattern("A"), (1, 1))
+        assert len(witness_coordinates(res, l1, abc_2d)) == 2
+        doctored = dataclasses.replace(res, anchor=(1, 2))
+        with pytest.raises(WitnessError):
+            witness_coordinates(doctored, l1, abc_2d)
 
     def test_inconsistent_chain_is_rejected_at_construction(self, abc_1d):
         import dataclasses

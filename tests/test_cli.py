@@ -113,7 +113,11 @@ class TestSearch:
     @pytest.mark.parametrize("flag, target, message", [
         ("--pattern", "AB/C", "rows must all have the same length"),
         ("--word", "A*", "words cannot contain the wildcard symbol"),
-    ], ids=["ragged-pattern", "wildcard-word"])
+        ("--pattern", "AZ", "pattern 'AZ' uses letters outside the alphabet"),
+        ("--pattern", "A#", "pattern 'A#' uses letters outside the alphabet"),
+        ("--pattern", "Ax", "pattern 'Ax' uses letters outside the alphabet"),
+    ], ids=["ragged-pattern", "wildcard-word", "foreign-letter", "hash",
+            "layout-mark"])
     def test_bad_target_is_a_one_line_error(self, capsys, flag, target, message):
         code, out, err = run(capsys, "search", "--rules", RULES_2D, "--l1", "A",
                              flag, target)

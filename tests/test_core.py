@@ -12,11 +12,11 @@ from fractalsearch.core import (
     CellAddress,
     Grid,
     RuleSet,
-    address_to_path,
     contract,
     descendant_block_range,
     expand,
     letter_at,
+    letters_at,
     level_shape,
     path_to_address,
 )
@@ -37,6 +37,30 @@ from fractalsearch.oracle import (
 from fractalsearch.patterns import Direction
 from fractalsearch.puzzle import load_puzzle
 from tests.conftest import grids_for, rule_sets
+
+
+def address_to_path(addr: CellAddress, rules: RuleSet):
+    """Reference digit walk: the address's level-1 ancestor cell and its
+    per-level sub-cell digits, most significant first."""
+    rh, b = rules.rule_rows, rules.b
+    r, c = addr.row - 1, addr.col - 1
+    rdigits: list[int] = []
+    cdigits: list[int] = []
+    for _ in range(addr.level - 1):
+        r, dr = divmod(r, rh)
+        c, dc = divmod(c, b)
+        rdigits.append(dr)
+        cdigits.append(dc)
+    return (r + 1, c + 1), tuple(zip(reversed(rdigits), reversed(cdigits)))
+
+
+def walked_letter(l1: Grid, rules: RuleSet, addr: CellAddress) -> str:
+    """Letter at ``addr`` by the reference digit walk, one address alone."""
+    (r1, c1), path = address_to_path(addr, rules)
+    ch = l1.letter(r1, c1)
+    for dr, dc in path:
+        ch = rules.rules[ch][dr][dc]
+    return ch
 
 
 class TestTypes:
@@ -257,6 +281,50 @@ class TestLetterAt:
         r = data.draw(st.integers(1, rows))
         c = data.draw(st.integers(1, cols))
         assert letter_at(l1, rules, CellAddress(level, r, c)) == full.letter(r, c)
+
+
+class TestLettersAt:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_the_digit_walk(self, data):
+        """Up to level 200, a batch of cells, with repeats and each
+        drawn cell's right and lower neighbours, reads what the
+        reference digit walk reads for each address alone."""
+        rules = data.draw(rule_sets(bs=(2, 3)))
+        l1 = data.draw(grids_for(rules, max_side=3))
+        level = data.draw(st.integers(1, 200))
+        rows = l1.rows * rules.rule_rows ** (level - 1)
+        cols = l1.cols * rules.b ** (level - 1)
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(1, rows), st.integers(1, cols)),
+            min_size=1, max_size=6))
+        addrs = []
+        for r, c in cells:
+            addrs += [CellAddress(level, *cell) for cell in
+                      ((r, c), (r, min(c + 1, cols)), (min(r + 1, rows), c))]
+        addrs += data.draw(st.lists(st.sampled_from(addrs), max_size=4))
+        assert letters_at(l1, rules, addrs) == "".join(
+            walked_letter(l1, rules, a) for a in addrs)
+
+    def test_mixed_levels_in_one_batch(self, abc_2d):
+        l1 = Grid.from_text("AB/CA")
+        addrs = [CellAddress(level, r, c) for level in (4, 1, 3, 4, 2)
+                 for r, c in ((1, 1), (2, 2), (2, 1))]
+        assert letters_at(l1, abc_2d, addrs) == "".join(
+            walked_letter(l1, abc_2d, a) for a in addrs)
+
+    def test_out_of_range_in_mid_batch(self, abc_1d):
+        g = Grid.from_text("AB")
+        ok = [CellAddress(3, 1, 8), CellAddress(3, 1, 7)]
+        assert letters_at(g, abc_1d, ok) == "BB"
+        with pytest.raises(AddressRangeError, match=r"\(1, 9\) outside level-3 "
+                           r"grid of 1 x 8"):
+            letters_at(g, abc_1d, [ok[0], CellAddress(3, 1, 9), ok[1]])
+
+    def test_empty_batch_still_checks_the_start_grid(self, abc_1d):
+        assert letters_at(Grid.from_text("AB"), abc_1d, []) == ""
+        with pytest.raises(UnknownLetterError):
+            letters_at(Grid.from_text("AZ"), abc_1d, [])
 
 
 @pytest.mark.parametrize("use", [

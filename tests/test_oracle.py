@@ -712,6 +712,19 @@ class TestAgreementHarness:
             "mismatch": [], "bound": [], "confinement": [],
             "geometry": [f"{desc}: parent AAA/AAA/AAA of AB too large"]}
 
+    @pytest.mark.parametrize("cols, too_large", [(3, True), (2, False)])
+    def test_parent_one_column_over_the_bound(self, abc_2d, monkeypatch,
+                                              cols, too_large):
+        # max_parent_len(2, 2) == 2: a 1 x 3 parent of AB is one column
+        # too wide, a 1 x 2 parent is not.
+        parent = Pattern(1, cols, "A" * cols)
+        monkeypatch.setattr(AncestrySearcher, "parents",
+                            lambda self, pattern: ((parent, (0, 0)),))
+        got = check_instance(abc_2d, Grid.from_text("AB"), "AB", Direction.E)
+        desc = f"dim=2 n=3 rules={abc_2d.text()} l1=AB word=AB dir=E"
+        assert got["issues"]["geometry"] == (
+            [f"{desc}: parent {parent.text()} of AB too large"] if too_large else [])
+
     @pytest.mark.parametrize("ancestor, issues", [
         ("*A/A*", ["ancestor *A/A* off the diagonal band"]),
         ("AA/AA", ["ancestor AA/AA off the diagonal band"]),

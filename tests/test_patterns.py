@@ -18,12 +18,34 @@ from fractalsearch.patterns import (
     parse_pattern,
     trim,
     two_diagonal_support,
-    word_cells,
     word_to_pattern,
 )
 from tests.conftest import grids_for, rule_sets, scan_occurrences
 
 WORDS = st.text(alphabet="ABCD", min_size=1, max_size=5)
+
+
+def word_cells(word: str, direction: Direction) -> list[tuple[int, int, str]]:
+    """Reference layout: (row, col, letter) of each letter of the word
+    walked along ``direction`` from the corner that keeps the walk
+    inside its bounding box, 0-indexed, in reading order."""
+    n = len(word)
+    dr, dc = direction.value
+    r = n - 1 if dr < 0 else 0
+    c = n - 1 if dc < 0 else 0
+    return [(r + i * dr, c + i * dc, ch) for i, ch in enumerate(word)]
+
+
+def boxed_word(word: str, direction: Direction) -> Pattern:
+    """Reference ``word_to_pattern``: the word's cells written into an
+    all-wildcard box."""
+    n = len(word)
+    rows = n if direction.value[0] else 1
+    cols = n if direction.value[1] else 1
+    cells = [WILDCARD] * (rows * cols)
+    for r, c, ch in word_cells(word, direction):
+        cells[r * cols + c] = ch
+    return Pattern(rows, cols, "".join(cells))
 
 
 @st.composite
@@ -236,6 +258,12 @@ class TestWordCells:
         assert all(pattern.cells[r * pattern.cols + c] == WILDCARD
                    for r in range(pattern.rows) for c in range(pattern.cols)
                    if (r, c) not in on_word)
+
+    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.name)
+    def test_layout_equals_the_walked_box(self, direction):
+        for n in range(1, 13):
+            word = "ABCDEFGHIJKL"[:n]
+            assert word_to_pattern(word, direction) == boxed_word(word, direction)
 
 
 class TestTwoDiagonalSupport:

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalsearch import core
 from fractalsearch.core import CellAddress, expand, letter_at, level_shape
 from fractalsearch.errors import PuzzleFormatError, SolveError
 from fractalsearch.files import load_grid
@@ -311,6 +313,31 @@ E
             spelled = "".join(
                 letter_at(spec.l1, spec.rules, a) for a in placement.addresses)
             assert spelled == placement.word
+
+    def test_start_grid_letters_are_checked_once_per_read(self, puzzle_path,
+                                                           monkeypatch):
+        """Once for the searcher, once per placed word's witness and once
+        per answer-window rectangle; each letter read checking the grid
+        again made 236 checks."""
+        spec = load_puzzle(puzzle_path)
+        real = core.check_letters
+        checks = []
+
+        def counted(text, rules, what):
+            if text == spec.l1.cells:
+                checks.append(what)
+            return real(text, rules, what)
+
+        patched = [name for name, module in sorted(sys.modules.items())
+                   if name.split(".")[0] == "fractalsearch"
+                   and vars(module).get("check_letters") is real]
+        for name in patched:
+            monkeypatch.setattr(sys.modules[name], "check_letters", counted)
+        assert {"fractalsearch.ancestry", "fractalsearch.core",
+                "fractalsearch.puzzle"} <= set(patched)
+        report = solve(spec)
+        assert report.answer.answer == "HUMPHREY"
+        assert 1 <= len(checks) <= 1 + len(spec.words) + 2 == 35
 
 
 class TestAnswerWindow:
