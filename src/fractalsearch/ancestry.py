@@ -21,8 +21,10 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .core import CellAddress, Grid, RuleSet, check_letters, letters_at, path_to_address
 from .errors import (
@@ -81,6 +83,30 @@ def _offset_plan(rh: int, b: int, rows: int, cols: int, layout: str) -> tuple | 
     return tuple(plan)
 
 
+def members(entry: Pattern) -> Iterator[Pattern]:
+    """The parents one entry of a parent list stands for, in order: the
+    entry itself, or the members of a dead product."""
+    return (_new_pattern((entry.rows, entry.cols, "".join(combo)))
+            for combo in itertools.product(*entry.cells))
+
+
+def _inside(product: Pattern, q: Pattern) -> bool:
+    """True iff the pattern ``q`` is a member of the letter-set product."""
+    return (q.rows == product.rows and q.cols == product.cols
+            and all(map(operator.contains, product.cells, q.cells)))
+
+
+def _in_any(dead: dict[tuple[int, int], tuple[Pattern, ...]], q: Pattern) -> bool:
+    """True iff ``q`` is a member of a product in ``dead``, by shape."""
+    return any(_inside(d, q) for d in dead.get(q[:2], ()))
+
+
+def _meets(a: Pattern, b: Pattern) -> bool:
+    """True iff two letter-set products share a member."""
+    return (a.rows == b.rows and a.cols == b.cols
+            and all(x == y or not set(x).isdisjoint(y) for x, y in zip(a.cells, b.cells)))
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of one backward search.
@@ -125,14 +151,15 @@ class AncestrySearcher:
     audit's geometry re-check ask for the same parents again and again.
 
     With a start grid, :meth:`parents` also settles each large product
-    of parent letter sets as a whole (:meth:`_settle`): a product with
-    no start left in the grid marks every member ungrounded, and one
-    whose every offset has an empty parent cell caches every member as
-    parentless.  Their members then skip the per-pattern grid scan or
-    offset walk; 41 of the 42 products a puzzle solve settles are one or
-    both.  Other groundings are not cached: a search seldom grounds a
-    pattern twice.  A grid-free searcher, as the sweep uses, settles
-    nothing.
+    of parent letter sets as a whole (:meth:`_settle`) before building
+    it.  A *dead* one, with no start left in the grid and no member with
+    parents, is handed out as one entry and never built.  Otherwise its
+    members are marked ungrounded or parentless as the tests prove, or
+    left pending, and the first lookup of one then sifts the whole
+    product exactly (:meth:`_sift`).  Of the 42 products a puzzle solve
+    settles, 27 are dead, 2 parentless and 13 pending.  Groundings are
+    not otherwise cached: a search seldom grounds a pattern twice.  A
+    grid-free searcher, as the sweep uses, settles nothing.
     """
 
     def __init__(self, rules: RuleSet, l1: Grid | None = None):
@@ -163,6 +190,8 @@ class AncestrySearcher:
         self._parents: dict[Pattern, tuple[tuple[Pattern, tuple[int, int]], ...]] = {}
         self._l1_index = GridIndex(l1) if l1 is not None else None
         self._ungrounded: set[Pattern] = set()
+        # Member -> (rows, cols, masks, members) of its pending product.
+        self._pending: dict[Pattern, tuple] = {}
 
     # -- parent enumeration -------------------------------------------------
 
@@ -207,11 +236,23 @@ class AncestrySearcher:
 
         A searcher with a start grid settles a large product, one of
         more patterns than the plan has offsets, as a whole
-        (:meth:`_settle`) before handing its members out.
+        (:meth:`_settle`) before building it.  A dead product sharing
+        no member with an earlier product of the call is one entry: its
+        letter-set pattern (a tuple of letters or the wildcard per cell)
+        and offset, which :func:`members` expands in product order.
         """
         cached = self._parents.get(pattern)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._enumerate(pattern)
+        return cached
+
+    def _enumerate(self, pattern: Pattern) -> tuple[tuple[Pattern, tuple[int, int]], ...]:
+        """:meth:`parents` on a cache miss, which for a pending member
+        sifts its product first (:meth:`_sift`)."""
+        if pattern in self._pending:
+            self._sift(*self._pending[pattern])
+            if pattern in self._parents:
+                return self._parents[pattern]
         rows, cols, cells = pattern
         table = self._table
         plan = _offset_plan(self.rules.rule_rows, self.rules.b, rows, cols,
@@ -223,6 +264,7 @@ class AncestrySearcher:
         settle = self._l1_index is not None
         out: list[tuple[Pattern, tuple[int, int]]] = []
         seen: set[Pattern] = set()
+        dead: list[Pattern] = []
         for off, pr, pc, steps in plan:
             masks = [-1] * (pr * pc)
             for i, k, s in steps:
@@ -241,37 +283,66 @@ class AncestrySearcher:
                         f"parent product {total} exceeds cap {PRODUCT_CAP} "
                         f"for pattern {pattern.text()!r} at offset {off}"
                     )
-                first = len(out)
+                if settle and (total > len(plan) or dead):
+                    self._settle(pr, pc, masks, off, total > len(plan),
+                                 out, seen, dead)
+                    continue
                 for combo in itertools.product(*options):
                     q = _new_pattern((pr, pc, "".join(combo)))
                     if q not in seen:
                         seen.add(q)
                         out.append((q, off))
-                if settle and total > len(plan):
-                    self._settle(pr, pc, masks, out[first:])
         result = tuple(out)
         self._parents[pattern] = result
         return result
 
     def _settle(self, rows: int, cols: int, masks: list[int],
-                found: list[tuple[Pattern, tuple[int, int]]]) -> None:
-        """Test the product of one parent letter set per cell (``masks``,
-        -1 for a free cell) as a whole, with the two kernels its members
-        would run one by one, and record the answers for the members new
-        to this enumeration (``found``, with their offset).
+                off: tuple[int, int], large: bool,
+                out: list[tuple[Pattern, tuple[int, int]]], seen: set[Pattern],
+                dead: list[Pattern]) -> None:
+        """Place one product of parent letter sets (``masks``, -1 for a
+        free cell) into an enumeration's ``out``; ``dead`` holds the
+        call's dead ones.  A ``large`` one is tested first: with no start
+        left in the grid (:meth:`GridIndex.starts_any`), no member
+        grounds, and with no :meth:`_fitting_offsets`, none has parents.
+        A dead product sharing no member with an earlier one of the call
+        goes into ``out`` unbuilt.  Otherwise the members are built, less
+        those inside a dead product, and the answers kept for those new
+        to the call: no groundings, no parents, or pending (:meth:`_sift`)."""
+        product = Pattern(rows, cols, tuple(
+            WILDCARD if m == -1 else self._options(m) for m in masks))
+        clash = [d for d in dead if _meets(d, product)]
+        if large:
+            grounds = self._l1_index.starts_any(product)
+            parented = any(True for _ in self._fitting_offsets(rows, cols, masks))
+            if not (grounds or parented or clash or any(
+                    _inside(product, q) for q, _ in out if isinstance(q.cells, str))):
+                dead.append(product)
+                out.append((product, off))
+                return
+        first = len(out)
+        for combo in itertools.product(*product.cells):
+            q = _new_pattern((rows, cols, "".join(combo)))
+            if q not in seen:
+                seen.add(q)
+                out.append((q, off))
+        if clash:
+            out[first:] = [(q, o) for q, o in out[first:]
+                           if not any(_inside(d, q) for d in clash)]
+        if not large:
+            return
+        found = [q for q, _ in out[first:]]
+        if not grounds:
+            self._ungrounded.update(found)
+        if not parented:
+            self._parents.update(dict.fromkeys(found, ()))
+        else:
+            self._pending.update(dict.fromkeys(found, (rows, cols, masks, found)))
 
-        The start grid's index scans the product as a letter-set
-        pattern (:meth:`GridIndex.starts_any`); with no start left, no
-        member grounds, and :meth:`ground_positions` answers () for them
-        all.  The product's layout plan then ANDs, per offset, the union
-        of each cell's parent-letter masks (:meth:`_unions`) into its
-        parent cell; if every offset has an empty parent cell, no member
-        has parents, and each is cached with none.  Every union holds
-        each member's own mask, so both answers are exact.  A question
-        the product cannot settle is left to the per-pattern kernel."""
-        sets = tuple(WILDCARD if m == -1 else self._options(m) for m in masks)
-        if not self._l1_index.starts_any(Pattern(rows, cols, sets)):
-            self._ungrounded.update(q for q, _ in found)
+    def _fitting_offsets(self, rows: int, cols: int, masks: list[int]):
+        """Each offset of a product's layout plan whose parent cells all
+        keep a letter whose block fits the product (:meth:`_unions`):
+        its steps and those letters' masks per parent cell."""
         layout = "".join(WILDCARD if m == -1 else _LAYOUT_MARK for m in masks)
         for _, pr, pc, steps in _offset_plan(self.rules.rule_rows, self.rules.b,
                                              rows, cols, layout):
@@ -282,8 +353,41 @@ class AncestrySearcher:
                     break
                 cells[k] = mask
             else:
-                return
-        self._parents.update((q, ()) for q, _ in found)
+                yield steps, cells
+
+    def _sift(self, rows: int, cols: int, masks: list[int],
+              found: list[Pattern]) -> None:
+        """Take a pending product's members off the pending list, caching
+        with no parents each one that has none.  The members with parents
+        are those the blocks of one fitting letter per parent cell spell
+        (:meth:`_fitting_offsets`); the cells' distinct spellings combine."""
+        blocks = {p: "".join(block) for p, block in self.rules.rules.items()}
+        alive: set[str] = set()
+        for steps, parent in self._fitting_offsets(rows, cols, masks):
+            by_cell: dict[int, tuple[list[int], list[int]]] = {}
+            for i, k, s in steps:
+                cells, slots = by_cell.setdefault(k, ([], []))
+                cells.append(i)
+                slots.append(s)
+            spellings = []
+            for k, (_, slots) in by_cell.items():
+                spell = operator.itemgetter(*slots)
+                spellings.append({spell(blocks[p]) for p in self._options(parent[k])})
+            chars = [WILDCARD] * len(masks)
+            for combo in itertools.product(*spellings):
+                for (cells, _), spelled in zip(by_cell.values(), combo):
+                    for i, ch in zip(cells, spelled):
+                        chars[i] = ch
+                alive.add("".join(chars))
+        for q in found:
+            self._pending.pop(q, None)
+            if q.cells not in alive:
+                self._parents.setdefault(q, ())
+
+    def _expanded(self, pattern: Pattern) -> list[tuple[Pattern, tuple[int, int]]]:
+        """:meth:`parents` with every dead product expanded in place."""
+        return [(q, off) for entry, off in self.parents(pattern)
+                for q in members(entry)]
 
     # -- grounding -----------------------------------------------------------
 
@@ -317,13 +421,14 @@ class AncestrySearcher:
         Keeps its own walk rather than driving a :class:`LayeredSearch`:
         a closure built on that class measured about 40% slower over the
         n=3 sweep inputs (median 0.185 -> 0.255 s)."""
+        parents = self.parents if self._l1_index is None else self._expanded
         depths = {target: 0}
         frontier = [target]
         while frontier:
             nxt: list[Pattern] = []
             for pat in sorted(frontier):
                 d = depths[pat] + 1
-                for q, _ in self.parents(pat):
+                for q, _ in parents(pat):
                     if q not in depths:
                         depths[q] = d
                         nxt.append(q)
@@ -345,6 +450,7 @@ class AncestrySearcher:
         whose new masks hold bit t is a layer of that closure.  The walk
         holds the union of the closures; more than ``CLOSURE_CAP``
         patterns raise ResourceLimitError as in :meth:`closure`."""
+        parents = self.parents if self._l1_index is None else self._expanded
         masks: dict[Pattern, int] = {}
         for t, target in enumerate(targets):
             masks[target] = masks.get(target, 0) | 1 << t
@@ -356,7 +462,7 @@ class AncestrySearcher:
             nxt: dict[Pattern, int] = {}
             reached = 0
             for pat, bits in fresh.items():
-                for q, _ in self.parents(pat):
+                for q, _ in parents(pat):
                     had = masks.get(q, 0)
                     new = bits & ~had
                     if new:
@@ -381,6 +487,11 @@ class LayeredSearch:
     :func:`first_grounded` steps one or more of these in lockstep, so the
     puzzle solver gets the minimum level over directions without
     exhausting the losers, and a plain search is the one-run case.
+
+    A dead product among the parents is never built: its members can
+    neither ground nor have parents, so the run counts them once each
+    in ``dead_seen`` and, while their layer is open, in ``dead_open``.
+    ``dead`` holds the products met, by shape.
     """
 
     def __init__(self, searcher: AncestrySearcher, word: str,
@@ -404,6 +515,9 @@ class LayeredSearch:
         self.frontier: list[Pattern] = [target]
         self.depth = 0
         self.nodes_expanded = 0
+        self.dead: dict[tuple[int, int], tuple[Pattern, ...]] | None = None
+        self.dead_seen = 0
+        self.dead_open = 0
 
     def check_grounding(self) -> tuple[tuple[int, int], Pattern] | None:
         """Smallest (row, col, pattern text) grounding of the current
@@ -421,20 +535,50 @@ class LayeredSearch:
 
     def advance(self) -> bool:
         """Expand the frontier one level up; False once exhausted, which
-        leaves ``depth`` at the last non-empty layer."""
+        leaves ``depth`` at the last non-empty layer.  The open members
+        of dead products count as expanded, with no parents."""
         links = self.links
         nxt: list[Pattern] = []
+        expanded = len(self.frontier) + self.dead_open
+        self.dead_open = 0
         for pat in sorted(self.frontier):
+            dead = self.dead    # products met before: one call's own are disjoint
             for q, off in self.searcher.parents(pat):
                 if q not in links:
-                    links[q] = (pat, off)
-                    nxt.append(q)
-        self.nodes_expanded += len(self.frontier)
+                    if not isinstance(q.cells, str):
+                        self._count_dead(q, pat, off, nxt)
+                    elif dead is None or not _in_any(dead, q):
+                        links[q] = (pat, off)
+                        nxt.append(q)
+        self.nodes_expanded += expanded
         self.frontier = nxt
-        if not nxt:
+        if not (nxt or self.dead_open):
             return False
         self.depth += 1
         return True
+
+    def _count_dead(self, product: Pattern, child: Pattern, off: tuple[int, int],
+                    nxt: list[Pattern]) -> None:
+        """Count the members of a dead product among the parents of
+        ``child`` that the run has not seen, from whichever side is
+        smaller: the members or the links.  One sharing members with a
+        product met before is built and linked instead.  ``dead`` is
+        replaced, not changed, so a snapshot holds only earlier ones."""
+        dead, shape = self.dead or {}, product[:2]
+        met = dead.get(shape, ())
+        links = self.links
+        if any(_meets(d, product) for d in met):
+            for q in members(product):
+                if q not in links and not _in_any(dead, q):
+                    links[q] = (child, off)
+                    nxt.append(q)
+            return
+        size = math.prod(map(len, product.cells))
+        new = (sum(q not in links for q in members(product)) if size <= len(links)
+               else size - sum(_inside(product, q) for q in links))
+        self.dead = {**dead, shape: met + (product,)}
+        self.dead_seen += new
+        self.dead_open += new
 
     def _chain(self, ancestor: Pattern) -> tuple[tuple[int, int], ...]:
         offsets: list[tuple[int, int]] = []
@@ -489,7 +633,7 @@ def first_grounded(runs: list[LayeredSearch],
         if depth_cap is not None and live and live[0].depth > depth_cap:
             raise UnresolvedSearchError(
                 f"depth cap {depth_cap} reached with "
-                f"{sum(len(run.frontier) for run in live)} open patterns "
+                f"{sum(len(run.frontier) + run.dead_open for run in live)} open patterns "
                 f"for {runs[0].word!r}",
                 depth=live[0].depth, **_effort(runs))
     return runs[0].result(runs=runs)
@@ -497,7 +641,7 @@ def first_grounded(runs: list[LayeredSearch],
 
 def _effort(runs: list[LayeredSearch]) -> dict[str, int]:
     return {"nodes_expanded": sum(run.nodes_expanded for run in runs),
-            "patterns_seen": sum(len(run.links) for run in runs)}
+            "patterns_seen": sum(len(run.links) + run.dead_seen for run in runs)}
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +728,7 @@ def ancestor_tree(word: str, direction: Direction, rules: RuleSet,
             if l1 is not None and searcher.ground_positions(node.pattern):
                 node.status = "grounded"
                 continue
-            parents = searcher.parents(node.pattern)
+            parents = searcher._expanded(node.pattern)
             if not parents:
                 node.status = "no-parents"
                 continue

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from unittest import mock
@@ -15,6 +16,7 @@ from fractalsearch.ancestry import (
     ancestor_tree,
     first_appearance,
     first_grounded,
+    members,
     tree_to_dot,
     tree_to_json,
     witness_coordinates,
@@ -43,7 +45,13 @@ from fractalsearch.patterns import (
     word_to_pattern,
 )
 from fractalsearch.puzzle import load_puzzle, solve
-from tests.conftest import grids_for, rule_sets, scan_occurrences, seeded_rng
+from tests.conftest import (
+    PUZZLE_PATH,
+    grids_for,
+    rule_sets,
+    scan_occurrences,
+    seeded_rng,
+)
 
 
 def parents_of(word_or_pattern, rules, direction=Direction.E):
@@ -83,6 +91,19 @@ class TestEnumerateParents:
         monkeypatch.setattr(ancestry, "PRODUCT_CAP", 1)
         with pytest.raises(ResourceLimitError):
             AncestrySearcher(abc_2d).parents(word_to_pattern("BB", Direction.SE))
+
+    def test_product_cap_fires_before_a_product_is_settled(self):
+        """A product over the cap is refused even where it would stay
+        unbuilt: B to T all expand to AU, so A*A*A*A*A has 19**5
+        parents at offset (0, 0), none of them in the start grid U and
+        none with parents of its own."""
+        rules = RuleSet({"A": ("UU",), "U": ("UU",),
+                         **dict.fromkeys("BCDEFGHIJKLMNOPQRST", ("AU",))})
+        searcher = AncestrySearcher(rules, Grid.from_text("U"))
+        with pytest.raises(ResourceLimitError) as err:
+            searcher.parents(parse_pattern("A*A*A*A*A"))
+        assert str(err.value) == ("parent product 2476099 exceeds cap 1000000 "
+                                  "for pattern 'A*A*A*A*A' at offset (0, 0)")
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -150,6 +171,89 @@ def reference_parents(rules, pattern: Pattern):
                     seen.add(q)
                     out.append((q, (dr, dc)))
     return tuple(out)
+
+
+def expanded(parents):
+    """A parent list with every dead product expanded into its members."""
+    return tuple((q, off) for entry, off in parents for q in members(entry))
+
+
+def seen_patterns(run: LayeredSearch) -> list[Pattern]:
+    """Every pattern a run has seen: its links, then the members of its
+    dead products that are not linked."""
+    out = list(run.links)
+    for products in (run.dead or {}).values():
+        for product in products:
+            out += [q for q in members(product) if q not in run.links]
+    return out
+
+
+def layer_one(run: LayeredSearch) -> list[Pattern]:
+    """The patterns of a run advanced once: its frontier and the members
+    of its dead products, all met at depth one."""
+    return [q for q in seen_patterns(run) if q != run.target]
+
+
+def reference_search(rules, l1, cases, depth_cap=None):
+    """Reference backward search, member by member: runs stepped in
+    lockstep over ``cases`` of (word, direction or None for a raw
+    pattern), each advancing over the members of ``reference_parents``
+    and grounding each pattern with ``occurrences``.  The same result,
+    effort counts and depth-cap error as ``first_grounded``."""
+    runs = []
+    for word, direction in cases:
+        target = (parse_pattern(word) if direction is None
+                  else word_to_pattern(word, direction))
+        runs.append({"word": word, "direction": direction, "target": target,
+                     "links": {target: None}, "frontier": [target],
+                     "depth": 0, "nodes": 0})
+
+    def effort():
+        return {"nodes_expanded": sum(run["nodes"] for run in runs),
+                "patterns_seen": sum(len(run["links"]) for run in runs)}
+
+    def result(run, grounded=None):
+        anchor, ancestor = grounded or (None, None)
+        offsets = []
+        cur = ancestor
+        while grounded is not None and run["links"][cur] is not None:
+            cur, off = run["links"][cur]
+            offsets.append(off)
+        return ancestry.SearchResult(
+            word=run["word"], direction=run["direction"], ancestor=ancestor,
+            anchor=anchor, offsets=tuple(offsets), target=run["target"],
+            max_depth=run["depth"], **effort())
+
+    live = list(runs)
+    while live:
+        for run in live:
+            best = None
+            for pat in run["frontier"]:
+                pos = occurrences(pat, l1)
+                if pos and (best is None or (*pos[0], pat.text()) < best[0]):
+                    best = ((*pos[0], pat.text()), pos[0], pat)
+            if best is not None:
+                return result(run, best[1:])
+        still = []
+        for run in live:
+            nxt = []
+            for pat in sorted(run["frontier"]):
+                for q, off in reference_parents(rules, pat):
+                    if q not in run["links"]:
+                        run["links"][q] = (pat, off)
+                        nxt.append(q)
+            run["nodes"] += len(run["frontier"])
+            run["frontier"] = nxt
+            if nxt:
+                run["depth"] += 1
+                still.append(run)
+        live = still
+        if depth_cap is not None and live and live[0]["depth"] > depth_cap:
+            raise UnresolvedSearchError(
+                f"depth cap {depth_cap} reached with "
+                f"{sum(len(run['frontier']) for run in live)} open patterns "
+                f"for {runs[0]['word']!r}", depth=live[0]["depth"], **effort())
+    return result(runs[0])
 
 
 @st.composite
@@ -233,11 +337,15 @@ class TestOffsetPlan:
         with mock.patch.object(AncestrySearcher, "parents", spy):
             solve(spec)
         assert len(spec.rules.letters) == 26
-        assert len(enumerated) == 2193
+        assert len(enumerated) == 1202
         # 5 x 5 patterns, DIMENSION's depth-1 frontier among them.
-        assert sum(p.rows == p.cols == 5 for p in enumerated) == 1200
+        assert sum(p.rows == p.cols == 5 for p in enumerated) == 592
+        dead = [q for got in enumerated.values() for q, _ in got
+                if not isinstance(q.cells, str)]
+        assert (len(dead), sum(1 for q in dead for _ in members(q))) == (27, 1171)
         for pattern, got in enumerated.items():
-            assert got == reference_parents(spec.rules, pattern), pattern.text()
+            assert expanded(got) == reference_parents(spec.rules, pattern), \
+                pattern.text()
 
     @pytest.mark.parametrize("first,second", [
         (RuleSet({"A": ("AB",), "B": ("AC",), "C": ("BB",)}),
@@ -332,6 +440,20 @@ class TestDeepestLayers:
         want = [max(searcher.closure(t).values()) for t in targets]
         assert AncestrySearcher(rules).deepest_layers(targets) == want
 
+    def test_a_start_grid_changes_no_closure(self):
+        """A searcher with a start grid hands out dead products unbuilt;
+        its closures still hold their members, as a grid-free one's do."""
+        rules = RuleSet({"A": ("BB", "BB"), "B": ("BB", "AA"), "C": ("BB", "BB")})
+        targets = [word_to_pattern("BBBBB", Direction.NE),
+                   word_to_pattern("BB", Direction.SE)]
+        settled = AncestrySearcher(rules, Grid.from_text("A/B"))
+        assert not isinstance(settled.parents(targets[0])[0][0].cells, str)
+        assert [len(settled.closure(t)) for t in targets] == [193, 30]
+        for target in targets:
+            assert settled.closure(target) == AncestrySearcher(rules).closure(target)
+        assert settled.deepest_layers(targets) == \
+            AncestrySearcher(rules).deepest_layers(targets)
+
     def test_a_one_letter_target_of_two_directions_carries_both(self, abc_2d):
         targets = [word_to_pattern("A", Direction.E),
                    word_to_pattern("A", Direction.SE)]
@@ -392,12 +514,14 @@ class TestSettledProducts:
             links.update(run.links)
         self._check(searcher, links)
         # The last layer's parents are settled here for the first time.
-        self._check(searcher, {q for pat in links for q, _ in searcher.parents(pat)})
+        self._check(searcher, {q for pat in links
+                               for q, _ in expanded(searcher.parents(pat))})
 
     def test_dimension_diagonals_on_the_shipped_puzzle(self, puzzle_path):
         """DIMENSION read NE or SW has 592 parents, none grounded; every
         SW parent is parentless.  Settling their products answers the
-        grounding of all 1,184 without one grid scan."""
+        grounding of all 1,184 without one grid scan: the SW ones are
+        counted in dead products, never built."""
         spec = load_puzzle(puzzle_path)
         searcher = AncestrySearcher(spec.rules, spec.l1)
         runs = [LayeredSearch(searcher, "DIMENSION", d)
@@ -405,14 +529,142 @@ class TestSettledProducts:
         for run in runs:
             assert run.check_grounding() is None
             run.advance()
-        ne, sw = (run.frontier for run in runs)
-        assert len(ne) == len(sw) == 592
+        assert [len(run.frontier) + run.dead_open for run in runs] == [592, 592]
+        assert runs[1].frontier == []
         with mock.patch.object(GridIndex, "positions",
                                side_effect=AssertionError("grid scanned")):
             assert all(run.check_grounding() is None for run in runs)
+        ne, sw = (layer_one(run) for run in runs)
+        assert len(ne) == len(sw) == 592
         assert all(searcher.parents(q) == () for q in sw)
         runs[0].advance()
-        self._check(searcher, runs[0].links.keys() | runs[1].links.keys())
+        self._check(searcher, set(seen_patterns(runs[0]) + seen_patterns(runs[1])))
+
+
+def rules_from(text: str) -> RuleSet:
+    """Rules in their one-line text form, ``A>AB/CB;B>...``."""
+    return RuleSet({ch: tuple(block.split("/")) for ch, block in
+                    (item.split(">") for item in text.split(";"))})
+
+
+@functools.cache
+def puzzle_rules() -> RuleSet:
+    return load_puzzle(PUZZLE_PATH).rules
+
+
+@st.composite
+def search_cases(draw, rules):
+    """One search target: a word of up to four letters read in any
+    direction, or a raw trimmed pattern of up to 3 x 3 cells."""
+    if draw(st.booleans()):
+        word = draw(st.text(alphabet=rules.letters, min_size=1, max_size=4))
+        return word, draw(st.sampled_from(tuple(Direction)))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = draw(st.text(alphabet=rules.letters + (WILDCARD,),
+                         min_size=rows * cols, max_size=rows * cols))
+    assume(cells.strip(WILDCARD))
+    return trim(Pattern(rows, cols, cells)).text(), None
+
+
+def _search_outcome(search):
+    try:
+        return search()
+    except UnresolvedSearchError as err:
+        return str(err), err.depth, err.nodes_expanded, err.patterns_seen
+
+
+# Small searches, found by random search, whose counts or parent lists
+# depend on one rule that keeps dead products exact.  Each is
+# (rules, start grid, target, direction or None for a raw pattern).
+DEDUPE_CASES = {
+    # A later product's member inside an earlier dead product of the
+    # call is left out.
+    "later-member-in-dead": ("A>DA;B>DD;C>CA;D>DA", "D", "DDD", Direction.E),
+    # A dead product sharing a member with an earlier built product of
+    # the call is built.
+    "dead-after-built": ("A>CC;B>BC;C>CB;D>CB", "AD", "C*C*C", None),
+    # ... and one sharing a member with an earlier dead product.
+    "dead-after-dead": ("A>CA;B>AA;C>CA;D>AA", "C", "CACA", Direction.W),
+    # A pattern inside a dead product of another child is not new.
+    "pattern-in-dead": ("A>AA;B>CC;C>AC;D>AA", "C", "C*A", None),
+    # Dead products of two children that share members: the later one
+    # is built.
+    "dead-meets-dead": ("A>CC;B>CA;C>AC;D>CA", "D", "C**C", None),
+    # A dead product larger than the links, counted from the links.
+    "counted-from-links": ("A>CA/CA;B>AA/CC;C>CC/AA;D>AA/AA;E>AC/CA;F>AC/AA",
+                           "FD", "A*/CA/*A", None),
+}
+
+
+class TestSearchMatchesReference:
+    """``first_grounded`` counts dead products and never builds them; it
+    must still give every ``SearchResult`` field, and every depth-cap
+    error, that the member-by-member reference gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_result_field(self, data):
+        rules = data.draw(st.one_of(rule_sets(bs=(2, 3)), crowded_rule_sets(),
+                                    st.builds(puzzle_rules)))
+        l1 = data.draw(grids_for(rules, max_side=3))
+        cases = data.draw(st.lists(search_cases(rules), min_size=1, max_size=2))
+        cap = data.draw(st.none() | st.integers(0, 3))
+        searcher = AncestrySearcher(rules, l1)
+        got = _search_outcome(lambda: first_grounded(
+            [LayeredSearch(searcher, word, d) for word, d in cases], cap))
+        assert got == _search_outcome(lambda: reference_search(rules, l1, cases, cap))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_parent_lists_expand_to_the_reference(self, data):
+        rules = data.draw(st.one_of(rule_sets(bs=(2, 3)), crowded_rule_sets()))
+        l1 = data.draw(grids_for(rules, max_side=3))
+        searcher = AncestrySearcher(rules, l1)
+        run = LayeredSearch(searcher, *data.draw(search_cases(rules)))
+        res = _search_outcome(lambda: first_grounded([run], 4))
+        seen = seen_patterns(run)
+        assert len(seen) == len(set(seen)) == run.result().patterns_seen
+        for pat in seen:
+            assert expanded(searcher.parents(pat)) == reference_parents(rules, pat)
+
+    @pytest.mark.parametrize("case", DEDUPE_CASES.values(), ids=DEDUPE_CASES)
+    def test_dedupe_case(self, case):
+        text, grid, word, direction = case
+        rules, l1 = rules_from(text), Grid.from_text(grid)
+        searcher = AncestrySearcher(rules, l1)
+        run = LayeredSearch(searcher, word, direction)
+        assert first_grounded([run]) == reference_search(rules, l1, [(word, direction)])
+        seen = seen_patterns(run)
+        assert len(seen) == len(set(seen)) == run.result().patterns_seen
+        for pat in seen:
+            assert expanded(searcher.parents(pat)) == reference_parents(rules, pat)
+
+    def test_a_dead_product_stands_for_its_members(self):
+        """DDD read E never appears from D.  Its parents at offset 0 are
+        the dead product B x {A, B, D}, and BB at offset 1 lies inside
+        it: 4 patterns seen and expanded, not 5."""
+        rules = rules_from("A>DA;B>DD;C>CA;D>DA")
+        searcher = AncestrySearcher(rules, Grid.from_text("D"))
+        target = word_to_pattern("DDD", Direction.E)
+        product = Pattern(1, 2, (("B",), ("A", "B", "D")))
+        assert searcher.parents(target) == ((product, (0, 0)),)
+        assert [q.text() for q in members(product)] == ["BA", "BB", "BD"]
+        res = searcher.search("DDD", Direction.E)
+        assert (res.found, res.nodes_expanded, res.patterns_seen) == (False, 4, 4)
+
+    def test_depth_cap_counts_open_dead_members(self, puzzle_path):
+        spec = load_puzzle(puzzle_path)
+        with pytest.raises(UnresolvedSearchError) as err:
+            first_appearance("BOUNDARY", Direction.NE, spec.l1, spec.rules,
+                             depth_cap=0)
+        assert str(err.value) == \
+            "depth cap 0 reached with 16 open patterns for 'BOUNDARY'"
+        assert (err.value.depth, err.value.nodes_expanded,
+                err.value.patterns_seen) == (1, 1, 17)
+        run = LayeredSearch(AncestrySearcher(spec.rules, spec.l1), "BOUNDARY",
+                            Direction.NE)
+        run.advance()
+        assert (len(run.frontier), run.dead_open) == (0, 16)
 
 
 def _fills(pattern: Pattern, letters):
@@ -660,7 +912,7 @@ class TestGrounding:
         for direction in (Direction.NE, Direction.SW):
             run = LayeredSearch(searcher, "DIMENSION", direction)
             assert run.advance()
-            patterns += [p for p in run.frontier if (p.rows, p.cols) == (5, 5)]
+            patterns += [p for p in layer_one(run) if (p.rows, p.cols) == (5, 5)]
         assert len(patterns) == 1184
         self.assert_scan(spec.rules, spec.l1, patterns)
 
@@ -902,6 +1154,40 @@ class TestAncestorTree:
         leaves = sorted(node.pattern.text() for node in _walk(tree)
                         if not node.children)
         assert leaves == ["A", "AA", "B", "B", "BBAA", "BC", "CC"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_member_by_member_tree(self, data):
+        """Dead products among the parents are expanded into the same
+        tree that member-by-member parents and groundings give."""
+        rules = data.draw(crowded_rule_sets())
+        l1 = data.draw(grids_for(rules, max_side=3))
+        word = data.draw(st.text(alphabet=rules.letters, min_size=1, max_size=3))
+        direction = data.draw(st.sampled_from(tuple(Direction)))
+        self._check_tree(word, direction, rules, l1)
+
+    def test_a_tree_of_dead_products(self):
+        # BBBBB read NE never appears from A/B: its 192 parents come in
+        # three dead products, each member a no-parents leaf.
+        rules = rules_from("A>BB/BB;B>BB/AA;C>BB/BB")
+        l1 = Grid.from_text("A/B")
+        target = word_to_pattern("BBBBB", Direction.NE)
+        parents = AncestrySearcher(rules, l1).parents(target)
+        assert [len(list(members(q))) for q, _ in parents] == [108, 12, 72]
+        tree = self._check_tree("BBBBB", Direction.NE, rules, l1)
+        assert len(tree.children) == 192
+        assert {child.status for child in tree.children} == {"no-parents"}
+
+    @staticmethod
+    def _check_tree(word, direction, rules, l1):
+        tree = ancestor_tree(word, direction, rules, l1)
+        with mock.patch.object(AncestrySearcher, "parents",
+                               lambda self, p: reference_parents(self.rules, p)), \
+                mock.patch.object(AncestrySearcher, "ground_positions",
+                                  lambda self, p: tuple(occurrences(p, self.l1))):
+            assert tree_to_json(tree) == tree_to_json(
+                ancestor_tree(word, direction, rules, l1))
+        return tree
 
     def test_unproducible_letter_gives_root_only_tree(self):
         rules = RuleSet({"A": ("BB",), "B": ("BB",)})

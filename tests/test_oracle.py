@@ -742,6 +742,39 @@ class TestAgreementHarness:
                                                 for issue in issues]
         assert got["issues"]["geometry"] == []
 
+    @staticmethod
+    def dead_ancestors():
+        """BBBBB read NE never appears from A/B: the search links only
+        the target, and the target's 192 parents come in three dead
+        products, never built."""
+        rules = RuleSet({"A": ("BB", "BB"), "B": ("BB", "AA"), "C": ("BB", "BB")})
+        l1 = Grid.from_text("A/B")
+        target = word_to_pattern("BBBBB", Direction.NE)
+        parents = AncestrySearcher(rules, l1).parents(target)
+        assert all(isinstance(q.cells, tuple) for q, _ in parents)
+        ancestors = [q for q, _ in parents for q in ancestry.members(q)]
+        assert len(ancestors) == len(set(ancestors)) == 192
+        desc = f"dim=2 n=3 rules={rules.text()} l1=A/B word=BBBBB dir=NE"
+        return rules, l1, ancestors, desc
+
+    def test_each_member_of_an_off_band_dead_product_is_an_issue(self, monkeypatch):
+        rules, l1, ancestors, desc = self.dead_ancestors()
+        monkeypatch.setattr(oracle, "two_diagonal_support",
+                            lambda pattern, anti=False: isinstance(pattern.cells, str))
+        got = check_instance(rules, l1, "BBBBB", Direction.NE)
+        assert got["issues"]["confinement"] == [
+            f"{desc}: ancestor {q.text()} off the diagonal band" for q in ancestors]
+        assert got["issues"]["geometry"] == []
+
+    def test_each_member_of_an_oversized_dead_product_is_an_issue(self, monkeypatch):
+        rules, l1, ancestors, desc = self.dead_ancestors()
+        monkeypatch.setattr(oracle.bounds, "max_parent_len", lambda side, b: 1)
+        got = check_instance(rules, l1, "BBBBB", Direction.NE)
+        target = word_to_pattern("BBBBB", Direction.NE).text()
+        assert got["issues"]["geometry"] == [
+            f"{desc}: parent {q.text()} of {target} too large" for q in ancestors]
+        assert got["issues"]["confinement"] == []
+
     @pytest.mark.parametrize("instances", [0, -1])
     def test_an_empty_audit_is_refused(self, instances):
         with pytest.raises(ValueError):

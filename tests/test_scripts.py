@@ -1,8 +1,10 @@
-"""Smoke test of the experiment script: it runs as a subprocess on small
-inputs and exits 0, and refuses out-of-range arguments before sweeping."""
+"""Smoke tests of the scripts: the experiment script runs as a subprocess
+on small inputs and exits 0, and refuses out-of-range arguments before
+sweeping; the mutation probe's mutants still name text of the package."""
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +42,21 @@ def test_footnote_sweep_refuses_bad_arguments_up_front(args, message):
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
     assert f"error: {message}" in done.stderr
+
+
+def test_mutation_probe_texts_are_found_once():
+    """Each mutant names text found exactly once in its file, so an edit
+    that moves the text fails here, without running the probe."""
+    spec = importlib.util.spec_from_file_location(
+        "mutation_probe", ROOT / "scripts" / "mutation_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    for name, (path, old, new, _) in {**probe.MUTANTS, **probe.EQUIVALENT}.items():
+        assert (ROOT / path).read_text(encoding="utf-8").count(old) == 1, name
+        assert old != new, name
+
+
+def test_mutation_probe_refuses_an_unknown_mutant():
+    done = run_script("mutation_probe.py", "no-such-mutant")
+    assert done.returncode == 2
+    assert "unknown mutants: no-such-mutant" in done.stderr
