@@ -96,9 +96,9 @@ def _inside(product: Pattern, q: Pattern) -> bool:
             and all(map(operator.contains, product.cells, q.cells)))
 
 
-def _in_any(dead: dict[tuple[int, int], tuple[Pattern, ...]], q: Pattern) -> bool:
-    """True iff ``q`` is a member of a product in ``dead``, by shape."""
-    return any(_inside(d, q) for d in dead.get(q[:2], ()))
+def _in_any(products, q: Pattern) -> bool:
+    """True iff ``q`` lies in a product (a call, so no closure captures ``q``)."""
+    return any(_inside(d, q) for d in products)
 
 
 def _meets(a: Pattern, b: Pattern) -> bool:
@@ -152,14 +152,12 @@ class AncestrySearcher:
 
     With a start grid, :meth:`parents` also settles each large product
     of parent letter sets as a whole (:meth:`_settle`) before building
-    it.  A *dead* one, with no start left in the grid and no member with
-    parents, is handed out as one entry and never built.  Otherwise its
-    members are marked ungrounded or parentless as the tests prove, or
-    left pending, and the first lookup of one then sifts the whole
-    product exactly (:meth:`_sift`).  Of the 42 products a puzzle solve
-    settles, 27 are dead, 2 parentless and 13 pending.  Groundings are
-    not otherwise cached: a search seldom grounds a pattern twice.  A
-    grid-free searcher, as the sweep uses, settles nothing.
+    it: of the 42 a puzzle solve settles, 27 are *dead* (no start left
+    in the grid, no member with parents), one entry each, never built;
+    2 have parentless members and 3 are sifted (:meth:`_sift`) on the
+    first lookup of a member.  Groundings are not otherwise cached: a
+    search seldom grounds a pattern twice.  A grid-free searcher, as
+    the sweep uses, settles nothing.
     """
 
     def __init__(self, rules: RuleSet, l1: Grid | None = None):
@@ -236,10 +234,9 @@ class AncestrySearcher:
 
         A searcher with a start grid settles a large product, one of
         more patterns than the plan has offsets, as a whole
-        (:meth:`_settle`) before building it.  A dead product sharing
-        no member with an earlier product of the call is one entry: its
-        letter-set pattern (a tuple of letters or the wildcard per cell)
-        and offset, which :func:`members` expands in product order.
+        (:meth:`_settle`) before building it.  A dead product sharing no
+        member with an earlier product of the call is one entry, read
+        through :func:`members` alone: its cells are letter tuples or ``*``.
         """
         cached = self._parents.get(pattern)
         if cached is None:
@@ -247,9 +244,8 @@ class AncestrySearcher:
         return cached
 
     def _enumerate(self, pattern: Pattern) -> tuple[tuple[Pattern, tuple[int, int]], ...]:
-        """:meth:`parents` on a cache miss, which for a pending member
-        sifts its product first (:meth:`_sift`)."""
-        if pattern in self._pending:
+        """:meth:`parents` on a miss; a pending member's product is sifted first."""
+        if self._pending and pattern in self._pending:
             self._sift(*self._pending[pattern])
             if pattern in self._parents:
                 return self._parents[pattern]
@@ -261,7 +257,8 @@ class AncestrySearcher:
             raise UnknownLetterError(
                 f"pattern {pattern.text()!r} uses letters outside the alphabet"
             )
-        settle = self._l1_index is not None
+        # Larger products are settled whole; a grid-free searcher settles none.
+        settle_over = len(plan) if self._l1_index is not None else PRODUCT_CAP
         out: list[tuple[Pattern, tuple[int, int]]] = []
         seen: set[Pattern] = set()
         dead: list[Pattern] = []
@@ -283,9 +280,8 @@ class AncestrySearcher:
                         f"parent product {total} exceeds cap {PRODUCT_CAP} "
                         f"for pattern {pattern.text()!r} at offset {off}"
                     )
-                if settle and (total > len(plan) or dead):
-                    self._settle(pr, pc, masks, off, total > len(plan),
-                                 out, seen, dead)
+                if total > settle_over or dead:
+                    self._settle(pr, pc, masks, off, total > settle_over, out, seen, dead)
                     continue
                 for combo in itertools.product(*options):
                     q = _new_pattern((pr, pc, "".join(combo)))
@@ -301,20 +297,20 @@ class AncestrySearcher:
                 out: list[tuple[Pattern, tuple[int, int]]], seen: set[Pattern],
                 dead: list[Pattern]) -> None:
         """Place one product of parent letter sets (``masks``, -1 for a
-        free cell) into an enumeration's ``out``; ``dead`` holds the
-        call's dead ones.  A ``large`` one is tested first: with no start
-        left in the grid (:meth:`GridIndex.starts_any`), no member
-        grounds, and with no :meth:`_fitting_offsets`, none has parents.
-        A dead product sharing no member with an earlier one of the call
-        goes into ``out`` unbuilt.  Otherwise the members are built, less
-        those inside a dead product, and the answers kept for those new
-        to the call: no groundings, no parents, or pending (:meth:`_sift`)."""
+        free cell) into an enumeration's ``out``.  A ``large`` one is
+        tested first: with no start left in the grid (:meth:`GridIndex.starts_any`),
+        no member grounds; with no :meth:`_fitting_offsets`, none has parents.
+        Dead, and sharing no member with the call's ``dead`` or earlier
+        members, it goes into ``out`` unbuilt.  Otherwise its members are
+        built, less those inside a dead product, and the answers kept for
+        those new to the call: no groundings, no parents, or pending
+        (:meth:`_sift`) past offsets x letters, the blocks a sift reads."""
         product = Pattern(rows, cols, tuple(
             WILDCARD if m == -1 else self._options(m) for m in masks))
         clash = [d for d in dead if _meets(d, product)]
         if large:
             grounds = self._l1_index.starts_any(product)
-            parented = any(True for _ in self._fitting_offsets(rows, cols, masks))
+            parented = next(self._fitting_offsets(rows, cols, masks), None) is not None
             if not (grounds or parented or clash or any(
                     _inside(product, q) for q, _ in out if isinstance(q.cells, str))):
                 dead.append(product)
@@ -323,12 +319,9 @@ class AncestrySearcher:
         first = len(out)
         for combo in itertools.product(*product.cells):
             q = _new_pattern((rows, cols, "".join(combo)))
-            if q not in seen:
+            if q not in seen and not (clash and _in_any(clash, q)):
                 seen.add(q)
                 out.append((q, off))
-        if clash:
-            out[first:] = [(q, o) for q, o in out[first:]
-                           if not any(_inside(d, q) for d in clash)]
         if not large:
             return
         found = [q for q, _ in out[first:]]
@@ -336,7 +329,7 @@ class AncestrySearcher:
             self._ungrounded.update(found)
         if not parented:
             self._parents.update(dict.fromkeys(found, ()))
-        else:
+        elif len(found) > self.rules.rule_rows * self.rules.b * len(self._letters):
             self._pending.update(dict.fromkeys(found, (rows, cols, masks, found)))
 
     def _fitting_offsets(self, rows: int, cols: int, masks: list[int]):
@@ -364,19 +357,17 @@ class AncestrySearcher:
         blocks = {p: "".join(block) for p, block in self.rules.rules.items()}
         alive: set[str] = set()
         for steps, parent in self._fitting_offsets(rows, cols, masks):
-            by_cell: dict[int, tuple[list[int], list[int]]] = {}
+            by_cell: dict[int, list[tuple[int, int]]] = {}
             for i, k, s in steps:
-                cells, slots = by_cell.setdefault(k, ([], []))
-                cells.append(i)
-                slots.append(s)
+                by_cell.setdefault(k, []).append((i, s))
             spellings = []
-            for k, (_, slots) in by_cell.items():
-                spell = operator.itemgetter(*slots)
+            for k, pairs in by_cell.items():
+                spell = operator.itemgetter(*(s for _, s in pairs))
                 spellings.append({spell(blocks[p]) for p in self._options(parent[k])})
             chars = [WILDCARD] * len(masks)
             for combo in itertools.product(*spellings):
-                for (cells, _), spelled in zip(by_cell.values(), combo):
-                    for i, ch in zip(cells, spelled):
+                for pairs, spelled in zip(by_cell.values(), combo):
+                    for (i, _), ch in zip(pairs, spelled):
                         chars[i] = ch
                 alive.add("".join(chars))
         for q in found:
@@ -490,9 +481,15 @@ class LayeredSearch:
 
     A dead product among the parents is never built: its members can
     neither ground nor have parents, so the run counts them once each
-    in ``dead_seen`` and, while their layer is open, in ``dead_open``.
-    ``dead`` holds the products met, by shape.
+    in ``dead_seen`` and, while their layer is open, in ``dead_open``;
+    ``dead`` holds the products met, by shape, and ``_met`` each with
+    the number of links made before it.  Until a run meets one, all
+    four are the class defaults below.
     """
+
+    dead: dict[tuple[int, int], tuple[Pattern, ...]] | None = None
+    _met: tuple[tuple[int, Pattern], ...] = ()
+    dead_seen = dead_open = 0
 
     def __init__(self, searcher: AncestrySearcher, word: str,
                  direction: Direction | None):
@@ -515,9 +512,6 @@ class LayeredSearch:
         self.frontier: list[Pattern] = [target]
         self.depth = 0
         self.nodes_expanded = 0
-        self.dead: dict[tuple[int, int], tuple[Pattern, ...]] | None = None
-        self.dead_seen = 0
-        self.dead_open = 0
 
     def check_grounding(self) -> tuple[tuple[int, int], Pattern] | None:
         """Smallest (row, col, pattern text) grounding of the current
@@ -547,7 +541,7 @@ class LayeredSearch:
                 if q not in links:
                     if not isinstance(q.cells, str):
                         self._count_dead(q, pat, off, nxt)
-                    elif dead is None or not _in_any(dead, q):
+                    elif dead is None or not _in_any(dead.get(q[:2], ()), q):
                         links[q] = (pat, off)
                         nxt.append(q)
         self.nodes_expanded += expanded
@@ -557,26 +551,33 @@ class LayeredSearch:
         self.depth += 1
         return True
 
+    def seen(self) -> list[Pattern]:
+        """Every pattern the run has met, in order: the links, and each dead
+        product's unlinked members where it was met (``patterns_seen``)."""
+        out = list(self.links)
+        for at, product in reversed(self._met):
+            out[at:at] = [q for q in members(product) if q not in self.links]
+        return out
+
     def _count_dead(self, product: Pattern, child: Pattern, off: tuple[int, int],
                     nxt: list[Pattern]) -> None:
-        """Count the members of a dead product among the parents of
-        ``child`` that the run has not seen, from whichever side is
-        smaller: the members or the links.  One sharing members with a
-        product met before is built and linked instead.  ``dead`` is
-        replaced, not changed, so a snapshot holds only earlier ones."""
-        dead, shape = self.dead or {}, product[:2]
+        """Count a dead product's members that the run has not seen, from
+        the members if no more than the links, else from the links of its
+        shape; build and link one meeting a product met before.  ``dead``
+        is replaced, not changed: a snapshot holds only earlier ones."""
+        dead, shape, links = self.dead or {}, product[:2], self.links
         met = dead.get(shape, ())
-        links = self.links
         if any(_meets(d, product) for d in met):
             for q in members(product):
-                if q not in links and not _in_any(dead, q):
+                if q not in links and not _in_any(met, q):
                     links[q] = (child, off)
                     nxt.append(q)
             return
         size = math.prod(map(len, product.cells))
         new = (sum(q not in links for q in members(product)) if size <= len(links)
-               else size - sum(_inside(product, q) for q in links))
+               else size - sum(_inside(product, q) for q in links if q[:2] == shape))
         self.dead = {**dead, shape: met + (product,)}
+        self._met += ((len(links), product),)
         self.dead_seen += new
         self.dead_open += new
 

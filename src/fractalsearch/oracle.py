@@ -599,17 +599,14 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
         max_cols = bounds.max_parent_len(pat.cols, rules.b)
         for q, _ in searcher.parents(pat):
             if q.rows > max_rows or q.cols > max_cols:
-                issues["geometry"].extend(
-                    f"{desc()}: parent {m.text()} of {pat.text()} too large"
-                    for m in members(q))
-        if banded and not two_diagonal_support(pat, anti=anti):
-            issues["confinement"].append(
-                f"{desc()}: ancestor {pat.text()} off the diagonal band")
-    for product in itertools.chain.from_iterable((run.dead or {}).values()):
-        if banded and not two_diagonal_support(product, anti=anti):
-            issues["confinement"].extend(
-                f"{desc()}: ancestor {m.text()} off the diagonal band"
-                for m in members(product) if m not in run.links)
+                for m in members(q):
+                    issues["geometry"].append(
+                        f"{desc()}: parent {m.text()} of {pat.text()} too large")
+    if banded:
+        for pat in run.seen():
+            if not two_diagonal_support(pat, anti=anti):
+                issues["confinement"].append(
+                    f"{desc()}: ancestor {pat.text()} off the diagonal band")
     return {"outcome": outcome, "issues": issues}
 
 

@@ -178,28 +178,19 @@ def expanded(parents):
     return tuple((q, off) for entry, off in parents for q in members(entry))
 
 
-def seen_patterns(run: LayeredSearch) -> list[Pattern]:
-    """Every pattern a run has seen: its links, then the members of its
-    dead products that are not linked."""
-    out = list(run.links)
-    for products in (run.dead or {}).values():
-        for product in products:
-            out += [q for q in members(product) if q not in run.links]
-    return out
-
-
 def layer_one(run: LayeredSearch) -> list[Pattern]:
     """The patterns of a run advanced once: its frontier and the members
     of its dead products, all met at depth one."""
-    return [q for q in seen_patterns(run) if q != run.target]
+    return [q for q in run.seen() if q != run.target]
 
 
-def reference_search(rules, l1, cases, depth_cap=None):
+def reference_search(rules, l1, cases, depth_cap=None, links=None):
     """Reference backward search, member by member: runs stepped in
     lockstep over ``cases`` of (word, direction or None for a raw
     pattern), each advancing over the members of ``reference_parents``
     and grounding each pattern with ``occurrences``.  The same result,
-    effort counts and depth-cap error as ``first_grounded``."""
+    effort counts and depth-cap error as ``first_grounded``.  ``links``,
+    if given, receives each run's link map, in the order it links."""
     runs = []
     for word, direction in cases:
         target = (parse_pattern(word) if direction is None
@@ -207,6 +198,8 @@ def reference_search(rules, l1, cases, depth_cap=None):
         runs.append({"word": word, "direction": direction, "target": target,
                      "links": {target: None}, "frontier": [target],
                      "depth": 0, "nodes": 0})
+        if links is not None:
+            links.append(runs[-1]["links"])
 
     def effort():
         return {"nodes_expanded": sum(run["nodes"] for run in runs),
@@ -538,7 +531,7 @@ class TestSettledProducts:
         assert len(ne) == len(sw) == 592
         assert all(searcher.parents(q) == () for q in sw)
         runs[0].advance()
-        self._check(searcher, set(seen_patterns(runs[0]) + seen_patterns(runs[1])))
+        self._check(searcher, {*runs[0].seen(), *runs[1].seen()})
 
 
 def rules_from(text: str) -> RuleSet:
@@ -620,9 +613,13 @@ class TestSearchMatchesReference:
         rules = data.draw(st.one_of(rule_sets(bs=(2, 3)), crowded_rule_sets()))
         l1 = data.draw(grids_for(rules, max_side=3))
         searcher = AncestrySearcher(rules, l1)
-        run = LayeredSearch(searcher, *data.draw(search_cases(rules)))
-        res = _search_outcome(lambda: first_grounded([run], 4))
-        seen = seen_patterns(run)
+        case = data.draw(search_cases(rules))
+        run = LayeredSearch(searcher, *case)
+        links = []
+        assert _search_outcome(lambda: first_grounded([run], 4)) == _search_outcome(
+            lambda: reference_search(rules, l1, [case], 4, links))
+        seen = list(run.seen())
+        assert seen == list(links[0])
         assert len(seen) == len(set(seen)) == run.result().patterns_seen
         for pat in seen:
             assert expanded(searcher.parents(pat)) == reference_parents(rules, pat)
@@ -633,8 +630,11 @@ class TestSearchMatchesReference:
         rules, l1 = rules_from(text), Grid.from_text(grid)
         searcher = AncestrySearcher(rules, l1)
         run = LayeredSearch(searcher, word, direction)
-        assert first_grounded([run]) == reference_search(rules, l1, [(word, direction)])
-        seen = seen_patterns(run)
+        links = []
+        assert first_grounded([run]) == reference_search(rules, l1, [(word, direction)],
+                                                         links=links)
+        seen = list(run.seen())
+        assert seen == list(links[0])
         assert len(seen) == len(set(seen)) == run.result().patterns_seen
         for pat in seen:
             assert expanded(searcher.parents(pat)) == reference_parents(rules, pat)

@@ -758,12 +758,16 @@ class TestAgreementHarness:
         return rules, l1, ancestors, desc
 
     def test_each_member_of_an_off_band_dead_product_is_an_issue(self, monkeypatch):
+        """One line per pattern the search met, in the order met: the
+        target, then the members of each dead product."""
         rules, l1, ancestors, desc = self.dead_ancestors()
         monkeypatch.setattr(oracle, "two_diagonal_support",
-                            lambda pattern, anti=False: isinstance(pattern.cells, str))
+                            lambda pattern, anti=False: False)
         got = check_instance(rules, l1, "BBBBB", Direction.NE)
+        target = word_to_pattern("BBBBB", Direction.NE)
         assert got["issues"]["confinement"] == [
-            f"{desc}: ancestor {q.text()} off the diagonal band" for q in ancestors]
+            f"{desc}: ancestor {q.text()} off the diagonal band"
+            for q in [target, *ancestors]]
         assert got["issues"]["geometry"] == []
 
     def test_each_member_of_an_oversized_dead_product_is_an_issue(self, monkeypatch):
