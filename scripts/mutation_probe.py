@@ -108,6 +108,22 @@ MUTANTS = {
         "for at, product in reversed(self._met):",
         "for at, product in ((len(self.links), d) for _, d in reversed(self._met)):",
         "a run lists its dead members after every link, not where it met them"),
+    "sweep-witness-tie-keeps-first": (
+        PKG + "oracle.py",
+        "if length not in best or key < best[length]:",
+        "if length not in best or key[:3] < best[length][:3]:",
+        "a sweep witness tie on level, rule set and word keeps the first "
+        "found, not the smaller start grid"),
+    "shared-layer-read-short": (
+        PKG + "oracle.py",
+        "for layer in layers[:depth + 1]]",
+        "for layer in layers[:depth]]",
+        "a searched word's fill scan reads one layer too few of its closure"),
+    "answer-box-sliced-off-center": (
+        PKG + "puzzle.py",
+        "rows = tuple(line[x_left - c0:x_right - c0 + 1]",
+        "rows = tuple(line[x_left - c0 + 1:x_right - c0 + 2]",
+        "the answer box is read one column right of the marker's center"),
 }
 
 # name: (file, old text, new text, why no output can change)
@@ -124,6 +140,12 @@ EQUIVALENT = {
         "elif True:",
         "every product the union test cannot settle is sifted, however small: "
         "the same parents, more work"),
+    "fills-without-shortcut": (
+        PKG + "oracle.py",
+        "if WILDCARD not in pattern.cells:",
+        "if False:",
+        "a pattern with no wildcard goes through the hole product, whose one "
+        "fill is the pattern itself: the same fills, more work"),
 }
 
 

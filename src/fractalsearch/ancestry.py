@@ -430,46 +430,41 @@ class AncestrySearcher:
             frontier = nxt
         return depths
 
-    def deepest_layers(self, targets: list[Pattern]) -> list[int]:
-        """The deepest layer of every target's closure, from one
-        breadth-first walk over all their ancestors at once: entry t is
-        ``max(self.closure(targets[t]).values())``.
+    def shared_layers(self, targets: list[Pattern]) -> list[dict[Pattern, int]]:
+        """The closures of all the targets, from one breadth-first walk
+        over their ancestors at once, layer by layer.  Layer d maps each
+        pattern it holds to the bits of the targets whose closure holds
+        that pattern at depth d: bit t of ``layers[d][q]`` is set iff
+        ``self.closure(targets[t])[q] == d``.  So a target's closure,
+        grouped by depth, is read off the layers by its bit, and its
+        deepest layer is the last one that holds the bit.
 
-        Each pattern carries a mask whose bit t says target t reaches
-        it, and a layer passes on only the bits new to each parent, so
-        bit t spreads exactly as the closure of target t does.  A layer
-        whose new masks hold bit t is a layer of that closure.  The walk
-        holds the union of the closures; more than ``CLOSURE_CAP``
-        patterns raise ResourceLimitError as in :meth:`closure`."""
+        A layer passes on to each parent only the bits new to that
+        parent, so bit t spreads exactly as the closure of target t does.
+        The walk holds the union of the closures; more than
+        ``CLOSURE_CAP`` patterns raise ResourceLimitError as in
+        :meth:`closure`."""
         parents = self.parents if self._l1_index is None else self._expanded
         masks: dict[Pattern, int] = {}
         for t, target in enumerate(targets):
             masks[target] = masks.get(target, 0) | 1 << t
-        deepest = [0] * len(targets)
-        fresh = dict(masks)
-        depth = 0
-        while fresh:
-            depth += 1
+        layers = [dict(masks)]
+        while True:
             nxt: dict[Pattern, int] = {}
-            reached = 0
-            for pat, bits in fresh.items():
+            for pat, bits in layers[-1].items():
                 for q, _ in parents(pat):
                     had = masks.get(q, 0)
                     new = bits & ~had
                     if new:
                         masks[q] = had | new
                         nxt[q] = nxt.get(q, 0) | new
-                        reached |= new
                 if len(masks) > CLOSURE_CAP:
                     raise ResourceLimitError(
                         f"ancestor closures exceed {CLOSURE_CAP} patterns"
                     )
-            while reached:
-                low = reached & -reached
-                deepest[low.bit_length() - 1] = depth
-                reached ^= low
-            fresh = nxt
-        return deepest
+            if not nxt:
+                return layers
+            layers.append(nxt)
 
 
 class LayeredSearch:

@@ -26,7 +26,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import ClassVar
 
 from . import bounds
@@ -180,7 +180,10 @@ def _fills(pattern: Pattern, letters: tuple[str, ...]):
     wildcards, in lexicographic fill order; more than ``FILL_CAP`` raise.
     Each is a throwaway start grid: ``GridIndex`` reads only its
     ``rows``, ``cols`` and ``cells``, so no ``Grid`` is validated per
-    fill."""
+    fill.  A pattern with no wildcard is its own only fill."""
+    if WILDCARD not in pattern.cells:
+        yield pattern
+        return
     holes = [i for i, ch in enumerate(pattern.cells) if ch == WILDCARD]
     if len(letters) ** len(holes) > FILL_CAP:
         raise ResourceLimitError(
@@ -200,7 +203,22 @@ def _occurs_in(pattern: Pattern, index: GridIndex) -> bool:
 def latest_with_searcher(searcher: AncestrySearcher, word: str,
                          direction: Direction, floor: int = 0) -> LatestResult:
     """Worst-case first-appearance level of a word over all start grids
-    if it is above ``floor``, else ``LatestResult(None, None)``.
+    if it is above ``floor``, else ``LatestResult(None, None)``: the
+    word's ancestor closure (:meth:`AncestrySearcher.closure`), grouped
+    by depth and handed to :func:`_fill_scan`."""
+    check_letters(word, searcher.rules, "word")
+    depths = searcher.closure(word_to_pattern(word, direction))
+    by_depth: list[list[Pattern]] = [[] for _ in range(max(depths.values()) + 1)]
+    for pat, d in depths.items():
+        by_depth[d].append(pat)
+    return _fill_scan(by_depth, searcher.rules.letters, floor)
+
+
+def _fill_scan(by_depth: list[list[Pattern]], letters: tuple[str, ...],
+               floor: int) -> LatestResult:
+    """The latest first level over the fills of a word's ancestors, given
+    as ``by_depth[d]``, the ancestors at depth d in any order, if it is
+    above ``floor``; else ``LatestResult(None, None)``.
 
     The candidate start grids are exactly the concrete fills of the
     word's ancestor patterns: for any start grid, restricting it to the
@@ -210,19 +228,11 @@ def latest_with_searcher(searcher: AncestrySearcher, word: str,
     only depths 0..d-1 are scanned for an earlier one.  Deeper ancestors
     are filled first, each depth in sorted order, and the first fill
     with the highest level wins.  The best level starts at ``floor``:
-    depths whose d+1 cannot beat it are never filled, and the call stops
+    depths whose d+1 cannot beat it are never filled, and the scan stops
     once a depth-d fill reaches d+1.  The target's own fill reaches
-    level 1, so with the default floor of 0 there is always a result.
+    level 1, so with a floor of 0 there is always a result.
     """
-    rules = searcher.rules
-    check_letters(word, rules, "word")
-    target = word_to_pattern(word, direction)
-    depths = searcher.closure(target)
-    by_depth: list[list[Pattern]] = [[] for _ in range(max(depths.values()) + 1)]
-    for pat, d in depths.items():
-        by_depth[d].append(pat)
     best, winner = floor, None
-    letters = rules.letters
     for d in range(len(by_depth) - 1, -1, -1):
         if d + 1 <= best:
             break
@@ -325,6 +335,32 @@ def _keep_best(best: dict[int, tuple], length: int, key: tuple) -> None:
         best[length] = key
 
 
+def _deepest(layers: list[dict[Pattern, int]], count: int) -> list[int]:
+    """The deepest closure layer of each of ``count`` targets: the last of
+    the shared walk's layers that holds the target's bit.  The layers
+    are read deepest first, and each bit is placed once."""
+    deepest = [0] * count
+    unplaced = (1 << count) - 1
+    for depth in range(len(layers) - 1, 0, -1):
+        reached = functools.reduce(or_, layers[depth].values()) & unplaced
+        unplaced ^= reached
+        while reached:
+            low = reached & -reached
+            deepest[low.bit_length() - 1] = depth
+            reached ^= low
+        if not unplaced:
+            break
+    return deepest
+
+
+def _groups(layers: list[dict[Pattern, int]], bit: int,
+            depth: int) -> list[list[Pattern]]:
+    """Depths 0..``depth`` of one target's closure, read off a shared walk
+    (:meth:`AncestrySearcher.shared_layers`) by the target's bit."""
+    return [[pat for pat, bits in layer.items() if bits & bit]
+            for layer in layers[:depth + 1]]
+
+
 def _sweep_chunk(args) -> tuple[list[int], dict]:
     """Worker: latest levels for every (rule set, word) of a list of
     rising rule-set indexes.
@@ -341,10 +377,12 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
 
     A word's latest level is at most its closure's deepest layer + 1,
     so a search whose deepest layer + 1 is at or below its floor would
-    answer nothing and is skipped.  The deepest layers of all the
-    (word, direction) targets, built once per chunk, come from one
-    shared ancestor walk per rule set
-    (:meth:`AncestrySearcher.deepest_layers`).
+    answer nothing and is skipped.  Every (word, direction) target's
+    closure comes from one shared ancestor walk per rule set
+    (:meth:`AncestrySearcher.shared_layers`): a target's deepest layer
+    is the last layer that holds its bit, and a search that is not
+    skipped reads its closure's depth groups off the layers by that bit
+    and runs the fill scan (:func:`_fill_scan`) on them.
     """
     letters, b, dimension, word_len_cap, indexes = args
     blocks = _sweep_blocks(letters, b, dimension)
@@ -356,15 +394,16 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
     best: dict[int, tuple] = {}     # word length -> witness key
     for idx in indexes:
         searcher = AncestrySearcher(_ruleset_by_index(idx, letters, blocks))
+        layers = searcher.shared_layers(targets)
+        deepest = _deepest(layers, len(targets))
         rs_max = 0
-        for (word, direction), deepest in zip(cases,
-                                              searcher.deepest_layers(targets)):
+        for t, (word, direction) in enumerate(cases):
             known = best.get(len(word))
             floor = 0 if known is None else min(
                 rs_max, -known[0] - (known[1:3] == (idx, word)))
-            if deepest + 1 <= floor:
+            if deepest[t] + 1 <= floor:
                 continue
-            got = latest_with_searcher(searcher, word, direction, floor)
+            got = _fill_scan(_groups(layers, 1 << t, deepest[t]), letters, floor)
             if got.level is None:
                 continue
             rs_max = max(rs_max, got.level)
@@ -443,6 +482,8 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
         raise ValueError("n must be >= 1")
     if word_len_cap < 1:
         raise ValueError("word_len_cap must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if dimension not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, not {dimension}")
     letters = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:n])

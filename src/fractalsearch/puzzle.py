@@ -279,20 +279,27 @@ def answer_window(spec: PuzzleSpec, target_level: int) -> AnswerWindow:
     bottom = min(max_rows, mid_r + ANSWER_WINDOW_RADIUS - 1)
     left = max(1, mid_c - ANSWER_WINDOW_RADIUS)
     right = min(max_cols, mid_c + ANSWER_WINDOW_RADIUS - 1)
-    window = _window(spec.l1, spec.rules, target_level, (top, bottom),
-                     (left, right))
     x_size = spec.answer_length // 2
     x_top, x_left = mid_r - x_size // 2, mid_c - x_size // 2
+    x_bottom, x_right = x_top + x_size - 1, x_left + x_size - 1
     fits = (
         x_size >= 2 and spec.answer_length % 2 == 0
-        and x_top >= rows_range[0] and x_top + x_size - 1 <= rows_range[1]
-        and x_left >= cols_range[0] and x_left + x_size - 1 <= cols_range[1]
+        and x_top >= rows_range[0] and x_bottom <= rows_range[1]
+        and x_left >= cols_range[0] and x_right <= cols_range[1]
     )
     if not fits:
-        return AnswerWindow(level=target_level, top=top, left=left,
-                            window=window, found=False)
-    rows = _window(spec.l1, spec.rules, target_level,
-                   (x_top, x_top + x_size - 1), (x_left, x_left + x_size - 1))
+        return AnswerWindow(level=target_level, top=top, left=left, found=False,
+                            window=_window(spec.l1, spec.rules, target_level,
+                                           (top, bottom), (left, right)))
+    # One read of the rectangle covering the window and the box, which
+    # the window holds whenever answer_length <= 4 * ANSWER_WINDOW_RADIUS.
+    r0, c0 = min(top, x_top), min(left, x_left)
+    cover = _window(spec.l1, spec.rules, target_level,
+                    (r0, max(bottom, x_bottom)), (c0, max(right, x_right)))
+    window = tuple(line[left - c0:right - c0 + 1]
+                   for line in cover[top - r0:bottom - r0 + 1])
+    rows = tuple(line[x_left - c0:x_right - c0 + 1]
+                 for line in cover[x_top - r0:x_bottom - r0 + 1])
     main = "".join(rows[i][i] for i in range(x_size))
     anti = "".join(rows[x_size - 1 - i][i] for i in range(x_size))
     return AnswerWindow(

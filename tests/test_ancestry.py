@@ -410,19 +410,25 @@ class TestClosureCap:
         union = set().union(*closures)
         assert [len(c) for c in closures] == [1, 21, 19] and len(union) == 26
         monkeypatch.setattr(ancestry, "CLOSURE_CAP", len(union))
-        want = [max(closure.values()) for closure in closures]
-        assert AncestrySearcher(abc_2d).deepest_layers(targets) == want
+        layers = AncestrySearcher(abc_2d).shared_layers(targets)
+        assert [closure_of(layers, t) for t in range(3)] == closures
         monkeypatch.setattr(ancestry, "CLOSURE_CAP", len(union) - 1)
         with pytest.raises(ResourceLimitError, match="exceed 25 patterns"):
-            AncestrySearcher(abc_2d).deepest_layers(targets)
+            AncestrySearcher(abc_2d).shared_layers(targets)
 
 
-class TestDeepestLayers:
+def closure_of(layers, t):
+    """Target t's closure, read off shared layers by its bit."""
+    return {q: d for d, layer in enumerate(layers)
+            for q, bits in layer.items() if bits >> t & 1}
+
+
+class TestSharedLayers:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_equals_each_targets_closure_depth(self, data):
-        """One shared walk gives every target the deepest layer of its
-        own closure, duplicate targets included."""
+    def test_each_targets_groups_are_its_closure_by_depth(self, data):
+        """One shared walk gives every target its own closure grouped by
+        depth, duplicate targets included, and no layer is empty."""
         rules = data.draw(rule_sets(max_n=3, bs=(2, 3)))
         cases = data.draw(st.lists(st.tuples(
             st.text(alphabet=rules.letters, min_size=1, max_size=3),
@@ -430,8 +436,19 @@ class TestDeepestLayers:
         cases += cases[:data.draw(st.integers(0, len(cases)))]
         targets = [word_to_pattern(word, direction) for word, direction in cases]
         searcher = AncestrySearcher(rules)
-        want = [max(searcher.closure(t).values()) for t in targets]
-        assert AncestrySearcher(rules).deepest_layers(targets) == want
+        layers = AncestrySearcher(rules).shared_layers(targets)
+        assert all(layers)
+        deepest = 0
+        for t, target in enumerate(targets):
+            closure = searcher.closure(target)
+            groups = [{q for q, bits in layer.items() if bits >> t & 1}
+                      for layer in layers]
+            depth = max(closure.values())
+            assert groups[:depth + 1] == [
+                {q for q, d in closure.items() if d == k} for k in range(depth + 1)]
+            assert not any(groups[depth + 1:])
+            deepest = max(deepest, depth)
+        assert len(layers) == deepest + 1
 
     def test_a_start_grid_changes_no_closure(self):
         """A searcher with a start grid hands out dead products unbuilt;
@@ -444,15 +461,17 @@ class TestDeepestLayers:
         assert [len(settled.closure(t)) for t in targets] == [193, 30]
         for target in targets:
             assert settled.closure(target) == AncestrySearcher(rules).closure(target)
-        assert settled.deepest_layers(targets) == \
-            AncestrySearcher(rules).deepest_layers(targets)
+        assert settled.shared_layers(targets) == \
+            AncestrySearcher(rules).shared_layers(targets)
 
     def test_a_one_letter_target_of_two_directions_carries_both(self, abc_2d):
         targets = [word_to_pattern("A", Direction.E),
                    word_to_pattern("A", Direction.SE)]
         assert targets[0] == targets[1]
-        depth = max(AncestrySearcher(abc_2d).closure(targets[0]).values())
-        assert AncestrySearcher(abc_2d).deepest_layers(targets) == [depth, depth]
+        closure = AncestrySearcher(abc_2d).closure(targets[0])
+        layers = AncestrySearcher(abc_2d).shared_layers(targets)
+        assert layers[0] == {targets[0]: 0b11}
+        assert closure_of(layers, 0) == closure_of(layers, 1) == closure
 
 
 def _answers_alone(rules, l1, pattern):

@@ -452,6 +452,39 @@ class TestSweep:
                 mismatches.append(idx)
         assert mismatches == []
 
+    @pytest.mark.parametrize("n, dimension", [(2, 1), (3, 1), (2, 2)],
+                             ids=["1d-n2", "1d-n3", "2d-n2"])
+    def test_scan_of_shared_groups_equals_latest_with_searcher(self, n, dimension):
+        """For every case the sweep searches (each orbit representative,
+        every word up to length 2 and direction) and every floor from 0
+        up to the case's level, the fill scan over the groups read off
+        the shared walk gives the result of ``latest_with_searcher``; each
+        case's deepest shared layer is its closure's deepest layer."""
+        letters = tuple("ABC"[:n])
+        blocks = oracle._sweep_blocks(letters, 2, dimension)
+        directions = (Direction.E,) if dimension == 1 else (Direction.E, Direction.SE)
+        cases = [(word, direction) for word in oracle._sweep_words(letters, 2)
+                 for direction in directions]
+        targets = [word_to_pattern(word, direction) for word, direction in cases]
+        mismatches, checks = [], 0
+        for idx, first in enumerate(oracle._sweep_orbits(letters, blocks)):
+            if first != idx:
+                continue
+            searcher = AncestrySearcher(oracle._ruleset_by_index(idx, letters, blocks))
+            layers = searcher.shared_layers(targets)
+            deepest = oracle._deepest(layers, len(targets))
+            for t, (word, direction) in enumerate(cases):
+                assert deepest[t] == max(searcher.closure(targets[t]).values())
+                groups = oracle._groups(layers, 1 << t, deepest[t])
+                full = latest_with_searcher(searcher, word, direction)
+                for floor in range(full.level + 1):
+                    want = latest_with_searcher(searcher, word, direction, floor)
+                    checks += 1
+                    if oracle._fill_scan(groups, letters, floor) != want:
+                        mismatches.append((idx, word, direction.name, floor))
+        assert mismatches == []
+        assert checks == {(2, 1): 126, (3, 1): 2975, (2, 2): 3109}[n, dimension]
+
     def test_2d_maxima_hold_for_every_direction_but_not_per_rule_set(self):
         """A 2D sweep searches words read E and SE.  Its per-length maxima
         hold for all eight directions: a word read W, N, NW or NE is its
@@ -495,11 +528,12 @@ class TestSweep:
             for length, level in report.per_length_max.items():
                 assert level <= w1(2, n, length)
 
-    @pytest.mark.parametrize("n, word_len_cap", [(0, 2), (2, 0)],
-                             ids=["n", "word-len-cap"])
-    def test_rejects_an_empty_sweep(self, n, word_len_cap):
-        with pytest.raises(ValueError):
-            sweep_max_latest(n, 2, 1, word_len_cap)
+    @pytest.mark.parametrize("n, word_len_cap, jobs, name", [
+        (0, 2, 1, "n"), (2, 0, 1, "word_len_cap"), (2, 2, 0, "jobs"),
+        (2, 2, -3, "jobs")], ids=["n", "word-len-cap", "jobs-0", "jobs-negative"])
+    def test_rejects_an_empty_sweep(self, n, word_len_cap, jobs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            sweep_max_latest(n, 2, 1, word_len_cap, jobs=jobs)
 
     @pytest.mark.parametrize("dimension", [0, 3])
     def test_rejects_a_dimension_other_than_1_or_2(self, dimension):

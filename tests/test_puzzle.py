@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -404,6 +405,26 @@ class TestAnswerWindow:
     def test_window_equals_letter_at_on_the_shipped_puzzle(self, puzzle_path):
         got = self.assert_window_reads_letter_at(load_puzzle(puzzle_path), 167)
         assert (len(got.window), len(got.window[0])) == (8, 8)
+
+    @pytest.mark.parametrize("level, answer_length", [
+        (3, 8), (4, 8), (9, 8), (60, 8), (164, 8), (167, 8), (6, 20), (167, 20)])
+    def test_box_and_window_equal_direct_reads(self, puzzle_path, level,
+                                               answer_length):
+        """One read covers the window and the box; each slice equals a
+        read of its own rectangle, also for a box wider than the window
+        (an answer length the puzzle format refuses)."""
+        spec = dataclasses.replace(load_puzzle(puzzle_path),
+                                   answer_length=answer_length)
+        got = answer_window(spec, level)
+        assert got.found
+        size = answer_length // 2
+        assert got.x_rows == _window(spec.l1, spec.rules, level,
+                                     (got.x_top, got.x_top + size - 1),
+                                     (got.x_left, got.x_left + size - 1))
+        assert got.window == _window(
+            spec.l1, spec.rules, level,
+            (got.top, got.top + len(got.window) - 1),
+            (got.left, got.left + len(got.window[0]) - 1))
 
     @pytest.mark.parametrize("body", [
         # 1D: the marker is the last cell, so the window is cut at the
