@@ -124,6 +124,22 @@ MUTANTS = {
         "rows = tuple(line[x_left - c0:x_right - c0 + 1]",
         "rows = tuple(line[x_left - c0 + 1:x_right - c0 + 2]",
         "the answer box is read one column right of the marker's center"),
+    "occurs-memo-ignores-ancestor": (
+        PKG + "oracle.py",
+        "got = self[pat] = _occurs_in(pat, self.index)",
+        "got = self[pat] = (next(iter(self.values())) if self\n"
+        "                           else _occurs_in(pat, self.index))",
+        "once a fill has one answer, every other ancestor asked about it "
+        "gets that answer"),
+    "occurs-memo-one-for-all-fills": (
+        PKG + "oracle.py",
+        "occurs = memo.get(fill)\n"
+        "                if occurs is None:\n"
+        "                    occurs = memo[fill] = _Occurs(fill)",
+        "occurs = memo.get(None)\n"
+        "                if occurs is None:\n"
+        "                    occurs = memo[None] = _Occurs(fill)",
+        "every fill of a scan's memo reads the answers of the first fill met"),
 }
 
 # name: (file, old text, new text, why no output can change)
@@ -146,6 +162,12 @@ EQUIVALENT = {
         "if False:",
         "a pattern with no wildcard goes through the hole product, whose one "
         "fill is the pattern itself: the same fills, more work"),
+    "occurs-memo-per-scan": (
+        PKG + "oracle.py",
+        "letters, floor, memo)",
+        "letters, floor, {})",
+        "each of a sweep chunk's fill scans starts a fresh occurrence memo: "
+        "the same answers, tested again"),
 }
 
 

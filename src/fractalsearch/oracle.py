@@ -205,20 +205,42 @@ def latest_with_searcher(searcher: AncestrySearcher, word: str,
     """Worst-case first-appearance level of a word over all start grids
     if it is above ``floor``, else ``LatestResult(None, None)``: the
     word's ancestor closure (:meth:`AncestrySearcher.closure`), grouped
-    by depth and handed to :func:`_fill_scan`."""
+    by depth and handed to :func:`_fill_scan` with a fresh memo."""
     check_letters(word, searcher.rules, "word")
     depths = searcher.closure(word_to_pattern(word, direction))
     by_depth: list[list[Pattern]] = [[] for _ in range(max(depths.values()) + 1)]
     for pat, d in depths.items():
         by_depth[d].append(pat)
-    return _fill_scan(by_depth, searcher.rules.letters, floor)
+    return _fill_scan(by_depth, searcher.rules.letters, floor, {})
+
+
+class _Occurs(dict):
+    """Whether each ancestor occurs in one fill: ancestor -> bool, tested
+    with the fill's one ``GridIndex`` on the first ask and kept."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, fill: Pattern):
+        super().__init__()
+        self.index = GridIndex(fill)
+
+    def __missing__(self, pat: Pattern) -> bool:
+        got = self[pat] = _occurs_in(pat, self.index)
+        return got
 
 
 def _fill_scan(by_depth: list[list[Pattern]], letters: tuple[str, ...],
-               floor: int) -> LatestResult:
+               floor: int, memo: dict[Pattern, _Occurs]) -> LatestResult:
     """The latest first level over the fills of a word's ancestors, given
     as ``by_depth[d]``, the ancestors at depth d in any order, if it is
     above ``floor``; else ``LatestResult(None, None)``.
+
+    ``memo`` maps each fill met to its :class:`_Occurs`: one
+    ``GridIndex`` per distinct fill, and the answers for the ancestors
+    already tested in it.  Whether an ancestor occurs in a fill depends
+    only on the ancestor and the fill, not on the rule set or the word,
+    so one memo serves any number of scans.  It lives no longer than its
+    owner: one ``latest_with_searcher`` call, or one sweep chunk.
 
     The candidate start grids are exactly the concrete fills of the
     word's ancestor patterns: for any start grid, restricting it to the
@@ -238,9 +260,11 @@ def _fill_scan(by_depth: list[list[Pattern]], letters: tuple[str, ...],
             break
         for pat in sorted(by_depth[d]):
             for fill in _fills(pat, letters):
-                index = GridIndex(fill)
+                occurs = memo.get(fill)
+                if occurs is None:
+                    occurs = memo[fill] = _Occurs(fill)
                 first = next((d2 + 1 for d2 in range(d) if any(
-                    _occurs_in(p, index) for p in by_depth[d2])), d + 1)
+                    map(occurs.__getitem__, by_depth[d2]))), d + 1)
                 if first > best:
                     if first == d + 1:
                         return LatestResult(first, Grid(*fill))
@@ -317,7 +341,7 @@ def _sweep_orbits(letters: tuple[str, ...], blocks) -> list[int]:
         if smallest[index] < 0:
             digits = _digits(index, n, base)
             for table in tables:
-                smallest[sum(table[i][d] for i, d in enumerate(digits))] = index
+                smallest[sum(map(list.__getitem__, table, digits))] = index
     return smallest
 
 
@@ -383,6 +407,12 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
     is the last layer that holds its bit, and a search that is not
     skipped reads its closure's depth groups off the layers by that bit
     and runs the fill scan (:func:`_fill_scan`) on them.
+
+    Every scan of the chunk shares one occurrence memo: an ancestor's
+    occurrence in a fill depends only on the ancestor and the fill, and
+    the chunk's rule sets meet few distinct fills, so each gets one
+    ``GridIndex`` and each (fill, ancestor) pair is tested once.  The
+    memo is dropped with the chunk.
     """
     letters, b, dimension, word_len_cap, indexes = args
     blocks = _sweep_blocks(letters, b, dimension)
@@ -392,6 +422,7 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
     targets = [word_to_pattern(word, direction) for word, direction in cases]
     per_ruleset: list[int] = []
     best: dict[int, tuple] = {}     # word length -> witness key
+    memo: dict[Pattern, _Occurs] = {}
     for idx in indexes:
         searcher = AncestrySearcher(_ruleset_by_index(idx, letters, blocks))
         layers = searcher.shared_layers(targets)
@@ -403,7 +434,7 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
                 rs_max, -known[0] - (known[1:3] == (idx, word)))
             if deepest[t] + 1 <= floor:
                 continue
-            got = _fill_scan(_groups(layers, 1 << t, deepest[t]), letters, floor)
+            got = _fill_scan(_groups(layers, 1 << t, deepest[t]), letters, floor, memo)
             if got.level is None:
                 continue
             rs_max = max(rs_max, got.level)

@@ -452,6 +452,27 @@ class TestSweep:
                 mismatches.append(idx)
         assert mismatches == []
 
+    @pytest.mark.parametrize("word_len_cap", [2, 3])
+    def test_one_chunk_of_every_representative_equals_one_rule_set_chunks(
+            self, word_len_cap):
+        """One 2D n=2 chunk over every orbit representative, whose scans
+        share one occurrence memo and whose floors carry over from rule
+        set to rule set, gives the maxima and witness keys of one chunk
+        per representative put together."""
+        letters = ("A", "B")
+        blocks = oracle._sweep_blocks(letters, 2, 2)
+        reps = [idx for idx, first in enumerate(oracle._sweep_orbits(letters, blocks))
+                if first == idx]
+        maxima, best = [], {}
+        for idx in reps:
+            (rs_max,), chunk_best = oracle._sweep_chunk(
+                (letters, 2, 2, word_len_cap, [idx]))
+            maxima.append(rs_max)
+            for length, key in chunk_best.items():
+                oracle._keep_best(best, length, key)
+        assert len(reps) == 76
+        assert oracle._sweep_chunk((letters, 2, 2, word_len_cap, reps)) == (maxima, best)
+
     @pytest.mark.parametrize("n, dimension", [(2, 1), (3, 1), (2, 2)],
                              ids=["1d-n2", "1d-n3", "2d-n2"])
     def test_scan_of_shared_groups_equals_latest_with_searcher(self, n, dimension):
@@ -459,14 +480,16 @@ class TestSweep:
         every word up to length 2 and direction) and every floor from 0
         up to the case's level, the fill scan over the groups read off
         the shared walk gives the result of ``latest_with_searcher``; each
-        case's deepest shared layer is its closure's deepest layer."""
+        case's deepest shared layer is its closure's deepest layer.  One
+        occurrence memo serves every scan of the sweep, so an answer that
+        leaks between fills or between ancestors shows here."""
         letters = tuple("ABC"[:n])
         blocks = oracle._sweep_blocks(letters, 2, dimension)
         directions = (Direction.E,) if dimension == 1 else (Direction.E, Direction.SE)
         cases = [(word, direction) for word in oracle._sweep_words(letters, 2)
                  for direction in directions]
         targets = [word_to_pattern(word, direction) for word, direction in cases]
-        mismatches, checks = [], 0
+        mismatches, checks, memo = [], 0, {}
         for idx, first in enumerate(oracle._sweep_orbits(letters, blocks)):
             if first != idx:
                 continue
@@ -480,7 +503,7 @@ class TestSweep:
                 for floor in range(full.level + 1):
                     want = latest_with_searcher(searcher, word, direction, floor)
                     checks += 1
-                    if oracle._fill_scan(groups, letters, floor) != want:
+                    if oracle._fill_scan(groups, letters, floor, memo) != want:
                         mismatches.append((idx, word, direction.name, floor))
         assert mismatches == []
         assert checks == {(2, 1): 126, (3, 1): 2975, (2, 2): 3109}[n, dimension]
