@@ -9,6 +9,11 @@ equivalent cannot change an output, only the work done, so its survival
 is expected.  The probe exits 1 if any other mutant survives, and 2 if a
 mutant's text is no longer found once in its file.
 
+Each run is bounded: it is stopped after ``TIME_LIMIT_S`` seconds, and
+its address space is capped at ``MEMORY_CAP`` bytes.  A mutant that
+makes the suite run away is killed by one of the limits, and the probe
+says which.
+
 Usage: python scripts/mutation_probe.py [NAME ...]
 
 With names, only those mutants run.  Each run takes from a few seconds
@@ -18,7 +23,10 @@ to the length of the whole suite.
 from __future__ import annotations
 
 import argparse
+import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -27,6 +35,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = "src/fractalsearch/"
+# Limits on each mutant's suite run.  The unmutated suite takes about
+# 20 s and peaks at about 65 MB resident (2 vCPUs, Python 3.11.7).
+TIME_LIMIT_S = 300
+MEMORY_CAP = 2 << 30
 
 # name: (file, old text, new text, what the mutant breaks).  The forward
 # walk's WINDOW_CAP x 10 is left out: it survives, as no tier-1 test walks
@@ -140,6 +152,50 @@ MUTANTS = {
         "                if occurs is None:\n"
         "                    occurs = memo[None] = _Occurs(fill)",
         "every fill of a scan's memo reads the answers of the first fill met"),
+    "offset-plan-slot-transposed": (
+        PKG + "ancestry.py",
+        "steps.append((i, pi * pc + pj, br * b + bc))",
+        "steps.append((i, pi * pc + pj, bc * b + br))",
+        "a parent cell's block slot is read column-major, not row-major"),
+    "offset-plan-box-one-row-taller": (
+        PKG + "ancestry.py",
+        "pr = (dr + rows + rh - 1) // rh",
+        "pr = (dr + rows + rh) // rh",
+        "every parent box is one row taller than the child needs; under "
+        "1D rules the suite then runs away, and only a limit kills it"),
+    "starts-shift-pattern-width": (
+        PKG + "patterns.py",
+        "i // pcols * cols + i % pcols",
+        "i // pcols * pcols + i % pcols",
+        "the matcher shifts a pattern's rows by the pattern's width, not "
+        "the grid's"),
+    "window-rows-one-down": (
+        PKG + "puzzle.py",
+        "for line in lines[top - 1 - r0:bottom - r0])",
+        "for line in lines[top - r0:bottom - r0 + 1])",
+        "a level's window is read one row below the one asked for"),
+    "window-cols-one-right": (
+        PKG + "puzzle.py",
+        "line[left - 1 - c0:right - c0]",
+        "line[left - c0:right - c0 + 1]",
+        "a level's window is read one column right of the one asked for"),
+    "crossed-out-floor-plus-one": (
+        PKG + "puzzle.py",
+        "-(-addr.row // rspan)",
+        "addr.row // rspan + 1",
+        "a letter on a row that is a multiple of the block span crosses "
+        "out the level-one cell below its own"),
+    "first-grounded-later-run-wins": (
+        PKG + "ancestry.py",
+        "for run in live:",
+        "for run in reversed(live):",
+        "a grounding tie between runs at one depth goes to the later run"),
+    "closure-depths-from-one": (
+        PKG + "ancestry.py",
+        "for d, layer in enumerate(self.shared_layers([target]))",
+        "for d, layer in enumerate(self.shared_layers([target]), 1)",
+        "a closure puts the target at depth 1, and every ancestor one "
+        "deeper than it is"),
 }
 
 # name: (file, old text, new text, why no output can change)
@@ -171,9 +227,15 @@ EQUIVALENT = {
 }
 
 
-def run(name: str, path: str, old: str, new: str) -> bool | None:
-    """True if the suite fails on the mutant, False if it passes, None if
-    the mutant's text is not found exactly once."""
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run(path: str, old: str, new: str) -> str | None:
+    """How the suite ends on the mutant: "killed" if a test fails,
+    "killed by the memory cap" if one fails on a MemoryError, "killed by
+    the time limit" if the run is stopped, "survived" if it passes; None
+    if the mutant's text is not found exactly once."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
@@ -184,13 +246,23 @@ def run(name: str, path: str, old: str, new: str) -> bool | None:
             return None
         target.write_text(text.replace(old, new), encoding="utf-8")
         # The check that each mutant's text is found once in the package
-        # fails on every mutated copy, so it does not count here.
-        done = subprocess.run(
+        # fails on every mutated copy, so it does not count here.  The run
+        # gets its own process group, so a stop also ends its workers.
+        child = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              "--continue-on-collection-errors", "--deselect",
              "tests/test_scripts.py::test_mutation_probe_texts_are_found_once"],
-            cwd=tree, capture_output=True, text=True)
-        return done.returncode != 0
+            cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            preexec_fn=_limit_memory, start_new_session=True)
+        try:
+            out, _ = child.communicate(timeout=TIME_LIMIT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            return "killed by the time limit"
+        if child.returncode == 0:
+            return "survived"
+        return "killed by the memory cap" if "MemoryError" in out else "killed"
 
 
 def main() -> int:
@@ -206,13 +278,13 @@ def main() -> int:
     for name in args.names or table:
         path, old, new, reason = table[name]
         start = time.perf_counter()
-        killed = run(name, path, old, new)
+        outcome = run(path, old, new)
         took = time.perf_counter() - start
-        if killed is None:
+        if outcome is None:
             print(f"{name}: text not found once in {path}")
             status = 2
-        elif killed:
-            print(f"{name}: killed ({took:.0f} s)")
+        elif outcome != "survived":
+            print(f"{name}: {outcome} ({took:.0f} s)")
         elif name in EQUIVALENT:
             print(f"{name}: survived, equivalent: {reason} ({took:.0f} s)")
         else:

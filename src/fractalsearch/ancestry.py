@@ -405,30 +405,10 @@ class AncestrySearcher:
 
     def closure(self, target: Pattern) -> dict[Pattern, int]:
         """Minimal depth of every ancestor pattern reachable from the
-        target, target included at depth 0.  No grounding involved;
-        more than ``CLOSURE_CAP`` patterns raise ResourceLimitError as
-        soon as one pattern's parents push the count past it.
-
-        Keeps its own walk rather than driving a :class:`LayeredSearch`:
-        a closure built on that class measured about 40% slower over the
-        n=3 sweep inputs (median 0.185 -> 0.255 s)."""
-        parents = self.parents if self._l1_index is None else self._expanded
-        depths = {target: 0}
-        frontier = [target]
-        while frontier:
-            nxt: list[Pattern] = []
-            for pat in sorted(frontier):
-                d = depths[pat] + 1
-                for q, _ in parents(pat):
-                    if q not in depths:
-                        depths[q] = d
-                        nxt.append(q)
-                if len(depths) > CLOSURE_CAP:
-                    raise ResourceLimitError(
-                        f"ancestor closure exceeds {CLOSURE_CAP} patterns"
-                    )
-            frontier = nxt
-        return depths
+        target, target included at depth 0: the one-target case of
+        :meth:`shared_layers`, and capped as it is."""
+        return {q: d for d, layer in enumerate(self.shared_layers([target]))
+                for q in layer}
 
     def shared_layers(self, targets: list[Pattern]) -> list[dict[Pattern, int]]:
         """The closures of all the targets, from one breadth-first walk
@@ -442,8 +422,8 @@ class AncestrySearcher:
         A layer passes on to each parent only the bits new to that
         parent, so bit t spreads exactly as the closure of target t does.
         The walk holds the union of the closures; more than
-        ``CLOSURE_CAP`` patterns raise ResourceLimitError as in
-        :meth:`closure`."""
+        ``CLOSURE_CAP`` patterns raise ResourceLimitError as soon as one
+        pattern's parents push the count past it."""
         parents = self.parents if self._l1_index is None else self._expanded
         masks: dict[Pattern, int] = {}
         for t, target in enumerate(targets):

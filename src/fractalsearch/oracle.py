@@ -204,14 +204,12 @@ def latest_with_searcher(searcher: AncestrySearcher, word: str,
                          direction: Direction, floor: int = 0) -> LatestResult:
     """Worst-case first-appearance level of a word over all start grids
     if it is above ``floor``, else ``LatestResult(None, None)``: the
-    word's ancestor closure (:meth:`AncestrySearcher.closure`), grouped
-    by depth and handed to :func:`_fill_scan` with a fresh memo."""
+    word's ancestor closure by depth (:meth:`AncestrySearcher.shared_layers`
+    of the word alone), handed to :func:`_fill_scan` with a fresh memo."""
     check_letters(word, searcher.rules, "word")
-    depths = searcher.closure(word_to_pattern(word, direction))
-    by_depth: list[list[Pattern]] = [[] for _ in range(max(depths.values()) + 1)]
-    for pat, d in depths.items():
-        by_depth[d].append(pat)
-    return _fill_scan(by_depth, searcher.rules.letters, floor, {})
+    layers = searcher.shared_layers([word_to_pattern(word, direction)])
+    return _fill_scan([list(layer) for layer in layers],
+                      searcher.rules.letters, floor, {})
 
 
 class _Occurs(dict):

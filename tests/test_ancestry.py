@@ -178,6 +178,24 @@ def expanded(parents):
     return tuple((q, off) for entry, off in parents for q in members(entry))
 
 
+def reference_closure(searcher: AncestrySearcher, target: Pattern) -> dict[Pattern, int]:
+    """Reference ancestor closure, one pattern at a time: minimal depth of
+    every ancestor of the target, target at depth 0, from a breadth-first
+    walk that expands each layer in sorted order over the searcher's
+    parents, with a dead product expanded into its members."""
+    depths = {target: 0}
+    frontier = [target]
+    while frontier:
+        nxt = []
+        for pat in sorted(frontier):
+            for q, _ in expanded(searcher.parents(pat)):
+                if q not in depths:
+                    depths[q] = depths[pat] + 1
+                    nxt.append(q)
+        frontier = nxt
+    return depths
+
+
 def layer_one(run: LayeredSearch) -> list[Pattern]:
     """The patterns of a run advanced once: its frontier and the members
     of its dead products, all met at depth one."""
@@ -388,7 +406,7 @@ class TestClosureCap:
         assert [q.text() for q in layer_one] == ["AA", "AB", "CA", "CB"]
         monkeypatch.setattr(ancestry, "CLOSURE_CAP", 5)
         searcher, calls = self.counting_searcher(abc_1d)
-        with pytest.raises(ResourceLimitError, match="exceeds 5 patterns"):
+        with pytest.raises(ResourceLimitError, match="exceed 5 patterns"):
             searcher.closure(target)
         assert calls == [target] + layer_one[:2]
 
@@ -406,7 +424,7 @@ class TestClosureCap:
         """The shared walk holds the union of the targets' closures, so a
         cap that every single closure fits under can still refuse it."""
         targets = [word_to_pattern(w, Direction.SE) for w in ("AA", "BB", "CC")]
-        closures = [AncestrySearcher(abc_2d).closure(t) for t in targets]
+        closures = [reference_closure(AncestrySearcher(abc_2d), t) for t in targets]
         union = set().union(*closures)
         assert [len(c) for c in closures] == [1, 21, 19] and len(union) == 26
         monkeypatch.setattr(ancestry, "CLOSURE_CAP", len(union))
@@ -428,8 +446,11 @@ class TestSharedLayers:
     @given(data=st.data())
     def test_each_targets_groups_are_its_closure_by_depth(self, data):
         """One shared walk gives every target its own closure grouped by
-        depth, duplicate targets included, and no layer is empty."""
+        depth, duplicate targets included, and no layer is empty; its
+        one-target case, ``closure``, is the reference closure, with and
+        without a start grid."""
         rules = data.draw(rule_sets(max_n=3, bs=(2, 3)))
+        settled = AncestrySearcher(rules, data.draw(grids_for(rules, max_side=3)))
         cases = data.draw(st.lists(st.tuples(
             st.text(alphabet=rules.letters, min_size=1, max_size=3),
             st.sampled_from((Direction.E, Direction.SE))), min_size=1, max_size=6))
@@ -440,7 +461,9 @@ class TestSharedLayers:
         assert all(layers)
         deepest = 0
         for t, target in enumerate(targets):
-            closure = searcher.closure(target)
+            closure = reference_closure(searcher, target)
+            assert searcher.closure(target) == settled.closure(target) == closure
+            assert reference_closure(settled, target) == closure
             groups = [{q for q, bits in layer.items() if bits >> t & 1}
                       for layer in layers]
             depth = max(closure.values())
@@ -460,7 +483,8 @@ class TestSharedLayers:
         assert not isinstance(settled.parents(targets[0])[0][0].cells, str)
         assert [len(settled.closure(t)) for t in targets] == [193, 30]
         for target in targets:
-            assert settled.closure(target) == AncestrySearcher(rules).closure(target)
+            assert settled.closure(target) == reference_closure(settled, target) \
+                == reference_closure(AncestrySearcher(rules), target)
         assert settled.shared_layers(targets) == \
             AncestrySearcher(rules).shared_layers(targets)
 
@@ -468,7 +492,7 @@ class TestSharedLayers:
         targets = [word_to_pattern("A", Direction.E),
                    word_to_pattern("A", Direction.SE)]
         assert targets[0] == targets[1]
-        closure = AncestrySearcher(abc_2d).closure(targets[0])
+        closure = reference_closure(AncestrySearcher(abc_2d), targets[0])
         layers = AncestrySearcher(abc_2d).shared_layers(targets)
         assert layers[0] == {targets[0]: 0b11}
         assert closure_of(layers, 0) == closure_of(layers, 1) == closure
