@@ -95,11 +95,17 @@ MUTANTS = {
         "parented or False and any(",
         "a dead product sharing a member with an earlier product of the "
         "call stays symbolic, so the member is listed twice"),
-    "dead-in-run-ignored": (
+    "dead-relinks-met-members": (
         PKG + "ancestry.py",
-        "elif dead is None or not _in_any(dead.get(q[:2], ()), q):",
-        "else:",
-        "a pattern inside a dead product of another child is counted again"),
+        "itertools.filterfalse(links.__contains__, members(product))",
+        "members(product)",
+        "a dead product's members that the run has already met are linked "
+        "and counted open again"),
+    "dead-link-offset-shifted": (
+        PKG + "ancestry.py",
+        "                            (child, off))",
+        "                            (child, (off[0], off[1] + 1)))",
+        "a dead product's members are linked one column off their offset"),
     "open-dead-not-expanded": (
         PKG + "ancestry.py",
         "expanded = len(self.frontier) + self.dead_open",
@@ -115,11 +121,6 @@ MUTANTS = {
         "len(run.frontier) + run.dead_open for run in live",
         "len(run.frontier) for run in live",
         "the depth-cap error leaves dead members out of its open patterns"),
-    "seen-dead-last": (
-        PKG + "ancestry.py",
-        "for at, product in reversed(self._met):",
-        "for at, product in ((len(self.links), d) for _, d in reversed(self._met)):",
-        "a run lists its dead members after every link, not where it met them"),
     "sweep-witness-tie-keeps-first": (
         PKG + "oracle.py",
         "if length not in best or key < best[length]:",
@@ -200,12 +201,6 @@ MUTANTS = {
 
 # name: (file, old text, new text, why no output can change)
 EQUIVALENT = {
-    "dead-counted-from-members": (
-        PKG + "ancestry.py",
-        "if size <= len(links)",
-        "if True",
-        "a dead product's new members are counted from its own side even "
-        "when the links are fewer: the same count, more work"),
     "sift-every-product": (
         PKG + "ancestry.py",
         "elif len(found) > self.rules.rule_rows * self.rules.b * len(self._letters):",

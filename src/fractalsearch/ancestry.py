@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -84,10 +83,11 @@ def _offset_plan(rh: int, b: int, rows: int, cols: int, layout: str) -> tuple | 
 
 
 def members(entry: Pattern) -> Iterator[Pattern]:
-    """The parents one entry of a parent list stands for, in order: the
-    entry itself, or the members of a dead product."""
-    return (_new_pattern((entry.rows, entry.cols, "".join(combo)))
-            for combo in itertools.product(*entry.cells))
+    """The patterns a letter-set product stands for, in order and built
+    without a Python loop: a concrete entry itself, or each member."""
+    rows, cols, cells = entry
+    return map(_new_pattern, zip(itertools.repeat(rows), itertools.repeat(cols),
+                                 map("".join, itertools.product(*cells))))
 
 
 def _inside(product: Pattern, q: Pattern) -> bool:
@@ -118,9 +118,8 @@ class SearchResult:
     A result with no ancestor means the frontier reached a fixpoint: the
     word can never appear for this start grid.  ``nodes_expanded`` and
     ``patterns_seen`` count the search's effort, summed over every run
-    stepped with it; the patterns themselves live in the
-    :class:`LayeredSearch` that ran it (its ``links``), which a caller
-    needing them drives directly.
+    stepped with it: the patterns seen are the runs' ``links``
+    (:class:`LayeredSearch`), which a caller needing them drives directly.
     """
 
     word: str
@@ -152,12 +151,12 @@ class AncestrySearcher:
 
     With a start grid, :meth:`parents` also settles each large product
     of parent letter sets as a whole (:meth:`_settle`) before building
-    it: of the 42 a puzzle solve settles, 27 are *dead* (no start left
-    in the grid, no member with parents), one entry each, never built;
-    2 have parentless members and 3 are sifted (:meth:`_sift`) on the
-    first lookup of a member.  Groundings are not otherwise cached: a
-    search seldom grounds a pattern twice.  A grid-free searcher, as
-    the sweep uses, settles nothing.
+    it: of the 42 a puzzle solve settles, 27 are *dead* (no start left in
+    the grid, no member with parents), one entry each until a run links
+    its members; 2 have parentless members and 3 are sifted (:meth:`_sift`)
+    on the first lookup of a member.  Groundings are not otherwise cached:
+    a search seldom grounds a pattern twice.  A grid-free searcher, as the
+    sweep uses, settles nothing.
     """
 
     def __init__(self, rules: RuleSet, l1: Grid | None = None):
@@ -317,8 +316,7 @@ class AncestrySearcher:
                 out.append((product, off))
                 return
         first = len(out)
-        for combo in itertools.product(*product.cells):
-            q = _new_pattern((rows, cols, "".join(combo)))
+        for q in members(product):
             if q not in seen and not (clash and _in_any(clash, q)):
                 seen.add(q)
                 out.append((q, off))
@@ -454,17 +452,11 @@ class LayeredSearch:
     puzzle solver gets the minimum level over directions without
     exhausting the losers, and a plain search is the one-run case.
 
-    A dead product among the parents is never built: its members can
-    neither ground nor have parents, so the run counts them once each
-    in ``dead_seen`` and, while their layer is open, in ``dead_open``;
-    ``dead`` holds the products met, by shape, and ``_met`` each with
-    the number of links made before it.  Until a run meets one, all
-    four are the class defaults below.
+    ``links`` is the run's one record: each pattern met, in order, with
+    the (child, offset) it was met from.  The members of a dead product
+    are linked but never expanded, as they can neither ground nor have
+    parents; they count in ``dead_open`` while their layer is open.
     """
-
-    dead: dict[tuple[int, int], tuple[Pattern, ...]] | None = None
-    _met: tuple[tuple[int, Pattern], ...] = ()
-    dead_seen = dead_open = 0
 
     def __init__(self, searcher: AncestrySearcher, word: str,
                  direction: Direction | None):
@@ -487,6 +479,7 @@ class LayeredSearch:
         self.frontier: list[Pattern] = [target]
         self.depth = 0
         self.nodes_expanded = 0
+        self.dead_open = 0
 
     def check_grounding(self) -> tuple[tuple[int, int], Pattern] | None:
         """Smallest (row, col, pattern text) grounding of the current
@@ -511,14 +504,13 @@ class LayeredSearch:
         expanded = len(self.frontier) + self.dead_open
         self.dead_open = 0
         for pat in sorted(self.frontier):
-            dead = self.dead    # products met before: one call's own are disjoint
             for q, off in self.searcher.parents(pat):
                 if q not in links:
-                    if not isinstance(q.cells, str):
-                        self._count_dead(q, pat, off, nxt)
-                    elif dead is None or not _in_any(dead.get(q[:2], ()), q):
+                    if isinstance(q.cells, str):
                         links[q] = (pat, off)
                         nxt.append(q)
+                    else:
+                        self._link_dead(q, pat, off)
         self.nodes_expanded += expanded
         self.frontier = nxt
         if not (nxt or self.dead_open):
@@ -526,35 +518,14 @@ class LayeredSearch:
         self.depth += 1
         return True
 
-    def seen(self) -> list[Pattern]:
-        """Every pattern the run has met, in order: the links, and each dead
-        product's unlinked members where it was met (``patterns_seen``)."""
-        out = list(self.links)
-        for at, product in reversed(self._met):
-            out[at:at] = [q for q in members(product) if q not in self.links]
-        return out
-
-    def _count_dead(self, product: Pattern, child: Pattern, off: tuple[int, int],
-                    nxt: list[Pattern]) -> None:
-        """Count a dead product's members that the run has not seen, from
-        the members if no more than the links, else from the links of its
-        shape; build and link one meeting a product met before.  ``dead``
-        is replaced, not changed: a snapshot holds only earlier ones."""
-        dead, shape, links = self.dead or {}, product[:2], self.links
-        met = dead.get(shape, ())
-        if any(_meets(d, product) for d in met):
-            for q in members(product):
-                if q not in links and not _in_any(met, q):
-                    links[q] = (child, off)
-                    nxt.append(q)
-            return
-        size = math.prod(map(len, product.cells))
-        new = (sum(q not in links for q in members(product)) if size <= len(links)
-               else size - sum(_inside(product, q) for q in links if q[:2] == shape))
-        self.dead = {**dead, shape: met + (product,)}
-        self._met += ((len(links), product),)
-        self.dead_seen += new
-        self.dead_open += new
+    def _link_dead(self, product: Pattern, child: Pattern, off: tuple[int, int]) -> None:
+        """Link the members of a dead product that the run has not met to
+        ``child`` at ``off``, and count them open."""
+        links = self.links
+        new = dict.fromkeys(itertools.filterfalse(links.__contains__, members(product)),
+                            (child, off))
+        links.update(new)
+        self.dead_open += len(new)
 
     def _chain(self, ancestor: Pattern) -> tuple[tuple[int, int], ...]:
         offsets: list[tuple[int, int]] = []
@@ -617,7 +588,7 @@ def first_grounded(runs: list[LayeredSearch],
 
 def _effort(runs: list[LayeredSearch]) -> dict[str, int]:
     return {"nodes_expanded": sum(run.nodes_expanded for run in runs),
-            "patterns_seen": sum(len(run.links) + run.dead_seen for run in runs)}
+            "patterns_seen": sum(len(run.links) for run in runs)}
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +600,10 @@ def first_appearance(word: str, direction: Direction | None, l1: Grid,
     """Earliest level on which ``word`` (read along ``direction``, or a
     trimmed pattern in its wire form when ``direction`` is None) appears
     when starting from ``l1``, found without materializing any level."""
-    searcher = AncestrySearcher(rules, l1)
-    return searcher.search(word, direction, depth_cap=depth_cap)
+    run = LayeredSearch(AncestrySearcher(rules, l1), word, direction)
+    if direction is not None:
+        check_letters(word, rules, "word")
+    return first_grounded([run], depth_cap)
 
 
 def witness_coordinates(result: SearchResult, l1: Grid,
@@ -696,6 +669,7 @@ def ancestor_tree(word: str, direction: Direction, rules: RuleSet,
     """
     searcher = AncestrySearcher(rules, l1)
     root = TreeNode(word_to_pattern(word, direction), 0)
+    check_letters(word, rules, "word")
     seen: dict[Pattern, int] = {root.pattern: 0}
     layer = [root]
     while layer:

@@ -673,7 +673,7 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
                     issues["geometry"].append(
                         f"{desc()}: parent {m.text()} of {pat.text()} too large")
     if banded:
-        for pat in run.seen():
+        for pat in run.links:
             if not two_diagonal_support(pat, anti=anti):
                 issues["confinement"].append(
                     f"{desc()}: ancestor {pat.text()} off the diagonal band")

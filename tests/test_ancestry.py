@@ -198,8 +198,8 @@ def reference_closure(searcher: AncestrySearcher, target: Pattern) -> dict[Patte
 
 def layer_one(run: LayeredSearch) -> list[Pattern]:
     """The patterns of a run advanced once: its frontier and the members
-    of its dead products, all met at depth one."""
-    return [q for q in run.seen() if q != run.target]
+    of its dead products, all linked at depth one."""
+    return [q for q in run.links if q != run.target]
 
 
 def reference_search(rules, l1, cases, depth_cap=None, links=None):
@@ -556,8 +556,8 @@ class TestSettledProducts:
     def test_dimension_diagonals_on_the_shipped_puzzle(self, puzzle_path):
         """DIMENSION read NE or SW has 592 parents, none grounded; every
         SW parent is parentless.  Settling their products answers the
-        grounding of all 1,184 without one grid scan: the SW ones are
-        counted in dead products, never built."""
+        grounding of all 1,184 without one grid scan: the SW ones come
+        in dead products, linked but never expanded."""
         spec = load_puzzle(puzzle_path)
         searcher = AncestrySearcher(spec.rules, spec.l1)
         runs = [LayeredSearch(searcher, "DIMENSION", d)
@@ -574,7 +574,7 @@ class TestSettledProducts:
         assert len(ne) == len(sw) == 592
         assert all(searcher.parents(q) == () for q in sw)
         runs[0].advance()
-        self._check(searcher, {*runs[0].seen(), *runs[1].seen()})
+        self._check(searcher, {*runs[0].links, *runs[1].links})
 
 
 def rules_from(text: str) -> RuleSet:
@@ -624,18 +624,18 @@ DEDUPE_CASES = {
     # A pattern inside a dead product of another child is not new.
     "pattern-in-dead": ("A>AA;B>CC;C>AC;D>AA", "C", "C*A", None),
     # Dead products of two children that share members: the later one
-    # is built.
+    # links only the members the earlier one did not.
     "dead-meets-dead": ("A>CC;B>CA;C>AC;D>CA", "D", "C**C", None),
-    # A dead product larger than the links, counted from the links.
+    # A dead product with more members than the run had links.
     "counted-from-links": ("A>CA/CA;B>AA/CC;C>CC/AA;D>AA/AA;E>AC/CA;F>AC/AA",
                            "FD", "A*/CA/*A", None),
 }
 
 
 class TestSearchMatchesReference:
-    """``first_grounded`` counts dead products and never builds them; it
-    must still give every ``SearchResult`` field, and every depth-cap
-    error, that the member-by-member reference gives."""
+    """``first_grounded`` links the members of dead products without
+    expanding them; it must still give every ``SearchResult`` field, and
+    every depth-cap error, that the member-by-member reference gives."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -661,10 +661,9 @@ class TestSearchMatchesReference:
         links = []
         assert _search_outcome(lambda: first_grounded([run], 4)) == _search_outcome(
             lambda: reference_search(rules, l1, [case], 4, links))
-        seen = list(run.seen())
-        assert seen == list(links[0])
-        assert len(seen) == len(set(seen)) == run.result().patterns_seen
-        for pat in seen:
+        assert list(run.links.items()) == list(links[0].items())
+        assert len(run.links) == run.result().patterns_seen
+        for pat in run.links:
             assert expanded(searcher.parents(pat)) == reference_parents(rules, pat)
 
     @pytest.mark.parametrize("case", DEDUPE_CASES.values(), ids=DEDUPE_CASES)
@@ -676,10 +675,9 @@ class TestSearchMatchesReference:
         links = []
         assert first_grounded([run]) == reference_search(rules, l1, [(word, direction)],
                                                          links=links)
-        seen = list(run.seen())
-        assert seen == list(links[0])
-        assert len(seen) == len(set(seen)) == run.result().patterns_seen
-        for pat in seen:
+        assert list(run.links.items()) == list(links[0].items())
+        assert len(run.links) == run.result().patterns_seen
+        for pat in run.links:
             assert expanded(searcher.parents(pat)) == reference_parents(rules, pat)
 
     def test_a_dead_product_stands_for_its_members(self):

@@ -116,8 +116,9 @@ class TestSearch:
         ("--pattern", "AZ", "pattern 'AZ' uses letters outside the alphabet"),
         ("--pattern", "A#", "pattern 'A#' uses letters outside the alphabet"),
         ("--pattern", "Ax", "pattern 'Ax' uses letters outside the alphabet"),
+        ("--word", "AZ", "word uses letters outside the alphabet: ['Z']"),
     ], ids=["ragged-pattern", "wildcard-word", "foreign-letter", "hash",
-            "layout-mark"])
+            "layout-mark", "foreign-letter-in-word"])
     def test_bad_target_is_a_one_line_error(self, capsys, flag, target, message):
         code, out, err = run(capsys, "search", "--rules", RULES_2D, "--l1", "A",
                              flag, target)
@@ -328,6 +329,12 @@ class TestTree:
         code, out, _ = run(capsys, "tree", *argv, "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_foreign_letter_in_word_names_the_word(self, capsys):
+        code, out, err = run(capsys, "tree", "--rules", RULES_2D, "--l1", "AB/CA",
+                             "--word", "AZ", "--direction", "NW")
+        assert (code, out, err) == (
+            1, "", "error: word uses letters outside the alphabet: ['Z']\n")
 
     def test_text_output_shows_statuses(self, capsys):
         code, out, _ = run(capsys, "tree", "--rules", RULES_1D,

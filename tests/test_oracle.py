@@ -802,9 +802,9 @@ class TestAgreementHarness:
 
     @staticmethod
     def dead_ancestors():
-        """BBBBB read NE never appears from A/B: the search links only
-        the target, and the target's 192 parents come in three dead
-        products, never built."""
+        """BBBBB read NE never appears from A/B: the target's 192
+        parents come in three dead products, whose members the search
+        links but never expands."""
         rules = RuleSet({"A": ("BB", "BB"), "B": ("BB", "AA"), "C": ("BB", "BB")})
         l1 = Grid.from_text("A/B")
         target = word_to_pattern("BBBBB", Direction.NE)
