@@ -89,38 +89,22 @@ MUTANTS = {
         "max_cols = bounds.max_parent_len(pat.cols, rules.b)",
         "max_cols = bounds.max_parent_len(pat.cols, rules.b) + 1",
         "the audit lets a parent one column too wide through"),
-    "dead-overlap-in-call-ignored": (
+    "settle-places-met-members": (
         PKG + "ancestry.py",
-        "parented or clash or any(",
-        "parented or False and any(",
-        "a dead product sharing a member with an earlier product of the "
-        "call stays symbolic, so the member is listed twice"),
-    "dead-relinks-met-members": (
-        PKG + "ancestry.py",
-        "itertools.filterfalse(links.__contains__, members(product))",
+        "itertools.filterfalse(seen.__contains__, members(product))",
         "members(product)",
-        "a dead product's members that the run has already met are linked "
-        "and counted open again"),
-    "dead-link-offset-shifted": (
+        "a settled product's members that the call already placed are "
+        "listed twice"),
+    "settle-offset-shifted": (
         PKG + "ancestry.py",
-        "                            (child, off))",
-        "                            (child, (off[0], off[1] + 1)))",
-        "a dead product's members are linked one column off their offset"),
-    "open-dead-not-expanded": (
-        PKG + "ancestry.py",
-        "expanded = len(self.frontier) + self.dead_open",
-        "expanded = len(self.frontier)",
-        "nodes_expanded leaves out the members of dead products"),
+        "out.extend(zip(found, itertools.repeat(off)))",
+        "out.extend(zip(found, itertools.repeat((off[0], off[1] + 1))))",
+        "a settled product's members are listed one column off their offset"),
     "sift-drops-survivor": (
         PKG + "ancestry.py",
         "if q.cells not in alive:",
         "if True:",
         "a pending member that has parents is cached with none"),
-    "open-dead-not-reported": (
-        PKG + "ancestry.py",
-        "len(run.frontier) + run.dead_open for run in live",
-        "len(run.frontier) for run in live",
-        "the depth-cap error leaves dead members out of its open patterns"),
     "sweep-witness-tie-keeps-first": (
         PKG + "oracle.py",
         "if length not in best or key < best[length]:",

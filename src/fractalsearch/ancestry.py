@@ -82,29 +82,12 @@ def _offset_plan(rh: int, b: int, rows: int, cols: int, layout: str) -> tuple | 
     return tuple(plan)
 
 
-def members(entry: Pattern) -> Iterator[Pattern]:
-    """The patterns a letter-set product stands for, in order and built
-    without a Python loop: a concrete entry itself, or each member."""
-    rows, cols, cells = entry
+def members(product: Pattern) -> Iterator[Pattern]:
+    """The patterns a letter-set product (a tuple of letters per cell, or
+    ``*``) stands for, in order and built without a Python loop."""
+    rows, cols, cells = product
     return map(_new_pattern, zip(itertools.repeat(rows), itertools.repeat(cols),
                                  map("".join, itertools.product(*cells))))
-
-
-def _inside(product: Pattern, q: Pattern) -> bool:
-    """True iff the pattern ``q`` is a member of the letter-set product."""
-    return (q.rows == product.rows and q.cols == product.cols
-            and all(map(operator.contains, product.cells, q.cells)))
-
-
-def _in_any(products, q: Pattern) -> bool:
-    """True iff ``q`` lies in a product (a call, so no closure captures ``q``)."""
-    return any(_inside(d, q) for d in products)
-
-
-def _meets(a: Pattern, b: Pattern) -> bool:
-    """True iff two letter-set products share a member."""
-    return (a.rows == b.rows and a.cols == b.cols
-            and all(x == y or not set(x).isdisjoint(y) for x, y in zip(a.cells, b.cells)))
 
 
 @dataclass(frozen=True)
@@ -116,9 +99,9 @@ class SearchResult:
     offsets from the ancestor down to the target (enough to reconstruct
     exact coordinates on any level); its level is read off that chain.
     A result with no ancestor means the frontier reached a fixpoint: the
-    word can never appear for this start grid.  ``nodes_expanded`` and
-    ``patterns_seen`` count the search's effort, summed over every run
-    stepped with it: the patterns seen are the runs' ``links``
+    word can never appear for this start grid.  The search's effort is
+    summed over every run stepped with it: ``nodes_expanded`` counts the
+    patterns expanded, ``patterns_seen`` those met, the runs' ``links``
     (:class:`LayeredSearch`), which a caller needing them drives directly.
     """
 
@@ -150,13 +133,14 @@ class AncestrySearcher:
     audit's geometry re-check ask for the same parents again and again.
 
     With a start grid, :meth:`parents` also settles each large product
-    of parent letter sets as a whole (:meth:`_settle`) before building
-    it: of the 42 a puzzle solve settles, 27 are *dead* (no start left in
-    the grid, no member with parents), one entry each until a run links
-    its members; 2 have parentless members and 3 are sifted (:meth:`_sift`)
-    on the first lookup of a member.  Groundings are not otherwise cached:
-    a search seldom grounds a pattern twice.  A grid-free searcher, as the
-    sweep uses, settles nothing.
+    of parent letter sets as a whole (:meth:`_settle`) as it builds the
+    members: of the 42 a puzzle solve settles, 27 are *dead* (no start
+    left in the grid, no member with parents), so their 1,171 members are
+    cached with no groundings and no parents; 2 have parentless members
+    and 3 are left for a sift (:meth:`_sift`) on the first lookup of a
+    member.  Groundings are not otherwise cached: a search seldom grounds
+    a pattern twice.  A grid-free searcher, as the sweep uses, settles
+    nothing.
     """
 
     def __init__(self, rules: RuleSet, l1: Grid | None = None):
@@ -233,9 +217,8 @@ class AncestrySearcher:
 
         A searcher with a start grid settles a large product, one of
         more patterns than the plan has offsets, as a whole
-        (:meth:`_settle`) before building it.  A dead product sharing no
-        member with an earlier product of the call is one entry, read
-        through :func:`members` alone: its cells are letter tuples or ``*``.
+        (:meth:`_settle`), and caches the answers it finds for the
+        members.  Every parent is a pattern whose cells are a string.
         """
         cached = self._parents.get(pattern)
         if cached is None:
@@ -260,7 +243,6 @@ class AncestrySearcher:
         settle_over = len(plan) if self._l1_index is not None else PRODUCT_CAP
         out: list[tuple[Pattern, tuple[int, int]]] = []
         seen: set[Pattern] = set()
-        dead: list[Pattern] = []
         for off, pr, pc, steps in plan:
             masks = [-1] * (pr * pc)
             for i, k, s in steps:
@@ -279,8 +261,8 @@ class AncestrySearcher:
                         f"parent product {total} exceeds cap {PRODUCT_CAP} "
                         f"for pattern {pattern.text()!r} at offset {off}"
                     )
-                if total > settle_over or dead:
-                    self._settle(pr, pc, masks, off, total > settle_over, out, seen, dead)
+                if total > settle_over:
+                    self._settle(pr, pc, masks, off, out, seen)
                     continue
                 for combo in itertools.product(*options):
                     q = _new_pattern((pr, pc, "".join(combo)))
@@ -292,37 +274,22 @@ class AncestrySearcher:
         return result
 
     def _settle(self, rows: int, cols: int, masks: list[int],
-                off: tuple[int, int], large: bool,
-                out: list[tuple[Pattern, tuple[int, int]]], seen: set[Pattern],
-                dead: list[Pattern]) -> None:
-        """Place one product of parent letter sets (``masks``, -1 for a
-        free cell) into an enumeration's ``out``.  A ``large`` one is
-        tested first: with no start left in the grid (:meth:`GridIndex.starts_any`),
-        no member grounds; with no :meth:`_fitting_offsets`, none has parents.
-        Dead, and sharing no member with the call's ``dead`` or earlier
-        members, it goes into ``out`` unbuilt.  Otherwise its members are
-        built, less those inside a dead product, and the answers kept for
-        those new to the call: no groundings, no parents, or pending
-        (:meth:`_sift`) past offsets x letters, the blocks a sift reads."""
+                off: tuple[int, int],
+                out: list[tuple[Pattern, tuple[int, int]]], seen: set[Pattern]) -> None:
+        """Place the members of one large product of parent letter sets
+        (``masks``, -1 for a free cell) that are new to an enumeration
+        into its ``out``, and keep the answers the whole product gives
+        them: with no start left in the grid (:meth:`GridIndex.starts_any`),
+        no groundings; with no :meth:`_fitting_offsets`, no parents;
+        otherwise pending (:meth:`_sift`) past offsets x letters, the
+        blocks a sift reads.  A dead product's members get both answers."""
         product = Pattern(rows, cols, tuple(
             WILDCARD if m == -1 else self._options(m) for m in masks))
-        clash = [d for d in dead if _meets(d, product)]
-        if large:
-            grounds = self._l1_index.starts_any(product)
-            parented = next(self._fitting_offsets(rows, cols, masks), None) is not None
-            if not (grounds or parented or clash or any(
-                    _inside(product, q) for q, _ in out if isinstance(q.cells, str))):
-                dead.append(product)
-                out.append((product, off))
-                return
-        first = len(out)
-        for q in members(product):
-            if q not in seen and not (clash and _in_any(clash, q)):
-                seen.add(q)
-                out.append((q, off))
-        if not large:
-            return
-        found = [q for q, _ in out[first:]]
+        found = list(itertools.filterfalse(seen.__contains__, members(product)))
+        seen.update(found)
+        out.extend(zip(found, itertools.repeat(off)))
+        grounds = self._l1_index.starts_any(product)
+        parented = next(self._fitting_offsets(rows, cols, masks), None) is not None
         if not grounds:
             self._ungrounded.update(found)
         if not parented:
@@ -373,11 +340,6 @@ class AncestrySearcher:
             if q.cells not in alive:
                 self._parents.setdefault(q, ())
 
-    def _expanded(self, pattern: Pattern) -> list[tuple[Pattern, tuple[int, int]]]:
-        """:meth:`parents` with every dead product expanded in place."""
-        return [(q, off) for entry, off in self.parents(pattern)
-                for q in members(entry)]
-
     # -- grounding -----------------------------------------------------------
 
     def ground_positions(self, pattern: Pattern) -> tuple[tuple[int, int], ...]:
@@ -422,7 +384,6 @@ class AncestrySearcher:
         The walk holds the union of the closures; more than
         ``CLOSURE_CAP`` patterns raise ResourceLimitError as soon as one
         pattern's parents push the count past it."""
-        parents = self.parents if self._l1_index is None else self._expanded
         masks: dict[Pattern, int] = {}
         for t, target in enumerate(targets):
             masks[target] = masks.get(target, 0) | 1 << t
@@ -430,7 +391,7 @@ class AncestrySearcher:
         while True:
             nxt: dict[Pattern, int] = {}
             for pat, bits in layers[-1].items():
-                for q, _ in parents(pat):
+                for q, _ in self.parents(pat):
                     had = masks.get(q, 0)
                     new = bits & ~had
                     if new:
@@ -453,9 +414,9 @@ class LayeredSearch:
     exhausting the losers, and a plain search is the one-run case.
 
     ``links`` is the run's one record: each pattern met, in order, with
-    the (child, offset) it was met from.  The members of a dead product
-    are linked but never expanded, as they can neither ground nor have
-    parents; they count in ``dead_open`` while their layer is open.
+    the (child, offset) it was met from.  Every pattern met is expanded
+    once; a member of a dead product is answered from the searcher's
+    cache, with no groundings and no parents.
     """
 
     def __init__(self, searcher: AncestrySearcher, word: str,
@@ -479,7 +440,6 @@ class LayeredSearch:
         self.frontier: list[Pattern] = [target]
         self.depth = 0
         self.nodes_expanded = 0
-        self.dead_open = 0
 
     def check_grounding(self) -> tuple[tuple[int, int], Pattern] | None:
         """Smallest (row, col, pattern text) grounding of the current
@@ -497,35 +457,20 @@ class LayeredSearch:
 
     def advance(self) -> bool:
         """Expand the frontier one level up; False once exhausted, which
-        leaves ``depth`` at the last non-empty layer.  The open members
-        of dead products count as expanded, with no parents."""
+        leaves ``depth`` at the last non-empty layer."""
         links = self.links
         nxt: list[Pattern] = []
-        expanded = len(self.frontier) + self.dead_open
-        self.dead_open = 0
         for pat in sorted(self.frontier):
             for q, off in self.searcher.parents(pat):
                 if q not in links:
-                    if isinstance(q.cells, str):
-                        links[q] = (pat, off)
-                        nxt.append(q)
-                    else:
-                        self._link_dead(q, pat, off)
-        self.nodes_expanded += expanded
+                    links[q] = (pat, off)
+                    nxt.append(q)
+        self.nodes_expanded += len(self.frontier)
         self.frontier = nxt
-        if not (nxt or self.dead_open):
+        if not nxt:
             return False
         self.depth += 1
         return True
-
-    def _link_dead(self, product: Pattern, child: Pattern, off: tuple[int, int]) -> None:
-        """Link the members of a dead product that the run has not met to
-        ``child`` at ``off``, and count them open."""
-        links = self.links
-        new = dict.fromkeys(itertools.filterfalse(links.__contains__, members(product)),
-                            (child, off))
-        links.update(new)
-        self.dead_open += len(new)
 
     def _chain(self, ancestor: Pattern) -> tuple[tuple[int, int], ...]:
         offsets: list[tuple[int, int]] = []
@@ -580,7 +525,7 @@ def first_grounded(runs: list[LayeredSearch],
         if depth_cap is not None and live and live[0].depth > depth_cap:
             raise UnresolvedSearchError(
                 f"depth cap {depth_cap} reached with "
-                f"{sum(len(run.frontier) + run.dead_open for run in live)} open patterns "
+                f"{sum(len(run.frontier) for run in live)} open patterns "
                 f"for {runs[0].word!r}",
                 depth=live[0].depth, **_effort(runs))
     return runs[0].result(runs=runs)
@@ -678,7 +623,7 @@ def ancestor_tree(word: str, direction: Direction, rules: RuleSet,
             if l1 is not None and searcher.ground_positions(node.pattern):
                 node.status = "grounded"
                 continue
-            parents = searcher._expanded(node.pattern)
+            parents = searcher.parents(node.pattern)
             if not parents:
                 node.status = "no-parents"
                 continue

@@ -289,7 +289,7 @@ def _render_tree_text(node, indent: int = 0) -> list[str]:
 
 def _cmd_tree(args) -> int:
     rules = load_rules(args.rules)
-    l1 = grid_argument(args.l1) if args.l1 else None
+    l1 = grid_argument(args.l1) if args.l1 is not None else None
     tree = ancestor_tree(args.word, Direction[args.direction], rules, l1)
     if args.format == "json":
         print(tree_to_json(tree))

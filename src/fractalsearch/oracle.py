@@ -30,7 +30,7 @@ from operator import itemgetter, or_
 from typing import ClassVar
 
 from . import bounds
-from .ancestry import AncestrySearcher, LayeredSearch, first_grounded, members
+from .ancestry import AncestrySearcher, LayeredSearch, first_grounded
 from .core import Grid, RuleSet, check_letters
 from .errors import ResourceLimitError, WitnessError
 from .patterns import (
@@ -669,9 +669,8 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
         max_cols = bounds.max_parent_len(pat.cols, rules.b)
         for q, _ in searcher.parents(pat):
             if q.rows > max_rows or q.cols > max_cols:
-                for m in members(q):
-                    issues["geometry"].append(
-                        f"{desc()}: parent {m.text()} of {pat.text()} too large")
+                issues["geometry"].append(
+                    f"{desc()}: parent {q.text()} of {pat.text()} too large")
     if banded:
         for pat in run.links:
             if not two_diagonal_support(pat, anti=anti):

@@ -16,7 +16,6 @@ from fractalsearch.ancestry import (
     ancestor_tree,
     first_appearance,
     first_grounded,
-    members,
     tree_to_dot,
     tree_to_json,
     witness_coordinates,
@@ -44,6 +43,7 @@ from fractalsearch.patterns import (
     trim,
     word_to_pattern,
 )
+from fractalsearch.oracle import run_agreement
 from fractalsearch.puzzle import load_puzzle, solve
 from tests.conftest import (
     PUZZLE_PATH,
@@ -173,22 +173,17 @@ def reference_parents(rules, pattern: Pattern):
     return tuple(out)
 
 
-def expanded(parents):
-    """A parent list with every dead product expanded into its members."""
-    return tuple((q, off) for entry, off in parents for q in members(entry))
-
-
 def reference_closure(searcher: AncestrySearcher, target: Pattern) -> dict[Pattern, int]:
     """Reference ancestor closure, one pattern at a time: minimal depth of
     every ancestor of the target, target at depth 0, from a breadth-first
     walk that expands each layer in sorted order over the searcher's
-    parents, with a dead product expanded into its members."""
+    parents."""
     depths = {target: 0}
     frontier = [target]
     while frontier:
         nxt = []
         for pat in sorted(frontier):
-            for q, _ in expanded(searcher.parents(pat)):
+            for q, _ in searcher.parents(pat):
                 if q not in depths:
                     depths[q] = depths[pat] + 1
                     nxt.append(q)
@@ -196,16 +191,10 @@ def reference_closure(searcher: AncestrySearcher, target: Pattern) -> dict[Patte
     return depths
 
 
-def layer_one(run: LayeredSearch) -> list[Pattern]:
-    """The patterns of a run advanced once: its frontier and the members
-    of its dead products, all linked at depth one."""
-    return [q for q in run.links if q != run.target]
-
-
 def reference_search(rules, l1, cases, depth_cap=None, links=None):
     """Reference backward search, member by member: runs stepped in
     lockstep over ``cases`` of (word, direction or None for a raw
-    pattern), each advancing over the members of ``reference_parents``
+    pattern), each advancing over ``reference_parents``
     and grounding each pattern with ``occurrences``.  The same result,
     effort counts and depth-cap error as ``first_grounded``.  ``links``,
     if given, receives each run's link map, in the order it links."""
@@ -348,15 +337,11 @@ class TestOffsetPlan:
         with mock.patch.object(AncestrySearcher, "parents", spy):
             solve(spec)
         assert len(spec.rules.letters) == 26
-        assert len(enumerated) == 1202
-        # 5 x 5 patterns, DIMENSION's depth-1 frontier among them.
-        assert sum(p.rows == p.cols == 5 for p in enumerated) == 592
-        dead = [q for got in enumerated.values() for q, _ in got
-                if not isinstance(q.cells, str)]
-        assert (len(dead), sum(1 for q in dead for _ in members(q))) == (27, 1171)
+        assert len(enumerated) == 2193
+        # 5 x 5 patterns: DIMENSION's depth-1 frontiers read NE and SW.
+        assert sum(p.rows == p.cols == 5 for p in enumerated) == 1200
         for pattern, got in enumerated.items():
-            assert expanded(got) == reference_parents(spec.rules, pattern), \
-                pattern.text()
+            assert got == reference_parents(spec.rules, pattern), pattern.text()
 
     @pytest.mark.parametrize("first,second", [
         (RuleSet({"A": ("AB",), "B": ("AC",), "C": ("BB",)}),
@@ -474,13 +459,15 @@ class TestSharedLayers:
         assert len(layers) == deepest + 1
 
     def test_a_start_grid_changes_no_closure(self):
-        """A searcher with a start grid hands out dead products unbuilt;
-        its closures still hold their members, as a grid-free one's do."""
+        """A searcher with a start grid settles the first target's 192
+        parents as three dead products; its closures hold the same
+        patterns as a grid-free one's."""
         rules = RuleSet({"A": ("BB", "BB"), "B": ("BB", "AA"), "C": ("BB", "BB")})
         targets = [word_to_pattern("BBBBB", Direction.NE),
                    word_to_pattern("BB", Direction.SE)]
         settled = AncestrySearcher(rules, Grid.from_text("A/B"))
-        assert not isinstance(settled.parents(targets[0])[0][0].cells, str)
+        assert settled.parents(targets[0]) == AncestrySearcher(rules).parents(targets[0])
+        assert all(settled.parents(q) == () for q, _ in settled.parents(targets[0]))
         assert [len(settled.closure(t)) for t in targets] == [193, 30]
         for target in targets:
             assert settled.closure(target) == reference_closure(settled, target) \
@@ -551,13 +538,13 @@ class TestSettledProducts:
         self._check(searcher, links)
         # The last layer's parents are settled here for the first time.
         self._check(searcher, {q for pat in links
-                               for q, _ in expanded(searcher.parents(pat))})
+                               for q, _ in searcher.parents(pat)})
 
     def test_dimension_diagonals_on_the_shipped_puzzle(self, puzzle_path):
         """DIMENSION read NE or SW has 592 parents, none grounded; every
         SW parent is parentless.  Settling their products answers the
-        grounding of all 1,184 without one grid scan: the SW ones come
-        in dead products, linked but never expanded."""
+        grounding of all 1,184 without one grid scan: the SW ones are the
+        members of dead products, cached with no parents."""
         spec = load_puzzle(puzzle_path)
         searcher = AncestrySearcher(spec.rules, spec.l1)
         runs = [LayeredSearch(searcher, "DIMENSION", d)
@@ -565,16 +552,30 @@ class TestSettledProducts:
         for run in runs:
             assert run.check_grounding() is None
             run.advance()
-        assert [len(run.frontier) + run.dead_open for run in runs] == [592, 592]
-        assert runs[1].frontier == []
+        assert [len(run.frontier) for run in runs] == [592, 592]
         with mock.patch.object(GridIndex, "positions",
                                side_effect=AssertionError("grid scanned")):
             assert all(run.check_grounding() is None for run in runs)
-        ne, sw = (layer_one(run) for run in runs)
-        assert len(ne) == len(sw) == 592
-        assert all(searcher.parents(q) == () for q in sw)
+        assert all(searcher.parents(q) == () for q in runs[1].frontier)
         runs[0].advance()
         self._check(searcher, {*runs[0].links, *runs[1].links})
+
+    def test_every_parent_is_a_pattern(self, puzzle_path):
+        """A settled product never leaves its call: every parent that a
+        puzzle solve or 500 audit instances enumerate has a string of
+        cells, not a letter set per cell."""
+        kinds = set()
+        real = AncestrySearcher.parents
+
+        def spy(searcher, pattern):
+            got = real(searcher, pattern)
+            kinds.update(type(q.cells) for q, _ in got)
+            return got
+
+        with mock.patch.object(AncestrySearcher, "parents", spy):
+            solve(load_puzzle(puzzle_path))
+            run_agreement(500)
+        assert kinds == {str}
 
 
 def rules_from(text: str) -> RuleSet:
@@ -610,20 +611,22 @@ def _search_outcome(search):
 
 
 # Small searches, found by random search, whose counts or parent lists
-# depend on one rule that keeps dead products exact.  Each is
-# (rules, start grid, target, direction or None for a raw pattern).
+# depend on a dead product's members being placed, linked and expanded
+# like any other parents, each once.  Each is (rules, start grid,
+# target, direction or None for a raw pattern).
 DEDUPE_CASES = {
-    # A later product's member inside an earlier dead product of the
-    # call is left out.
+    # A later offset's parent that an earlier dead product of the call
+    # placed is not placed again.
     "later-member-in-dead": ("A>DA;B>DD;C>CA;D>DA", "D", "DDD", Direction.E),
     # A dead product sharing a member with an earlier built product of
-    # the call is built.
+    # the call places only its new members.
     "dead-after-built": ("A>CC;B>BC;C>CB;D>CB", "AD", "C*C*C", None),
     # ... and one sharing a member with an earlier dead product.
     "dead-after-dead": ("A>CA;B>AA;C>CA;D>AA", "C", "CACA", Direction.W),
-    # A pattern inside a dead product of another child is not new.
+    # A dead product's member that another child's parents already
+    # linked is not new.
     "pattern-in-dead": ("A>AA;B>CC;C>AC;D>AA", "C", "C*A", None),
-    # Dead products of two children that share members: the later one
+    # Dead products of two children that share members: the later child
     # links only the members the earlier one did not.
     "dead-meets-dead": ("A>CC;B>CA;C>AC;D>CA", "D", "C**C", None),
     # A dead product with more members than the run had links.
@@ -633,8 +636,8 @@ DEDUPE_CASES = {
 
 
 class TestSearchMatchesReference:
-    """``first_grounded`` links the members of dead products without
-    expanding them; it must still give every ``SearchResult`` field, and
+    """``first_grounded`` walks parent lists whose large products were
+    settled whole; it must still give every ``SearchResult`` field, and
     every depth-cap error, that the member-by-member reference gives."""
 
     @settings(max_examples=200, deadline=None)
@@ -664,7 +667,7 @@ class TestSearchMatchesReference:
         assert list(run.links.items()) == list(links[0].items())
         assert len(run.links) == run.result().patterns_seen
         for pat in run.links:
-            assert expanded(searcher.parents(pat)) == reference_parents(rules, pat)
+            assert searcher.parents(pat) == reference_parents(rules, pat)
 
     @pytest.mark.parametrize("case", DEDUPE_CASES.values(), ids=DEDUPE_CASES)
     def test_dedupe_case(self, case):
@@ -678,18 +681,23 @@ class TestSearchMatchesReference:
         assert list(run.links.items()) == list(links[0].items())
         assert len(run.links) == run.result().patterns_seen
         for pat in run.links:
-            assert expanded(searcher.parents(pat)) == reference_parents(rules, pat)
+            assert searcher.parents(pat) == reference_parents(rules, pat)
 
     def test_a_dead_product_stands_for_its_members(self):
         """DDD read E never appears from D.  Its parents at offset 0 are
-        the dead product B x {A, B, D}, and BB at offset 1 lies inside
-        it: 4 patterns seen and expanded, not 5."""
+        the members of the dead product B x {A, B, D}, each cached with no
+        parents and no groundings, and BB at offset 1 is one of them: 4
+        patterns seen and expanded, not 5."""
         rules = rules_from("A>DA;B>DD;C>CA;D>DA")
         searcher = AncestrySearcher(rules, Grid.from_text("D"))
         target = word_to_pattern("DDD", Direction.E)
-        product = Pattern(1, 2, (("B",), ("A", "B", "D")))
-        assert searcher.parents(target) == ((product, (0, 0)),)
-        assert [q.text() for q in members(product)] == ["BA", "BB", "BD"]
+        parents = searcher.parents(target)
+        assert [(q.text(), off) for q, off in parents] == [
+            ("BA", (0, 0)), ("BB", (0, 0)), ("BD", (0, 0))]
+        with mock.patch.object(GridIndex, "positions",
+                               side_effect=AssertionError("grid scanned")):
+            assert all(searcher.ground_positions(q) == () for q, _ in parents)
+        assert all(searcher.parents(q) == () for q, _ in parents)
         res = searcher.search("DDD", Direction.E)
         assert (res.found, res.nodes_expanded, res.patterns_seen) == (False, 4, 4)
 
@@ -705,7 +713,7 @@ class TestSearchMatchesReference:
         run = LayeredSearch(AncestrySearcher(spec.rules, spec.l1), "BOUNDARY",
                             Direction.NE)
         run.advance()
-        assert (len(run.frontier), run.dead_open) == (0, 16)
+        assert len(run.frontier) == 16
 
 
 def _fills(pattern: Pattern, letters):
@@ -953,7 +961,7 @@ class TestGrounding:
         for direction in (Direction.NE, Direction.SW):
             run = LayeredSearch(searcher, "DIMENSION", direction)
             assert run.advance()
-            patterns += [p for p in layer_one(run) if (p.rows, p.cols) == (5, 5)]
+            patterns += [p for p in run.frontier if (p.rows, p.cols) == (5, 5)]
         assert len(patterns) == 1184
         self.assert_scan(spec.rules, spec.l1, patterns)
 
@@ -1199,8 +1207,8 @@ class TestAncestorTree:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_equals_the_member_by_member_tree(self, data):
-        """Dead products among the parents are expanded into the same
-        tree that member-by-member parents and groundings give."""
+        """Parents settled in products give the same tree that
+        member-by-member parents and groundings give."""
         rules = data.draw(crowded_rule_sets())
         l1 = data.draw(grids_for(rules, max_side=3))
         word = data.draw(st.text(alphabet=rules.letters, min_size=1, max_size=3))
@@ -1208,13 +1216,15 @@ class TestAncestorTree:
         self._check_tree(word, direction, rules, l1)
 
     def test_a_tree_of_dead_products(self):
-        # BBBBB read NE never appears from A/B: its 192 parents come in
-        # three dead products, each member a no-parents leaf.
+        # BBBBB read NE never appears from A/B: its 192 parents are the
+        # members of three dead products, one per offset, each member a
+        # no-parents leaf.
         rules = rules_from("A>BB/BB;B>BB/AA;C>BB/BB")
         l1 = Grid.from_text("A/B")
         target = word_to_pattern("BBBBB", Direction.NE)
         parents = AncestrySearcher(rules, l1).parents(target)
-        assert [len(list(members(q))) for q, _ in parents] == [108, 12, 72]
+        assert [sum(1 for _, off in parents if off == at)
+                for at in ((0, 0), (0, 1), (1, 1))] == [108, 12, 72]
         tree = self._check_tree("BBBBB", Direction.NE, rules, l1)
         assert len(tree.children) == 192
         assert {child.status for child in tree.children} == {"no-parents"}

@@ -336,6 +336,12 @@ class TestTree:
         assert (code, out, err) == (
             1, "", "error: word uses letters outside the alphabet: ['Z']\n")
 
+    @pytest.mark.parametrize("command", ["tree", "search"])
+    def test_an_empty_start_grid_is_a_one_line_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--rules", RULES_2D, "--l1", "",
+                             "--word", "AB")
+        assert (code, out, err) == (1, "", "error: shape must be at least 1 x 1\n")
+
     def test_text_output_shows_statuses(self, capsys):
         code, out, _ = run(capsys, "tree", "--rules", RULES_1D,
                            "--word", "CACABA")

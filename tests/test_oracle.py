@@ -803,21 +803,21 @@ class TestAgreementHarness:
     @staticmethod
     def dead_ancestors():
         """BBBBB read NE never appears from A/B: the target's 192
-        parents come in three dead products, whose members the search
-        links but never expands."""
+        parents are the members of three dead products, which the search
+        links and expands like any other pattern."""
         rules = RuleSet({"A": ("BB", "BB"), "B": ("BB", "AA"), "C": ("BB", "BB")})
         l1 = Grid.from_text("A/B")
         target = word_to_pattern("BBBBB", Direction.NE)
-        parents = AncestrySearcher(rules, l1).parents(target)
-        assert all(isinstance(q.cells, tuple) for q, _ in parents)
-        ancestors = [q for q, _ in parents for q in ancestry.members(q)]
+        searcher = AncestrySearcher(rules, l1)
+        ancestors = [q for q, _ in searcher.parents(target)]
         assert len(ancestors) == len(set(ancestors)) == 192
+        assert all(searcher.parents(q) == () for q in ancestors)
         desc = f"dim=2 n=3 rules={rules.text()} l1=A/B word=BBBBB dir=NE"
         return rules, l1, ancestors, desc
 
     def test_each_member_of_an_off_band_dead_product_is_an_issue(self, monkeypatch):
         """One line per pattern the search met, in the order met: the
-        target, then the members of each dead product."""
+        target, then its parents."""
         rules, l1, ancestors, desc = self.dead_ancestors()
         monkeypatch.setattr(oracle, "two_diagonal_support",
                             lambda pattern, anti=False: False)
