@@ -49,11 +49,6 @@ MUTANTS = {
         "grounds = self._l1_index.starts_any(product)",
         "grounds = not self._l1_index.starts_any(product)",
         "a product with starts left in the grid is settled as ungrounded"),
-    "settle-always-parentless": (
-        PKG + "ancestry.py",
-        "        if not parented:\n",
-        "        if True:\n",
-        "every settled product's members are cached with no parents"),
     "band-widened": (
         PKG + "patterns.py",
         "return keys[-1] - keys[0] <= 1",
@@ -104,7 +99,20 @@ MUTANTS = {
         PKG + "ancestry.py",
         "if q.cells not in alive:",
         "if True:",
-        "a pending member that has parents is cached with none"),
+        "a settled member that has parents is cached with none"),
+    "sift-reads-first-offset": (
+        PKG + "ancestry.py",
+        "rows, cols, layout):",
+        "rows, cols, layout)[:1]:",
+        "the sift reads only the first offset of a settled product's plan, "
+        "so a member with parents at a later offset is cached with none"),
+    "sift-spells-one-letter": (
+        PKG + "ancestry.py",
+        "for p in self._options(parent[k])}",
+        "for p in self._options(parent[k])[:1]}",
+        "the sift spells each parent cell with its first fitting letter "
+        "only, so a member that another letter spells is cached with no "
+        "parents"),
     "sweep-witness-tie-keeps-first": (
         PKG + "oracle.py",
         "if length not in best or key < best[length]:",
@@ -185,12 +193,6 @@ MUTANTS = {
 
 # name: (file, old text, new text, why no output can change)
 EQUIVALENT = {
-    "sift-every-product": (
-        PKG + "ancestry.py",
-        "elif len(found) > self.rules.rule_rows * self.rules.b * len(self._letters):",
-        "elif True:",
-        "every product the union test cannot settle is sifted, however small: "
-        "the same parents, more work"),
     "fills-without-shortcut": (
         PKG + "oracle.py",
         "if WILDCARD not in pattern.cells:",

@@ -134,13 +134,12 @@ class AncestrySearcher:
 
     With a start grid, :meth:`parents` also settles each large product
     of parent letter sets as a whole (:meth:`_settle`) as it builds the
-    members: of the 42 a puzzle solve settles, 27 are *dead* (no start
-    left in the grid, no member with parents), so their 1,171 members are
-    cached with no groundings and no parents; 2 have parentless members
-    and 3 are left for a sift (:meth:`_sift`) on the first lookup of a
-    member.  Groundings are not otherwise cached: a search seldom grounds
-    a pattern twice.  A grid-free searcher, as the sweep uses, settles
-    nothing.
+    members: of the 2,184 members of the 42 products a puzzle solve
+    settles, 2,106 are cached with no groundings and 2,137 with no
+    parents, so only the other 47 can be enumerated; the 27 *dead*
+    products (no start left, no member with parents) hold 1,171.  Groundings are not
+    otherwise cached: a search seldom grounds a pattern twice.  A
+    grid-free searcher, as the sweep uses, settles nothing.
     """
 
     def __init__(self, rules: RuleSet, l1: Grid | None = None):
@@ -171,8 +170,6 @@ class AncestrySearcher:
         self._parents: dict[Pattern, tuple[tuple[Pattern, tuple[int, int]], ...]] = {}
         self._l1_index = GridIndex(l1) if l1 is not None else None
         self._ungrounded: set[Pattern] = set()
-        # Member -> (rows, cols, masks, members) of its pending product.
-        self._pending: dict[Pattern, tuple] = {}
 
     # -- parent enumeration -------------------------------------------------
 
@@ -215,10 +212,10 @@ class AncestrySearcher:
         per layout (:func:`_offset_plan`), shared across calls and
         searchers.
 
-        A searcher with a start grid settles a large product, one of
-        more patterns than the plan has offsets, as a whole
-        (:meth:`_settle`), and caches the answers it finds for the
-        members.  Every parent is a pattern whose cells are a string.
+        A searcher with a start grid settles a product of more patterns
+        than the plan has offsets as a whole (:meth:`_settle`), caching
+        both exact answers for its members, so no parentless member is
+        enumerated.  Every parent is a pattern whose cells are a string.
         """
         cached = self._parents.get(pattern)
         if cached is None:
@@ -226,11 +223,7 @@ class AncestrySearcher:
         return cached
 
     def _enumerate(self, pattern: Pattern) -> tuple[tuple[Pattern, tuple[int, int]], ...]:
-        """:meth:`parents` on a miss; a pending member's product is sifted first."""
-        if self._pending and pattern in self._pending:
-            self._sift(*self._pending[pattern])
-            if pattern in self._parents:
-                return self._parents[pattern]
+        """:meth:`parents` on a miss."""
         rows, cols, cells = pattern
         table = self._table
         plan = _offset_plan(self.rules.rule_rows, self.rules.b, rows, cols,
@@ -276,69 +269,49 @@ class AncestrySearcher:
     def _settle(self, rows: int, cols: int, masks: list[int],
                 off: tuple[int, int],
                 out: list[tuple[Pattern, tuple[int, int]]], seen: set[Pattern]) -> None:
-        """Place the members of one large product of parent letter sets
+        """Place the members of a large product of parent letter sets
         (``masks``, -1 for a free cell) that are new to an enumeration
-        into its ``out``, and keep the answers the whole product gives
-        them: with no start left in the grid (:meth:`GridIndex.starts_any`),
-        no groundings; with no :meth:`_fitting_offsets`, no parents;
-        otherwise pending (:meth:`_sift`) past offsets x letters, the
-        blocks a sift reads.  A dead product's members get both answers."""
+        into its ``out``, and cache both exact answers for them: no
+        groundings if no start is left (:meth:`GridIndex.starts_any`); no
+        parents unless, at some offset, the blocks of one fitting letter
+        per parent cell spell the member, a letter fitting if its block
+        fits the product at each concrete cell (:meth:`_unions`)."""
         product = Pattern(rows, cols, tuple(
             WILDCARD if m == -1 else self._options(m) for m in masks))
         found = list(itertools.filterfalse(seen.__contains__, members(product)))
         seen.update(found)
         out.extend(zip(found, itertools.repeat(off)))
         grounds = self._l1_index.starts_any(product)
-        parented = next(self._fitting_offsets(rows, cols, masks), None) is not None
         if not grounds:
             self._ungrounded.update(found)
-        if not parented:
-            self._parents.update(dict.fromkeys(found, ()))
-        elif len(found) > self.rules.rule_rows * self.rules.b * len(self._letters):
-            self._pending.update(dict.fromkeys(found, (rows, cols, masks, found)))
-
-    def _fitting_offsets(self, rows: int, cols: int, masks: list[int]):
-        """Each offset of a product's layout plan whose parent cells all
-        keep a letter whose block fits the product (:meth:`_unions`):
-        its steps and those letters' masks per parent cell."""
         layout = "".join(WILDCARD if m == -1 else _LAYOUT_MARK for m in masks)
+        alive: set[str] = set()
         for _, pr, pc, steps in _offset_plan(self.rules.rule_rows, self.rules.b,
                                              rows, cols, layout):
-            cells = [-1] * (pr * pc)
+            parent = [-1] * (pr * pc)
             for i, k, s in steps:
-                mask = cells[k] & self._unions(masks[i])[s]
+                mask = parent[k] & self._unions(masks[i])[s]
                 if not mask:
                     break
-                cells[k] = mask
+                parent[k] = mask
             else:
-                yield steps, cells
-
-    def _sift(self, rows: int, cols: int, masks: list[int],
-              found: list[Pattern]) -> None:
-        """Take a pending product's members off the pending list, caching
-        with no parents each one that has none.  The members with parents
-        are those the blocks of one fitting letter per parent cell spell
-        (:meth:`_fitting_offsets`); the cells' distinct spellings combine."""
-        blocks = {p: "".join(block) for p, block in self.rules.rules.items()}
-        alive: set[str] = set()
-        for steps, parent in self._fitting_offsets(rows, cols, masks):
-            by_cell: dict[int, list[tuple[int, int]]] = {}
-            for i, k, s in steps:
-                by_cell.setdefault(k, []).append((i, s))
-            spellings = []
-            for k, pairs in by_cell.items():
-                spell = operator.itemgetter(*(s for _, s in pairs))
-                spellings.append({spell(blocks[p]) for p in self._options(parent[k])})
-            chars = [WILDCARD] * len(masks)
-            for combo in itertools.product(*spellings):
-                for pairs, spelled in zip(by_cell.values(), combo):
-                    for (i, _), ch in zip(pairs, spelled):
-                        chars[i] = ch
-                alive.add("".join(chars))
+                by_cell: dict[int, list[tuple[int, int]]] = {}
+                for i, k, s in steps:
+                    by_cell.setdefault(k, []).append((i, s))
+                spellings = []
+                for k, pairs in by_cell.items():
+                    spell = operator.itemgetter(*(s for _, s in pairs))
+                    spellings.append({spell("".join(self.rules.rules[p]))
+                                      for p in self._options(parent[k])})
+                chars = [WILDCARD] * len(masks)
+                for combo in itertools.product(*spellings):
+                    for pairs, spelled in zip(by_cell.values(), combo):
+                        for (i, _), ch in zip(pairs, spelled):
+                            chars[i] = ch
+                    alive.add("".join(chars))
         for q in found:
-            self._pending.pop(q, None)
             if q.cells not in alive:
-                self._parents.setdefault(q, ())
+                self._parents[q] = ()
 
     # -- grounding -----------------------------------------------------------
 

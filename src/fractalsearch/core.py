@@ -180,15 +180,18 @@ def expand(grid: Grid, rules: RuleSet, steps: int = 1) -> Grid:
     Each cell becomes its rule block; every step multiplies the height by
     the block height and the width by b, and bumps the level tag.  An
     output of more than ``EXPAND_CELL_CAP`` cells raises
-    ResourceLimitError before the first step.
+    ResourceLimitError before the first step, found one step at a time
+    (so at most a few dozen steps) rather than from the final shape.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     check_letters(grid.cells, rules, "grid")
-    rows, cols = level_shape(grid, rules, steps + 1)
+    rows, cols, done = grid.rows, grid.cols, 0
+    while rows * cols <= EXPAND_CELL_CAP and done < steps:
+        rows, cols, done = rows * rules.rule_rows, cols * rules.b, done + 1
     if rows * cols > EXPAND_CELL_CAP:
         raise ResourceLimitError(
-            f"{steps} steps give {rows * cols} cells, over the cap {EXPAND_CELL_CAP}")
+            f"{steps} steps exceed the cap of {EXPAND_CELL_CAP} cells at step {done}")
     tables = [str.maketrans({ch: block[br] for ch, block in rules.rules.items()})
               for br in range(rules.rule_rows)]
     lines = grid.lines()

@@ -42,8 +42,8 @@ class AmbiguousRulesError(FractalSearchError):
 
 class ResourceLimitError(FractalSearchError):
     """A resource guard was exceeded: ``PRODUCT_CAP``, ``CLOSURE_CAP``,
-    ``WINDOW_CAP``, ``FILL_CAP``, ``SWEEP_RULESET_CAP`` or
-    ``EXPAND_CELL_CAP``."""
+    ``WINDOW_CAP``, ``FILL_CAP``, ``SWEEP_RULESET_CAP``,
+    ``SWEEP_CASE_CAP`` or ``EXPAND_CELL_CAP``."""
 
 
 class UnresolvedSearchError(FractalSearchError):

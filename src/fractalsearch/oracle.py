@@ -47,6 +47,8 @@ from .patterns import (
 
 FILL_CAP = 10 ** 6
 SWEEP_RULESET_CAP = 10 ** 6
+# One mask bit per (word, direction) case: walk memory grows as its square.
+SWEEP_CASE_CAP = 2 ** 14
 WINDOW_CAP = 10 ** 6
 
 OUTSIDE = "#"       # cells outside the start grid; reserved, never a letter
@@ -521,6 +523,13 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
     if count > SWEEP_RULESET_CAP:
         raise ResourceLimitError(
             f"{count} rule sets exceed the sweep cap {SWEEP_RULESET_CAP}")
+    cases = 0
+    for length in range(1, word_len_cap + 1):
+        cases += (1 if dimension == 1 else 2) * n ** length
+        if cases > SWEEP_CASE_CAP:
+            raise ResourceLimitError(
+                f"words up to length {length} give {cases} (word, direction) "
+                f"cases, over the sweep cap {SWEEP_CASE_CAP}")
     blocks = _sweep_blocks(letters, b, dimension)
     smallest = _sweep_orbits(letters, blocks)
     reps = [idx for idx, first in enumerate(smallest) if first == idx]

@@ -577,6 +577,31 @@ class TestSettledProducts:
             run_agreement(500)
         assert kinds == {str}
 
+    def test_no_parentless_member_is_enumerated(self, puzzle_path):
+        """Settling a product caches every parentless member's ``()``, so
+        of the 2,184 members a puzzle solve settles, it enumerates only
+        43, all of them among the 47 that have parents."""
+        settled, enumerated = [], []
+        real_settle, real_enumerate = (AncestrySearcher._settle,
+                                       AncestrySearcher._enumerate)
+
+        def settle(searcher, rows, cols, masks, off, out, seen):
+            placed = len(out)
+            real_settle(searcher, rows, cols, masks, off, out, seen)
+            settled.extend((searcher, q) for q, _ in out[placed:])
+
+        def enumerate_(searcher, pattern):
+            enumerated.append(pattern)
+            return real_enumerate(searcher, pattern)
+
+        with mock.patch.object(AncestrySearcher, "_settle", settle), \
+                mock.patch.object(AncestrySearcher, "_enumerate", enumerate_):
+            solve(load_puzzle(puzzle_path))
+        parentless = {q for searcher, q in settled if searcher.parents(q) == ()}
+        assert (len(settled), len(parentless)) == (2184, 2137)
+        assert parentless.isdisjoint(enumerated)
+        assert len({q for _, q in settled}.intersection(enumerated)) == 43
+
 
 def rules_from(text: str) -> RuleSet:
     """Rules in their one-line text form, ``A>AB/CB;B>...``."""

@@ -444,6 +444,22 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("resource limit: ") and err.count("\n") == 1
 
+    def test_a_huge_expand_stops_at_the_first_step_over_the_cap(self, capsys):
+        """The cap is checked one step at a time, so 15,000 steps are
+        refused at step 24, with no 4,500-digit cell count."""
+        assert run(capsys, "expand", "--rules", RULES_1D, "--grid", "A",
+                   "--steps", "15000") == (
+            2, "", "resource limit: 15000 steps exceed the cap of 10000000 "
+                   "cells at step 24\n")
+
+    def test_a_sweep_over_the_case_cap_is_refused(self, capsys):
+        """Words up to length 16 over two letters are 131,070 cases, one
+        mask bit each in the shared walk; the sweep is refused at length
+        14, the first over 2 ** 14 cases."""
+        assert run(capsys, "oracle", "sweep", "--n", "2", "--len-cap", "16") == (
+            2, "", "resource limit: words up to length 14 give 32766 (word, "
+                   "direction) cases, over the sweep cap 16384\n")
+
 
 class TestReadmeCommands:
     @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)

@@ -559,6 +559,22 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
             sweep_max_latest(n, 2, 1, word_len_cap, jobs=jobs)
 
+    @pytest.mark.parametrize("dimension, length, cases", [(1, 3, 14), (2, 2, 12)])
+    def test_case_cap_is_checked_before_any_walk(self, monkeypatch, dimension,
+                                                 length, cases):
+        """2 + 4 = 6 cases of words up to length 2 pass a cap of 6 in 1D;
+        read E and SE in 2D they are 12, and in 1D length 3 adds 8."""
+        monkeypatch.setattr(oracle, "SWEEP_CASE_CAP", 6)
+        assert sweep_max_latest(2, 2, 1, 2).per_length_max == {1: 2, 2: 4}
+
+        def fail(*args):
+            raise AssertionError("walked before the case cap check")
+
+        monkeypatch.setattr(oracle, "_sweep_blocks", fail)
+        with pytest.raises(ResourceLimitError, match=(
+                f"^words up to length {length} give {cases} .* cap 6$")):
+            sweep_max_latest(2, 2, dimension, 3)
+
     @pytest.mark.parametrize("dimension", [0, 3])
     def test_rejects_a_dimension_other_than_1_or_2(self, dimension):
         with pytest.raises(ValueError, match="dimension"):
