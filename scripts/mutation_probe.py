@@ -164,13 +164,13 @@ MUTANTS = {
         "the grid's"),
     "window-rows-one-down": (
         PKG + "puzzle.py",
-        "for line in lines[top - 1 - r0:bottom - r0])",
-        "for line in lines[top - r0:bottom - r0 + 1])",
+        "for r in range(top, bottom + 1)",
+        "for r in range(top + 1, bottom + 2)",
         "a level's window is read one row below the one asked for"),
     "window-cols-one-right": (
         PKG + "puzzle.py",
-        "line[left - 1 - c0:right - c0]",
-        "line[left - c0:right - c0 + 1]",
+        "for c in range(left, right + 1)",
+        "for c in range(left + 1, right + 2)",
         "a level's window is read one column right of the one asked for"),
     "crossed-out-floor-plus-one": (
         PKG + "puzzle.py",
@@ -195,10 +195,10 @@ MUTANTS = {
 EQUIVALENT = {
     "fills-without-shortcut": (
         PKG + "oracle.py",
-        "if WILDCARD not in pattern.cells:",
+        "if not holes:",
         "if False:",
-        "a pattern with no wildcard goes through the hole product, whose one "
-        "fill is the pattern itself: the same fills, more work"),
+        "a pattern with no wildcard goes through members(), whose one "
+        "member is the pattern itself: the same fills, more work"),
     "occurs-memo-per-scan": (
         PKG + "oracle.py",
         "letters, floor, memo)",

@@ -333,8 +333,13 @@ class AncestrySearcher:
                depth_cap: int | None = None) -> SearchResult:
         """Earliest level on which the word appears for the start grid;
         with ``direction`` None, ``word`` is a trimmed letter/wildcard
-        pattern in its wire form (``B*/*B``)."""
-        return first_grounded([LayeredSearch(self, word, direction)], depth_cap)
+        pattern in its wire form (``B*/*B``).  A word's ValueError (empty,
+        or with a wildcard) comes before its foreign letters'
+        UnknownLetterError; a pattern's letters are checked with its parents."""
+        run = LayeredSearch(self, word, direction)
+        if direction is not None:
+            check_letters(word, self.rules, "word")
+        return first_grounded([run], depth_cap)
 
     def closure(self, target: Pattern) -> dict[Pattern, int]:
         """Minimal depth of every ancestor pattern reachable from the
@@ -517,11 +522,9 @@ def first_appearance(word: str, direction: Direction | None, l1: Grid,
                      rules: RuleSet, depth_cap: int | None = None) -> SearchResult:
     """Earliest level on which ``word`` (read along ``direction``, or a
     trimmed pattern in its wire form when ``direction`` is None) appears
-    when starting from ``l1``, found without materializing any level."""
-    run = LayeredSearch(AncestrySearcher(rules, l1), word, direction)
-    if direction is not None:
-        check_letters(word, rules, "word")
-    return first_grounded([run], depth_cap)
+    when starting from ``l1``, found without materializing any level:
+    :meth:`AncestrySearcher.search` on a fresh searcher."""
+    return AncestrySearcher(rules, l1).search(word, direction, depth_cap=depth_cap)
 
 
 def witness_coordinates(result: SearchResult, l1: Grid,

@@ -31,6 +31,7 @@ from .puzzle import (
 )
 
 USAGE_EXIT = 64
+BOUNDS_LEN_CAP = 10 ** 5     # lengths in one bounds table, built before printing
 
 
 def _int_at_least(minimum: int):
@@ -202,6 +203,9 @@ def _cmd_bounds(args) -> int:
     if last < args.length:
         print("bounds: --len-max must be >= --len", file=sys.stderr)
         return USAGE_EXIT
+    if last - args.length + 1 > BOUNDS_LEN_CAP:
+        raise ResourceLimitError(
+            f"lengths {args.length}..{last} exceed the cap of {BOUNDS_LEN_CAP} rows")
     rows = [
         {"len": ln, "w1": bounds_mod.w1(args.b, args.n, ln),
          "w2": bounds_mod.w2(args.b, args.n, ln),

@@ -43,7 +43,7 @@ class AmbiguousRulesError(FractalSearchError):
 class ResourceLimitError(FractalSearchError):
     """A resource guard was exceeded: ``PRODUCT_CAP``, ``CLOSURE_CAP``,
     ``WINDOW_CAP``, ``FILL_CAP``, ``SWEEP_RULESET_CAP``,
-    ``SWEEP_CASE_CAP`` or ``EXPAND_CELL_CAP``."""
+    ``SWEEP_CASE_CAP``, ``EXPAND_CELL_CAP`` or ``BOUNDS_LEN_CAP``."""
 
 
 class UnresolvedSearchError(FractalSearchError):

@@ -30,7 +30,7 @@ from operator import itemgetter, or_
 from typing import ClassVar
 
 from . import bounds
-from .ancestry import AncestrySearcher, LayeredSearch, first_grounded
+from .ancestry import AncestrySearcher, LayeredSearch, first_grounded, members
 from .core import Grid, RuleSet, check_letters
 from .errors import ResourceLimitError, WitnessError
 from .patterns import (
@@ -179,23 +179,20 @@ class LatestResult:
 
 def _fills(pattern: Pattern, letters: tuple[str, ...]):
     """All wildcard-free patterns obtained by filling the pattern's
-    wildcards, in lexicographic fill order; more than ``FILL_CAP`` raise.
-    Each is a throwaway start grid: ``GridIndex`` reads only its
+    wildcards, in lexicographic fill order: the :func:`members` of the
+    pattern with ``letters`` in every wildcard; more than ``FILL_CAP``
+    raise.  Each is a throwaway start grid: ``GridIndex`` reads only its
     ``rows``, ``cols`` and ``cells``, so no ``Grid`` is validated per
     fill.  A pattern with no wildcard is its own only fill."""
-    if WILDCARD not in pattern.cells:
-        yield pattern
-        return
-    holes = [i for i, ch in enumerate(pattern.cells) if ch == WILDCARD]
-    if len(letters) ** len(holes) > FILL_CAP:
+    holes = pattern.cells.count(WILDCARD)
+    if not holes:
+        return (pattern,)
+    if len(letters) ** holes > FILL_CAP:
         raise ResourceLimitError(
-            f"{len(letters) ** len(holes)} fills of {pattern.text()!r} "
+            f"{len(letters) ** holes} fills of {pattern.text()!r} "
             f"exceed cap {FILL_CAP}")
-    chars = list(pattern.cells)
-    for combo in itertools.product(letters, repeat=len(holes)):
-        for i, ch in zip(holes, combo):
-            chars[i] = ch
-        yield Pattern(pattern.rows, pattern.cols, "".join(chars))
+    return members(Pattern(pattern.rows, pattern.cols, tuple(
+        letters if ch == WILDCARD else ch for ch in pattern.cells)))
 
 
 def _occurs_in(pattern: Pattern, index: GridIndex) -> bool:
@@ -519,10 +516,13 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
         raise ValueError(f"dimension must be 1 or 2, not {dimension}")
     letters = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:n])
     rh = 1 if dimension == 1 else b
-    count = (n ** (b * rh)) ** n
+    # n ** (b * rh * n) rule sets, grown only up to the first count past the cap
+    count, factors = 1, b * rh * n if n > 1 else 0
+    while factors and count <= SWEEP_RULESET_CAP:
+        count, factors = count * n, factors - 1
     if count > SWEEP_RULESET_CAP:
         raise ResourceLimitError(
-            f"{count} rule sets exceed the sweep cap {SWEEP_RULESET_CAP}")
+            f"{n}**{b * rh * n} rule sets exceed the sweep cap {SWEEP_RULESET_CAP}")
     cases = 0
     for length in range(1, word_len_cap + 1):
         cases += (1 if dimension == 1 else 2) * n ** length

@@ -19,9 +19,8 @@ from .ancestry import (
     first_grounded,
     witness_coordinates,
 )
-from .bounds import ceil_log
 from .core import (CellAddress, Grid, RuleSet, check_letters, contract,
-                   descendant_block_range, expand, letters_at, level_shape)
+                   descendant_block_range, letters_at, level_shape)
 from .errors import PuzzleFormatError, SolveError, UnknownLetterError
 from .files import parse_grid_section, parse_rules_section, read_sections
 from .patterns import (
@@ -234,25 +233,14 @@ def crossed_out_l1_cells(placements, rules: RuleSet) -> frozenset[tuple[int, int
 def _window(l1: Grid, rules: RuleSet, level: int, rows: tuple[int, int],
             cols: tuple[int, int]) -> tuple[str, ...]:
     """Rows of the inclusive 1-indexed rectangle ``rows`` x ``cols`` of
-    ``level``.  k levels up (stopping at level one), where b**k first
-    reaches the rectangle's longer side, its ancestors lie in at most two
-    blocks per side (under 1D rules its rows do not change); they are
-    read in one :func:`letters_at` call, expanded k steps with
-    :func:`expand`, and the rectangle is sliced out.
-    """
-    rh, b = rules.rule_rows, rules.b
+    ``level``, read in one :func:`letters_at` call over its cells and cut
+    into rows."""
     (top, bottom), (left, right) = rows, cols
-    k = min(level - 1, ceil_log(b, max(bottom - top, right - left) + 1))
-    rspan, cspan = rh ** k, b ** k
-    r0, c0 = (top - 1) // rspan, (left - 1) // cspan
-    arows = range(r0, (bottom - 1) // rspan + 1)
-    acols = range(c0, (right - 1) // cspan + 1)
-    ancestors = Grid(len(arows), len(acols), letters_at(l1, rules, [
-        CellAddress(level - k, r + 1, c + 1) for r in arows for c in acols]))
-    lines = expand(ancestors, rules, k).lines()
-    r0, c0 = r0 * rspan, c0 * cspan
-    return tuple(line[left - 1 - c0:right - c0]
-                 for line in lines[top - 1 - r0:bottom - r0])
+    width = right - left + 1
+    cells = letters_at(l1, rules, [
+        CellAddress(level, r, c)
+        for r in range(top, bottom + 1) for c in range(left, right + 1)])
+    return tuple(cells[i:i + width] for i in range(0, len(cells), width))
 
 
 def answer_window(spec: PuzzleSpec, target_level: int) -> AnswerWindow:

@@ -927,6 +927,22 @@ class TestFirstAppearance:
         assert (first.level, first.ancestor, first.anchor, first.offsets) == \
             (fresh.level, fresh.ancestor, fresh.anchor, fresh.offsets)
 
+    @pytest.mark.parametrize("entry", [
+        lambda rules, l1, word: AncestrySearcher(rules, l1).search(
+            word, Direction.SE),
+        lambda rules, l1, word: first_appearance(word, Direction.SE, l1, rules),
+    ], ids=["search", "first_appearance"])
+    def test_both_entries_name_a_foreign_letter_alike(self, abc_2d, entry):
+        """A word's own ValueError comes first, then its foreign letters."""
+        l1 = Grid.from_text("A")
+        with pytest.raises(UnknownLetterError) as err:
+            entry(abc_2d, l1, "AZ")
+        assert str(err.value) == "word uses letters outside the alphabet: ['Z']"
+        with pytest.raises(ValueError, match="non-empty"):
+            entry(abc_2d, l1, "")
+        with pytest.raises(ValueError, match="wildcard"):
+            entry(abc_2d, l1, "Z*")
+
     def test_raw_pattern_search(self, abc_2d):
         searcher = AncestrySearcher(abc_2d, Grid.from_text("A"))
         res = searcher.search("B*/*B", None)

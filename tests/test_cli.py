@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fractalsearch import ancestry, core, oracle
+from fractalsearch import ancestry, cli, core, oracle
 from fractalsearch.cli import main
 from fractalsearch.files import load_rules
 from fractalsearch.patterns import Direction, to_json
@@ -194,6 +194,21 @@ class TestBounds:
     def test_equivalent_ranges_print_the_same(self, capsys, argv, same, fmt):
         base = ["bounds", "--b", "2", "--n", "3", "--format", fmt]
         assert run(capsys, *base, *argv) == run(capsys, *base, *same)
+
+    def test_more_lengths_than_the_cap_are_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "BOUNDS_LEN_CAP", 3)
+        code, out, _ = run(capsys, "bounds", "--b", "2", "--n", "3",
+                           "--len", "2", "--len-max", "4", "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 4
+        assert run(capsys, "bounds", "--b", "2", "--n", "3",
+                   "--len", "2", "--len-max", "5") == (
+            2, "", "resource limit: lengths 2..5 exceed the cap of 3 rows\n")
+
+    def test_a_huge_range_is_refused_before_any_row(self, capsys):
+        assert run(capsys, "bounds", "--b", "2", "--n", "3",
+                   "--len", "1", "--len-max", "100000000000") == (
+            2, "", "resource limit: lengths 1..100000000000 exceed the cap "
+                   "of 100000 rows\n")
 
     def test_len_max_below_len_is_usage_error(self, capsys):
         code, out, err = run(capsys, "bounds", "--b", "2", "--n", "3",
@@ -459,6 +474,11 @@ class TestUsageErrors:
         assert run(capsys, "oracle", "sweep", "--n", "2", "--len-cap", "16") == (
             2, "", "resource limit: words up to length 14 give 32766 (word, "
                    "direction) cases, over the sweep cap 16384\n")
+
+    def test_a_huge_block_side_is_refused_with_no_huge_number(self, capsys):
+        assert run(capsys, "oracle", "sweep", "--n", "2", "--b", "10000") == (
+            2, "", "resource limit: 2**20000 rule sets exceed the sweep cap "
+                   "1000000\n")
 
 
 class TestReadmeCommands:

@@ -595,6 +595,35 @@ class TestSweep:
         with pytest.raises(ResourceLimitError):
             sweep_max_latest(5, 2, 1, 2)
 
+    def test_ruleset_cap_admits_its_own_count(self, monkeypatch):
+        """Two letters with 1 x 2 blocks make 2 ** 4 = 16 rule sets."""
+        monkeypatch.setattr(oracle, "SWEEP_RULESET_CAP", 16)
+        assert sweep_max_latest(2, 2, 1, 1).ruleset_count == 16
+        monkeypatch.setattr(oracle, "SWEEP_RULESET_CAP", 15)
+        with pytest.raises(ResourceLimitError,
+                           match=r"^2\*\*4 rule sets exceed the sweep cap 15$"):
+            sweep_max_latest(2, 2, 1, 1)
+
+    def test_a_huge_block_side_stops_at_the_first_count_over_the_cap(self):
+        """2 ** 20,000 rule sets are refused at 2 ** 20, with no
+        6,000-digit count built or printed."""
+        with pytest.raises(ResourceLimitError, match=(
+                r"^2\*\*20000 rule sets exceed the sweep cap 1000000$")):
+            sweep_max_latest(2, b=10000)
+
+    def test_one_letter_passes_the_count_check_at_once(self, monkeypatch):
+        """One letter makes one rule set whatever the block: the count
+        is not grown one factor per block cell."""
+        class Counted(Exception):
+            pass
+
+        def stop(*args):
+            raise Counted
+
+        monkeypatch.setattr(oracle, "_sweep_blocks", stop)
+        with pytest.raises(Counted):
+            sweep_max_latest(1, b=10 ** 6, dimension=2)
+
     def test_closure_cap_refuses_the_sweep(self, monkeypatch):
         monkeypatch.setattr(ancestry, "CLOSURE_CAP", 3)
         with pytest.raises(ResourceLimitError, match="exceed 3 patterns"):
