@@ -102,8 +102,8 @@ MUTANTS = {
         "a settled member that has parents is cached with none"),
     "sift-reads-first-offset": (
         PKG + "ancestry.py",
-        "rows, cols, layout):",
-        "rows, cols, layout)[:1]:",
+        "product.rows, product.cols, layout):",
+        "product.rows, product.cols, layout)[:1]:",
         "the sift reads only the first offset of a settled product's plan, "
         "so a member with parents at a later offset is cached with none"),
     "sift-spells-one-letter": (
@@ -172,12 +172,12 @@ MUTANTS = {
         "for c in range(left, right + 1)",
         "for c in range(left + 1, right + 2)",
         "a level's window is read one column right of the one asked for"),
-    "crossed-out-floor-plus-one": (
+    "crossed-out-anchor-col-plus-one": (
         PKG + "puzzle.py",
-        "-(-addr.row // rspan)",
-        "addr.row // rspan + 1",
-        "a letter on a row that is a multiple of the block span crosses "
-        "out the level-one cell below its own"),
+        "crossed.update((row + r, col + c)",
+        "crossed.update((row + r, col + c + 1)",
+        "each placement crosses out the level-one cells one column right "
+        "of its grounded ancestor's letters"),
     "first-grounded-later-run-wins": (
         PKG + "ancestry.py",
         "for run in live:",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -99,10 +100,10 @@ class SearchResult:
     offsets from the ancestor down to the target (enough to reconstruct
     exact coordinates on any level); its level is read off that chain.
     A result with no ancestor means the frontier reached a fixpoint: the
-    word can never appear for this start grid.  The search's effort is
+    word can never appear for this start grid.  Its effort counts are
     summed over every run stepped with it: ``nodes_expanded`` counts the
-    patterns expanded, ``patterns_seen`` those met, the runs' ``links``
-    (:class:`LayeredSearch`), which a caller needing them drives directly.
+    patterns expanded and ``patterns_seen`` the patterns met, which each
+    run keeps in its ``links`` (:class:`LayeredSearch`).
     """
 
     word: str
@@ -244,18 +245,17 @@ class AncestrySearcher:
                     break
                 masks[k] = mask
             else:
-                options = [(WILDCARD,) if m == -1 else self._options(m)
+                options = [WILDCARD if m == -1 else self._options(m)
                            for m in masks]
-                total = 1
-                for opt in options:
-                    total *= len(opt)
+                total = math.prod(map(len, options))
                 if total > PRODUCT_CAP:
                     raise ResourceLimitError(
                         f"parent product {total} exceeds cap {PRODUCT_CAP} "
                         f"for pattern {pattern.text()!r} at offset {off}"
                     )
                 if total > settle_over:
-                    self._settle(pr, pc, masks, off, out, seen)
+                    self._settle(_new_pattern((pr, pc, tuple(options))),
+                                 masks, off, out, seen)
                     continue
                 for combo in itertools.product(*options):
                     q = _new_pattern((pr, pc, "".join(combo)))
@@ -266,18 +266,16 @@ class AncestrySearcher:
         self._parents[pattern] = result
         return result
 
-    def _settle(self, rows: int, cols: int, masks: list[int],
-                off: tuple[int, int],
+    def _settle(self, product: Pattern, masks: list[int], off: tuple[int, int],
                 out: list[tuple[Pattern, tuple[int, int]]], seen: set[Pattern]) -> None:
-        """Place the members of a large product of parent letter sets
-        (``masks``, -1 for a free cell) that are new to an enumeration
-        into its ``out``, and cache both exact answers for them: no
-        groundings if no start is left (:meth:`GridIndex.starts_any`); no
-        parents unless, at some offset, the blocks of one fitting letter
-        per parent cell spell the member, a letter fitting if its block
-        fits the product at each concrete cell (:meth:`_unions`)."""
-        product = Pattern(rows, cols, tuple(
-            WILDCARD if m == -1 else self._options(m) for m in masks))
+        """Place the members of a large product of parent letter sets (per
+        cell ``*`` or a tuple of letters; ``masks`` holds the same sets,
+        -1 for ``*``) that are new to an enumeration into its ``out``, and
+        cache both exact answers for them: no groundings if no start is
+        left (:meth:`GridIndex.starts_any`); no parents unless, at some
+        offset, the blocks of one fitting letter per parent cell spell
+        the member, a letter fitting if its block fits the product at
+        each concrete cell (:meth:`_unions`)."""
         found = list(itertools.filterfalse(seen.__contains__, members(product)))
         seen.update(found)
         out.extend(zip(found, itertools.repeat(off)))
@@ -287,7 +285,7 @@ class AncestrySearcher:
         layout = "".join(WILDCARD if m == -1 else _LAYOUT_MARK for m in masks)
         alive: set[str] = set()
         for _, pr, pc, steps in _offset_plan(self.rules.rule_rows, self.rules.b,
-                                             rows, cols, layout):
+                                             product.rows, product.cols, layout):
             parent = [-1] * (pr * pc)
             for i, k, s in steps:
                 mask = parent[k] & self._unions(masks[i])[s]

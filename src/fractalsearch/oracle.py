@@ -49,6 +49,8 @@ FILL_CAP = 10 ** 6
 SWEEP_RULESET_CAP = 10 ** 6
 # One mask bit per (word, direction) case: walk memory grows as its square.
 SWEEP_CASE_CAP = 2 ** 14
+# Cells of one rule block (b x rh); the audit caps its 2D block, b x b.
+BLOCK_CELL_CAP = 10 ** 4
 WINDOW_CAP = 10 ** 6
 
 OUTSIDE = "#"       # cells outside the start grid; reserved, never a letter
@@ -200,15 +202,15 @@ def _occurs_in(pattern: Pattern, index: GridIndex) -> bool:
 
 
 def latest_with_searcher(searcher: AncestrySearcher, word: str,
-                         direction: Direction, floor: int = 0) -> LatestResult:
-    """Worst-case first-appearance level of a word over all start grids
-    if it is above ``floor``, else ``LatestResult(None, None)``: the
-    word's ancestor closure by depth (:meth:`AncestrySearcher.shared_layers`
-    of the word alone), handed to :func:`_fill_scan` with a fresh memo."""
+                         direction: Direction) -> LatestResult:
+    """Worst-case first-appearance level of a word over all start grids,
+    with a start grid that reaches it: the word's ancestor closure by
+    depth (:meth:`AncestrySearcher.shared_layers` of the word alone),
+    handed to :func:`_fill_scan` with no floor and a fresh memo."""
     check_letters(word, searcher.rules, "word")
     layers = searcher.shared_layers([word_to_pattern(word, direction)])
     return _fill_scan([list(layer) for layer in layers],
-                      searcher.rules.letters, floor, {})
+                      searcher.rules.letters, 0, {})
 
 
 class _Occurs(dict):
@@ -229,8 +231,8 @@ class _Occurs(dict):
 def _fill_scan(by_depth: list[list[Pattern]], letters: tuple[str, ...],
                floor: int, memo: dict[Pattern, _Occurs]) -> LatestResult:
     """The latest first level over the fills of a word's ancestors, given
-    as ``by_depth[d]``, the ancestors at depth d in any order, if it is
-    above ``floor``; else ``LatestResult(None, None)``.
+    as ``by_depth[d]``, the ancestors at depth d in any order, and a fill
+    reaching it, if above ``floor``; else ``LatestResult(None, None)``.
 
     ``memo`` maps each fill met to its :class:`_Occurs`: one
     ``GridIndex`` per distinct fill, and the answers for the ancestors
@@ -342,12 +344,6 @@ def _sweep_orbits(letters: tuple[str, ...], blocks) -> list[int]:
     return smallest
 
 
-def _sweep_words(letters: tuple[str, ...], word_len_cap: int):
-    for length in range(1, word_len_cap + 1):
-        for combo in itertools.product(letters, repeat=length):
-            yield "".join(combo)
-
-
 def _keep_best(best: dict[int, tuple], length: int, key: tuple) -> None:
     """Keep the smaller sweep witness key (-level, rule-set index, word,
     l1 text, direction name): the latest level first, then the smallest
@@ -383,8 +379,8 @@ def _groups(layers: list[dict[Pattern, int]], bit: int,
 
 
 def _sweep_chunk(args) -> tuple[list[int], dict]:
-    """Worker: latest levels for every (rule set, word) of a list of
-    rising rule-set indexes.
+    """Worker: ``args`` is ``(letters, blocks, cases, indexes)``; latest
+    levels for every (word, direction) case under each rising rule-set index.
 
     Returns the maxima of the rule sets in list order plus the best
     witness per word length, keyed for a deterministic merge.
@@ -411,11 +407,7 @@ def _sweep_chunk(args) -> tuple[list[int], dict]:
     ``GridIndex`` and each (fill, ancestor) pair is tested once.  The
     memo is dropped with the chunk.
     """
-    letters, b, dimension, word_len_cap, indexes = args
-    blocks = _sweep_blocks(letters, b, dimension)
-    directions = (Direction.E,) if dimension == 1 else (Direction.E, Direction.SE)
-    cases = [(word, direction) for word in _sweep_words(letters, word_len_cap)
-             for direction in directions]
+    letters, blocks, cases, indexes = args
     targets = [word_to_pattern(word, direction) for word, direction in cases]
     per_ruleset: list[int] = []
     best: dict[int, tuple] = {}     # word length -> witness key
@@ -523,19 +515,25 @@ def sweep_max_latest(n: int, b: int = 2, dimension: int = 1,
     if count > SWEEP_RULESET_CAP:
         raise ResourceLimitError(
             f"{n}**{b * rh * n} rule sets exceed the sweep cap {SWEEP_RULESET_CAP}")
-    cases = 0
+    if b * rh > BLOCK_CELL_CAP:
+        raise ResourceLimitError(
+            f"{rh} x {b} blocks exceed the block cell cap {BLOCK_CELL_CAP}")
+    directions = (Direction.E,) if dimension == 1 else (Direction.E, Direction.SE)
+    cases = []
     for length in range(1, word_len_cap + 1):
-        cases += (1 if dimension == 1 else 2) * n ** length
-        if cases > SWEEP_CASE_CAP:
+        total = len(cases) + len(directions) * n ** length
+        if total > SWEEP_CASE_CAP:
             raise ResourceLimitError(
-                f"words up to length {length} give {cases} (word, direction) "
+                f"words up to length {length} give {total} (word, direction) "
                 f"cases, over the sweep cap {SWEEP_CASE_CAP}")
+        words = map("".join, itertools.product(letters, repeat=length))
+        cases += itertools.product(words, directions)
     blocks = _sweep_blocks(letters, b, dimension)
     smallest = _sweep_orbits(letters, blocks)
     reps = [idx for idx, first in enumerate(smallest) if first == idx]
     chunk_size = max(1, len(reps) // (jobs * 8) if jobs > 1 else len(reps))
     chunks = [
-        (letters, b, dimension, word_len_cap, reps[lo:lo + chunk_size])
+        (letters, blocks, cases, reps[lo:lo + chunk_size])
         for lo in range(0, len(reps), chunk_size)
     ]
     if jobs > 1:
@@ -692,11 +690,14 @@ def run_agreement(instances: int = 1000, seed: int = 2013, *,
                   max_level: int = 10, b: int = AUDIT_B) -> AgreementReport:
     """Randomized backward/forward equivalence audit over rules of block
     side ``b``; deterministic for a given seed and ``b``.  An audit of no
-    instances is refused, not reported clean."""
+    instances, or of b x b blocks over ``BLOCK_CELL_CAP`` cells, is refused."""
     import random
 
     if instances < 1:
         raise ValueError("instances must be >= 1")
+    if b * b > BLOCK_CELL_CAP:
+        raise ResourceLimitError(
+            f"{b} x {b} blocks exceed the block cell cap {BLOCK_CELL_CAP}")
 
     rng = random.Random(seed)
     tallies = Counter()

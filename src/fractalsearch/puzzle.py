@@ -215,18 +215,16 @@ def _place_word(searcher: AncestrySearcher, spec: PuzzleSpec, raw: str,
     return placement, cross
 
 
-def crossed_out_l1_cells(placements, rules: RuleSet) -> frozenset[tuple[int, int]]:
-    """Level-one cells whose descendants carry the placed words: cell
-    (ceil(i/rh**(k-1)), ceil(j/b**(k-1))) for a letter at (i, j) on
-    level k.  Only the words' own letters count, never the wildcard
-    padding of a diagonal's bounding box."""
-    rh, b = rules.rule_rows, rules.b
+def crossed_out_l1_cells(placements) -> frozenset[tuple[int, int]]:
+    """Level-one cells whose descendants carry the placed words: each
+    placement's grounded ancestor's letters, placed at its anchor.  A
+    parent cell holds a letter exactly when it covers a letter of its
+    child, so no wildcard padding of a diagonal's box is crossed out."""
     crossed: set[tuple[int, int]] = set()
     for placement in placements:
-        for addr in placement.addresses:
-            rspan = rh ** (addr.level - 1)
-            cspan = b ** (addr.level - 1)
-            crossed.add((-(-addr.row // rspan), -(-addr.col // cspan)))
+        row, col = placement.anchor
+        crossed.update((row + r, col + c)
+                       for r, c, _ in placement.ancestor.concrete_cells())
     return frozenset(crossed)
 
 
@@ -310,7 +308,7 @@ def solve(spec: PuzzleSpec, *, cross_all: bool = False) -> SolveReport:
                for raw, word in zip(spec.raw_words, spec.words)]
     placements: list[Placement] = [placement for placement, _ in results]
     cross_sources: list[Placement] = [p for _, cross in results for p in cross]
-    crossed = crossed_out_l1_cells(cross_sources, spec.rules)
+    crossed = crossed_out_l1_cells(cross_sources)
     lines = spec.l1.lines()
     message = "".join(
         lines[r][c]

@@ -580,14 +580,17 @@ class TestSettledProducts:
     def test_no_parentless_member_is_enumerated(self, puzzle_path):
         """Settling a product caches every parentless member's ``()``, so
         of the 2,184 members a puzzle solve settles, it enumerates only
-        43, all of them among the 47 that have parents."""
+        43, all of them among the 47 that have parents.  Each product
+        is handed over built, holding the letter sets of its masks."""
         settled, enumerated = [], []
         real_settle, real_enumerate = (AncestrySearcher._settle,
                                        AncestrySearcher._enumerate)
 
-        def settle(searcher, rows, cols, masks, off, out, seen):
+        def settle(searcher, product, masks, off, out, seen):
+            assert product.cells == tuple(
+                WILDCARD if m == -1 else searcher._options(m) for m in masks)
             placed = len(out)
-            real_settle(searcher, rows, cols, masks, off, out, seen)
+            real_settle(searcher, product, masks, off, out, seen)
             settled.extend((searcher, q) for q, _ in out[placed:])
 
         def enumerate_(searcher, pattern):

@@ -480,6 +480,17 @@ class TestUsageErrors:
             2, "", "resource limit: 2**20000 rule sets exceed the sweep cap "
                    "1000000\n")
 
+    def test_a_one_letter_sweep_with_a_huge_block_is_refused(self, capsys):
+        assert run(capsys, "oracle", "sweep", "--n", "1", "--b", "100000",
+                   "--dim", "2") == (
+            2, "", "resource limit: 100000 x 100000 blocks exceed the block "
+                   "cell cap 10000\n")
+
+    def test_an_audit_with_a_huge_block_is_refused(self, capsys):
+        assert run(capsys, "oracle", "agree", "--b", "3000") == (
+            2, "", "resource limit: 3000 x 3000 blocks exceed the block "
+                   "cell cap 10000\n")
+
 
 class TestReadmeCommands:
     @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)

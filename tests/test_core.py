@@ -147,6 +147,28 @@ class TestTypes:
         with pytest.raises(AddressRangeError):
             CellAddress(1, 0, 1)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda rules: Grid(1, 1, "A", 0), ValueError, "level tag must be >= 1"),
+        (lambda rules: Grid.from_rows([]), ValueError, "at least one row is needed"),
+        (lambda rules: CellAddress(0, 1, 1), ValueError, "level must be >= 1"),
+        (lambda rules: expand(Grid.from_text("A"), rules, -1), ValueError,
+         "steps must be >= 0"),
+        (lambda rules: level_shape(Grid.from_text("A"), rules, 0), ValueError,
+         "level must be >= 1"),
+        (lambda rules: path_to_address((1, 1), ((1, 1), (0, 2)), rules),
+         AddressRangeError, "digit (0, 2) outside block shape"),
+        (lambda rules: descendant_block_range((1, 0), 2, rules), AddressRangeError,
+         "cell (1, 0) not positive"),
+        (lambda rules: descendant_block_range((1, 1), 0, rules), ValueError,
+         "level must be >= 1"),
+    ], ids=["grid-level", "grid-no-rows", "address-level", "expand-steps",
+            "level-shape-level", "path-digit", "block-range-cell",
+            "block-range-level"])
+    def test_input_guards_refuse_bad_input(self, abc_2d, call, error, message):
+        with pytest.raises(error) as err:
+            call(abc_2d)
+        assert str(err.value) == message
+
 
 def _load_puzzle_listing_axe(rules, tmp_path):
     path = tmp_path / "demo.puzzle"

@@ -84,6 +84,11 @@ class TestParseRules:
             parse_rules_section([(1, "A = AB"), (2, "A = BA")])
         assert err.value.line == 2
 
+    def test_ragged_block_rejected_on_its_line(self):
+        with pytest.raises(PuzzleFormatError) as err:
+            parse_rules_section([(3, "B = BA/AB"), (4, "A = AB/C")])
+        assert str(err.value) == "line 4: replacement rows differ in length"
+
     def test_rule_using_unknown_letter_rejected(self):
         with pytest.raises(PuzzleFormatError):
             parse_rules_section([(1, "A = AZ")])
@@ -107,6 +112,11 @@ class TestParseGrid:
         with pytest.raises(PuzzleFormatError, match="no rows") as err:
             parse_grid_section([(7, "level = 2")])
         assert err.value.line == 7
+
+    def test_unexpected_key_rejected_on_its_line(self):
+        with pytest.raises(PuzzleFormatError) as err:
+            parse_grid_section([(5, "AB"), (6, "levels = 2")])
+        assert str(err.value) == "line 6: unexpected key 'levels' in [grid]"
 
     def test_bad_level_value(self):
         with pytest.raises(PuzzleFormatError):

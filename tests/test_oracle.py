@@ -228,6 +228,27 @@ def latest_level(word, direction, rules):
     return latest_with_searcher(AncestrySearcher(rules), word, direction).level
 
 
+def floored_latest(searcher, word, direction, floor):
+    """The fill scan of one word's closure, by depth, above ``floor``:
+    ``latest_with_searcher`` with the floor a sweep chunk passes."""
+    layers = searcher.shared_layers([word_to_pattern(word, direction)])
+    return oracle._fill_scan([list(layer) for layer in layers],
+                             searcher.rules.letters, floor, {})
+
+
+def sweep_words(letters, word_len_cap):
+    """The sweep's words: by length, then in alphabet order."""
+    return ["".join(word) for length in range(1, word_len_cap + 1)
+            for word in itertools.product(letters, repeat=length)]
+
+
+def sweep_cases(letters, word_len_cap, directions):
+    """The sweep's (word, direction) cases, each word read along every
+    direction in turn."""
+    return [(word, direction) for word in sweep_words(letters, word_len_cap)
+            for direction in directions]
+
+
 class TestLatestFirstAppearance:
     def test_single_letter_worst_case(self, abc_1d):
         assert latest_level("A", Direction.E, abc_1d) == 3
@@ -280,7 +301,7 @@ class TestLatestFirstAppearance:
         level, word, l1 = 0, None, None
         for candidate in map("".join, itertools.product(rules.letters,
                                                         repeat=length)):
-            got = latest_with_searcher(searcher, candidate, Direction.E, level)
+            got = floored_latest(searcher, candidate, Direction.E, level)
             if got.level is not None:
                 level, word, l1 = got.level, candidate, got.l1
         assert level == n * n - n + 1 + (length - 1).bit_length() - 1
@@ -292,8 +313,9 @@ class TestLatestFirstAppearance:
         ("abc_1d", (Direction.E,)), ("abc_2d", (Direction.E, Direction.SE))])
     def test_floor_hides_only_levels_at_or_below_it(self, request, rules_name,
                                                     directions):
-        """Above the floor the result is the floorless one, start grid
-        included; at or below it the search answers nothing."""
+        """A floored fill scan returns the floorless result, start grid
+        included, when its level is above the floor, and answers nothing
+        at or below it."""
         rules = request.getfixturevalue(rules_name)
         searcher = AncestrySearcher(rules)
         for length in (1, 2):
@@ -301,7 +323,7 @@ class TestLatestFirstAppearance:
                 for direction in directions:
                     full = latest_with_searcher(searcher, word, direction)
                     for floor in range(full.level + 2):
-                        got = latest_with_searcher(searcher, word, direction, floor)
+                        got = floored_latest(searcher, word, direction, floor)
                         want = (full if full.level > floor
                                 else oracle.LatestResult(None, None))
                         assert got == want, (word, direction.name, floor)
@@ -341,8 +363,7 @@ class TestLatestFirstAppearance:
                  for rows in range(1, max_rows + 1)
                  for cols in range(1, max_cols + 1)
                  for cells in itertools.product(letters, repeat=rows * cols)]
-        words = ["".join(w) for length in range(1, word_len_cap + 1)
-                 for w in itertools.product(letters, repeat=length)]
+        words = sweep_words(letters, word_len_cap)
         directions = (Direction.E,) if dimension == 1 else (Direction.E, Direction.SE)
         mismatches = []
         for idx in indexes:
@@ -435,20 +456,19 @@ class TestSweep:
         be floored at the E witness's level."""
         letters = ("A", "B")
         blocks = oracle._sweep_blocks(letters, 2, 2)
-        words = list(oracle._sweep_words(letters, word_len_cap))
+        cases = sweep_cases(letters, word_len_cap, (Direction.E, Direction.SE))
         mismatches = []
         for idx in range(len(blocks) ** len(letters)):
             searcher = AncestrySearcher(oracle._ruleset_by_index(idx, letters, blocks))
             rs_max, best = 0, {}
-            for word in words:
-                for direction in (Direction.E, Direction.SE):
-                    got = latest_with_searcher(searcher, word, direction)
-                    rs_max = max(rs_max, got.level)
-                    oracle._keep_best(best, len(word), (
-                        -got.level, idx, word, got.l1.text(), direction.name))
+            for word, direction in cases:
+                got = latest_with_searcher(searcher, word, direction)
+                rs_max = max(rs_max, got.level)
+                oracle._keep_best(best, len(word), (
+                    -got.level, idx, word, got.l1.text(), direction.name))
             if idx == 21:
                 assert best[2] == (-3, 21, "AA", "A", "SE")
-            chunk = oracle._sweep_chunk((letters, 2, 2, word_len_cap, [idx]))
+            chunk = oracle._sweep_chunk((letters, blocks, cases, [idx]))
             if chunk != ([rs_max], best):
                 mismatches.append(idx)
         assert mismatches == []
@@ -462,17 +482,18 @@ class TestSweep:
         per representative put together."""
         letters = ("A", "B")
         blocks = oracle._sweep_blocks(letters, 2, 2)
+        cases = sweep_cases(letters, word_len_cap, (Direction.E, Direction.SE))
         reps = [idx for idx, first in enumerate(oracle._sweep_orbits(letters, blocks))
                 if first == idx]
         maxima, best = [], {}
         for idx in reps:
             (rs_max,), chunk_best = oracle._sweep_chunk(
-                (letters, 2, 2, word_len_cap, [idx]))
+                (letters, blocks, cases, [idx]))
             maxima.append(rs_max)
             for length, key in chunk_best.items():
                 oracle._keep_best(best, length, key)
         assert len(reps) == 76
-        assert oracle._sweep_chunk((letters, 2, 2, word_len_cap, reps)) == (maxima, best)
+        assert oracle._sweep_chunk((letters, blocks, cases, reps)) == (maxima, best)
 
     @pytest.mark.parametrize("n, dimension", [(2, 1), (3, 1), (2, 2)],
                              ids=["1d-n2", "1d-n3", "2d-n2"])
@@ -480,15 +501,15 @@ class TestSweep:
         """For every case the sweep searches (each orbit representative,
         every word up to length 2 and direction) and every floor from 0
         up to the case's level, the fill scan over the groups read off
-        the shared walk gives the result of ``latest_with_searcher``; each
+        the shared walk gives the scan of the case's own closure, which
+        at floor 0 is ``latest_with_searcher``; each
         case's deepest shared layer is its closure's deepest layer.  One
         occurrence memo serves every scan of the sweep, so an answer that
         leaks between fills or between ancestors shows here."""
         letters = tuple("ABC"[:n])
         blocks = oracle._sweep_blocks(letters, 2, dimension)
         directions = (Direction.E,) if dimension == 1 else (Direction.E, Direction.SE)
-        cases = [(word, direction) for word in oracle._sweep_words(letters, 2)
-                 for direction in directions]
+        cases = sweep_cases(letters, 2, directions)
         targets = [word_to_pattern(word, direction) for word, direction in cases]
         mismatches, checks, memo = [], 0, {}
         for idx, first in enumerate(oracle._sweep_orbits(letters, blocks)):
@@ -502,7 +523,7 @@ class TestSweep:
                 groups = oracle._groups(layers, 1 << t, deepest[t])
                 full = latest_with_searcher(searcher, word, direction)
                 for floor in range(full.level + 1):
-                    want = latest_with_searcher(searcher, word, direction, floor)
+                    want = floored_latest(searcher, word, direction, floor)
                     checks += 1
                     if oracle._fill_scan(groups, letters, floor, memo) != want:
                         mismatches.append((idx, word, direction.name, floor))
@@ -519,7 +540,7 @@ class TestSweep:
         report = sweep_max_latest(2, 2, 2, 2)
         letters = ("A", "B")
         blocks = oracle._sweep_blocks(letters, 2, 2)
-        words = list(oracle._sweep_words(letters, 2))
+        words = sweep_words(letters, 2)
         per_length = {direction: Counter() for direction in Direction}
         later = 0
         for idx, reported in enumerate(report.per_ruleset_max):
@@ -621,8 +642,35 @@ class TestSweep:
             raise Counted
 
         monkeypatch.setattr(oracle, "_sweep_blocks", stop)
+        monkeypatch.setattr(oracle, "BLOCK_CELL_CAP", 10 ** 12)
         with pytest.raises(Counted):
             sweep_max_latest(1, b=10 ** 6, dimension=2)
+
+    def test_block_cell_cap_is_checked_before_any_block(self, monkeypatch):
+        """1 x 3 blocks pass a cap of 3 cells; 2 x 2 blocks are refused
+        before any block is built."""
+        monkeypatch.setattr(oracle, "BLOCK_CELL_CAP", 3)
+        assert sweep_max_latest(1, 3, 1, 1).ruleset_count == 1
+
+        def fail(*args):
+            raise AssertionError("built blocks before the block cell cap check")
+
+        monkeypatch.setattr(oracle, "_sweep_blocks", fail)
+        with pytest.raises(ResourceLimitError,
+                           match="^2 x 2 blocks exceed the block cell cap 3$"):
+            sweep_max_latest(1, 2, 2, 1)
+
+    def test_rule_set_count_is_refused_before_the_block(self, monkeypatch):
+        monkeypatch.setattr(oracle, "BLOCK_CELL_CAP", 3)
+        with pytest.raises(ResourceLimitError, match="rule sets exceed"):
+            sweep_max_latest(4, 2, 2, 1)
+
+    def test_a_one_letter_huge_block_is_refused_at_once(self):
+        """One letter passes the rule-set and case caps; 10 ** 10 block
+        cells do not pass the block cell cap."""
+        with pytest.raises(ResourceLimitError, match=(
+                "^100000 x 100000 blocks exceed the block cell cap 10000$")):
+            sweep_max_latest(1, b=100000, dimension=2)
 
     def test_closure_cap_refuses_the_sweep(self, monkeypatch):
         monkeypatch.setattr(ancestry, "CLOSURE_CAP", 3)
@@ -886,6 +934,27 @@ class TestAgreementHarness:
     def test_an_empty_audit_is_refused(self, instances):
         with pytest.raises(ValueError):
             run_agreement(instances)
+
+    def test_block_cell_cap_is_checked_before_any_draw(self, monkeypatch):
+        """b = 2 makes 2 x 2 blocks of 4 cells, within a cap of 4; b = 3
+        is refused before any instance is drawn."""
+        monkeypatch.setattr(oracle, "BLOCK_CELL_CAP", 4)
+        assert run_agreement(3, b=2).instances == 3
+
+        def fail(*args):
+            raise AssertionError("drew an instance before the block cell cap check")
+
+        monkeypatch.setattr(oracle, "random_instance", fail)
+        with pytest.raises(ResourceLimitError,
+                           match="^3 x 3 blocks exceed the block cell cap 4$"):
+            run_agreement(3, b=3)
+
+    def test_the_largest_admitted_block_side_runs(self):
+        """b = 100 is the largest side whose 2D block keeps to the cap."""
+        assert oracle.BLOCK_CELL_CAP == 100 * 100
+        assert run_agreement(1, b=100).instances == 1
+        with pytest.raises(ResourceLimitError):
+            run_agreement(1, b=101)
 
     def test_clean_on_the_puzzle_rules(self, puzzle_path, monkeypatch):
         """The random audit draws at most AUDIT_MAX_N letters; these

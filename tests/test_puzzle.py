@@ -7,17 +7,21 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fractalsearch import core
+from fractalsearch.ancestry import AncestrySearcher
 from fractalsearch.core import CellAddress, expand, letter_at, level_shape
 from fractalsearch.errors import PuzzleFormatError, SolveError
 from fractalsearch.files import load_grid
-from fractalsearch.patterns import Direction
+from fractalsearch.patterns import Direction, parse_pattern
 from fractalsearch.puzzle import (
     ANSWER_WINDOW_RADIUS,
     Placement,
+    PuzzleSpec,
+    _place_word,
+    _placement,
     _window,
     answer_window,
     crossed_out_l1_cells,
@@ -202,22 +206,62 @@ ABQ
             load_puzzle(path)
 
 
-class TestCrossedOut:
-    def test_deep_cell_maps_to_ancestor(self, abc_2d):
-        placement = Placement(
-            raw="x", word="x", direction=Direction.E, level=2,
-            ancestor=None, anchor=(1, 1), offsets=(),
-            addresses=(CellAddress(2, 3, 4),),
-            nodes_expanded=0, patterns_seen=0)
-        assert crossed_out_l1_cells([placement], abc_2d) == {(2, 2)}
+def reference_crossed_out(placements, rules) -> frozenset[tuple[int, int]]:
+    """The crossed-out cells worked out from the placed letters' own
+    addresses: cell (ceil(i / rh ** (k-1)), ceil(j / b ** (k-1))) for a
+    letter at (i, j) on level k."""
+    rh, b = rules.rule_rows, rules.b
+    return frozenset((-(-addr.row // rh ** (addr.level - 1)),
+                      -(-addr.col // b ** (addr.level - 1)))
+                     for placement in placements for addr in placement.addresses)
 
-    def test_level_one_placement_crosses_itself(self, abc_2d):
-        placement = Placement(
-            raw="x", word="x", direction=Direction.E, level=1,
-            ancestor=None, anchor=(2, 3), offsets=(),
-            addresses=(CellAddress(1, 2, 3), CellAddress(1, 2, 4)),
-            nodes_expanded=0, patterns_seen=0)
-        assert crossed_out_l1_cells([placement], abc_2d) == {(2, 3), (2, 4)}
+
+class TestCrossedOut:
+    """A placement crosses out its grounded ancestor's letters, placed at
+    the ancestor's anchor; the ancestor's wildcards cross out nothing."""
+
+    @staticmethod
+    def placement(ancestor: str, anchor: tuple[int, int], level: int) -> Placement:
+        return Placement(
+            raw="x", word="x", direction=Direction.E, level=level,
+            ancestor=parse_pattern(ancestor), anchor=anchor, offsets=(),
+            addresses=(), nodes_expanded=0, patterns_seen=0)
+
+    def test_deep_cell_maps_to_ancestor(self):
+        assert crossed_out_l1_cells([self.placement("B*/*A", (2, 2), 3)]) == {
+            (2, 2), (3, 3)}
+
+    def test_level_one_placement_crosses_itself(self):
+        assert crossed_out_l1_cells([self.placement("AB", (2, 3), 1)]) == {
+            (2, 3), (2, 4)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_cells_above_the_placed_letters(self, data):
+        """Over random found searches, the ancestor's letters are the
+        level-one cells above the word's letters on its level."""
+        rules = data.draw(rule_sets(bs=(2, 3)))
+        l1 = data.draw(grids_for(rules))
+        word = data.draw(st.text(alphabet=rules.letters, min_size=1, max_size=4))
+        direction = data.draw(st.sampled_from(
+            tuple(Direction) if rules.dimension == 2 else (Direction.E, Direction.W)))
+        result = AncestrySearcher(rules, l1).search(word, direction)
+        assume(result.found)
+        placement = _placement(PuzzleSpec(rules, l1, (), (), (), 0), word, result)
+        assert crossed_out_l1_cells([placement]) == reference_crossed_out(
+            [placement], rules)
+
+    def test_equals_the_cells_above_every_grounding_of_the_puzzle(self, puzzle_path):
+        """With ``cross_all``, every grounding at each word's earliest
+        level of the shipped puzzle."""
+        spec = load_puzzle(puzzle_path)
+        searcher = AncestrySearcher(spec.rules, spec.l1)
+        cross = [p for raw, word in zip(spec.raw_words, spec.words)
+                 for p in _place_word(searcher, spec, raw, word, True)[1]]
+        assert len(cross) > len(spec.words)
+        crossed = crossed_out_l1_cells(cross)
+        assert crossed == reference_crossed_out(cross, spec.rules)
+        assert crossed == solve(spec, cross_all=True).crossed_cells
 
 
 class TestSolveSmall:
