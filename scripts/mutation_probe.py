@@ -44,11 +44,30 @@ MEMORY_CAP = 2 << 30
 # walk's WINDOW_CAP x 10 is left out: it survives, as no tier-1 test walks
 # past 10^6 windows, and an input that does takes seconds and about 100 MB.
 MUTANTS = {
-    "settle-scan-inverted": (
+    "chain-picks-largest-child": (
         PKG + "ancestry.py",
-        "grounds = self._l1_index.starts_any(product)",
-        "grounds = not self._l1_index.starts_any(product)",
-        "a product with starts left in the grid is settled as ungrounded"),
+        "if (best is None or key < best) and",
+        "if (best is None or key > best) and",
+        "a witness chain steps to the largest child an ancestor spells, "
+        "not the smallest"),
+    "chain-takes-last-offset": (
+        PKG + "ancestry.py",
+        'key = (child_rows, child_cols, "".join(chars), off)',
+        'key = (child_rows, child_cols, "".join(chars), (-off[0], -off[1]))',
+        "a witness chain step takes the last offset at which the ancestor "
+        "spells its child, not the first"),
+    "fresh-members-not-subtracted": (
+        PKG + "ancestry.py",
+        'new = set(map("".join, itertools.product(*parent.cells))).difference(seen)',
+        'new = set(map("".join, itertools.product(*parent.cells)))',
+        "a parent product's members met before count as new, so the walk "
+        "overcounts and need not stop"),
+    "grounding-reads-highest-start": (
+        PKG + "ancestry.py",
+        "(found & -found).bit_length() - 1, width)",
+        "found.bit_length() - 1, width)",
+        "a grounded product is read at its last start in the grid, not its "
+        "first"),
     "band-widened": (
         PKG + "patterns.py",
         "return keys[-1] - keys[0] <= 1",
@@ -84,35 +103,6 @@ MUTANTS = {
         "max_cols = bounds.max_parent_len(pat.cols, rules.b)",
         "max_cols = bounds.max_parent_len(pat.cols, rules.b) + 1",
         "the audit lets a parent one column too wide through"),
-    "settle-places-met-members": (
-        PKG + "ancestry.py",
-        "itertools.filterfalse(seen.__contains__, members(product))",
-        "members(product)",
-        "a settled product's members that the call already placed are "
-        "listed twice"),
-    "settle-offset-shifted": (
-        PKG + "ancestry.py",
-        "out.extend(zip(found, itertools.repeat(off)))",
-        "out.extend(zip(found, itertools.repeat((off[0], off[1] + 1))))",
-        "a settled product's members are listed one column off their offset"),
-    "sift-drops-survivor": (
-        PKG + "ancestry.py",
-        "if q.cells not in alive:",
-        "if True:",
-        "a settled member that has parents is cached with none"),
-    "sift-reads-first-offset": (
-        PKG + "ancestry.py",
-        "product.rows, product.cols, layout):",
-        "product.rows, product.cols, layout)[:1]:",
-        "the sift reads only the first offset of a settled product's plan, "
-        "so a member with parents at a later offset is cached with none"),
-    "sift-spells-one-letter": (
-        PKG + "ancestry.py",
-        "for p in self._options(parent[k])}",
-        "for p in self._options(parent[k])[:1]}",
-        "the sift spells each parent cell with its first fitting letter "
-        "only, so a member that another letter spells is cached with no "
-        "parents"),
     "sweep-witness-tie-keeps-first": (
         PKG + "oracle.py",
         "if length not in best or key < best[length]:",

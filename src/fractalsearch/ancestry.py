@@ -7,13 +7,17 @@ patterns on level k-1 whose expansion can contain the word -- its
 in the concrete start grid at depth d proves the word appears on level
 d+1; an exhausted frontier proves it never appears.
 
+The parents at one offset form a *product* of one letter set per cell,
+and so do the parents of all the members of a product: the grounded
+search walks products, counting and stopping by their members.
+
 Termination needs no depth cap: parent bounding boxes never grow
 (each side shrinks to ceil((s+b-1)/b)), so the set of reachable trimmed
 patterns is finite and the memoized frontier must eventually empty.
 
-Everything here is deterministic: frontiers are expanded in sorted
-order, candidate letters in alphabet order, and the reported witness is
-the smallest (depth, start-grid row, start-grid col, pattern text).
+Everything here is deterministic: candidate letters come in alphabet
+order, and the reported witness is the smallest (depth, start-grid row,
+start-grid col, pattern text).
 """
 
 from __future__ import annotations
@@ -55,16 +59,17 @@ _new_pattern = functools.partial(tuple.__new__, Pattern)
 @functools.lru_cache(maxsize=4096)
 def _offset_plan(rh: int, b: int, rows: int, cols: int, layout: str) -> tuple | None:
     """Where the concrete cells of a rows x cols pattern land under rh x b
-    blocks: per offset (dr, dc), row-major, ``((dr, dc), pr, pc, steps)``
-    with a pr x pc parent box and ``steps`` the ``(cell index, parent
-    cell pi * pc + pj, block slot br * b + bc)`` of each concrete cell,
-    in cell order.  ``layout`` is the pattern with every letter as
+    blocks: per offset (dr, dc), row-major, ``((dr, dc), pr, pc, steps,
+    parent)`` with a pr x pc parent box, ``steps`` the ``(cell index,
+    parent cell pi * pc + pj, block slot br * b + bc)`` of each concrete
+    cell, in cell order, and ``parent`` the box's own layout.
+    ``layout`` is the pattern with every letter, or letter set, as
     ``_LAYOUT_MARK``: the plan depends on where the wildcards sit, not on
     the letters, so one plan serves every searcher of a block shape.
     A layout holding any other symbol than the mark and the wildcard
     has no plan (None): the pattern uses a letter outside the alphabet,
-    and this cached lookup is where :meth:`AncestrySearcher.parents`
-    finds that out."""
+    and this cached lookup is where :class:`AncestrySearcher` finds
+    that out."""
     if not {WILDCARD, _LAYOUT_MARK}.issuperset(layout):
         return None
     concrete = [(i, *divmod(i, cols))
@@ -75,20 +80,29 @@ def _offset_plan(rh: int, b: int, rows: int, cols: int, layout: str) -> tuple | 
         for dc in range(b):
             pc = (dc + cols + b - 1) // b
             steps = []
+            parent = [WILDCARD] * (pr * pc)
             for i, r, c in concrete:
                 pi, br = divmod(r + dr, rh)
                 pj, bc = divmod(c + dc, b)
                 steps.append((i, pi * pc + pj, br * b + bc))
-            plan.append(((dr, dc), pr, pc, tuple(steps)))
+                parent[pi * pc + pj] = _LAYOUT_MARK
+            plan.append(((dr, dc), pr, pc, tuple(steps), "".join(parent)))
     return tuple(plan)
 
 
 def members(product: Pattern) -> Iterator[Pattern]:
-    """The patterns a letter-set product (a tuple of letters per cell, or
-    ``*``) stands for, in order and built without a Python loop."""
+    """The patterns a letter-set product (per cell ``*``, a letter or a
+    tuple of letters) stands for, in order, without a Python loop."""
     rows, cols, cells = product
     return map(_new_pattern, zip(itertools.repeat(rows), itertools.repeat(cols),
                                  map("".join, itertools.product(*cells))))
+
+
+def _text(product: Pattern) -> str:
+    """Wire form of a product, a letter set of two or more in brackets."""
+    cells = ["".join(c) if len(c) == 1 else f"[{''.join(c)}]" for c in product.cells]
+    return "/".join("".join(cells[i:i + product.cols])
+                    for i in range(0, len(cells), product.cols))
 
 
 @dataclass(frozen=True)
@@ -103,7 +117,7 @@ class SearchResult:
     word can never appear for this start grid.  Its effort counts are
     summed over every run stepped with it: ``nodes_expanded`` counts the
     patterns expanded and ``patterns_seen`` the patterns met, which each
-    run keeps in its ``links`` (:class:`LayeredSearch`).
+    run keeps in its ``met`` (:class:`LayeredSearch`).
     """
 
     word: str
@@ -129,18 +143,16 @@ class SearchResult:
 class AncestrySearcher:
     """Parent enumeration and backward search for one rule set.
 
-    Caches the parents of each pattern, so reuse one instance when
-    searching many words against the same rules: the sweep and the
-    audit's geometry re-check ask for the same parents again and again.
+    Caches the parents of each pattern and the parent products of each
+    product, so reuse one instance when searching many words against
+    the same rules: the sweep, the audit's geometry re-check and the
+    puzzle's directions ask for the same parents again and again.
 
-    With a start grid, :meth:`parents` also settles each large product
-    of parent letter sets as a whole (:meth:`_settle`) as it builds the
-    members: of the 2,184 members of the 42 products a puzzle solve
-    settles, 2,106 are cached with no groundings and 2,137 with no
-    parents, so only the other 47 can be enumerated; the 27 *dead*
-    products (no start left, no member with parents) hold 1,171.  Groundings are not
-    otherwise cached: a search seldom grounds a pattern twice.  A
-    grid-free searcher, as the sweep uses, settles nothing.
+    :meth:`parents` lists patterns, for the sweep's closures and the
+    ancestor trees; :meth:`parent_products` keeps products, for the
+    grounded search, which in a puzzle solve expands 252 products where
+    a walk over their members expands 2,193 patterns.  Groundings are
+    not cached: a search seldom grounds a pattern twice.
     """
 
     def __init__(self, rules: RuleSet, l1: Grid | None = None):
@@ -151,9 +163,9 @@ class AncestrySearcher:
         self.rules = rules
         self.l1 = l1
         self._letters = rules.letters
-        # table[ch][br * b + bc]: bitmask of the parent letters whose
-        # block has `ch` at (br, bc), one list per letter; candidate sets
-        # intersect via &.
+        # table[key][br * b + bc]: bitmask of the parent letters whose
+        # block has a letter of `key` at (br, bc): one list per letter,
+        # and per letter set once expanded.  Candidate sets intersect via &.
         b = rules.b
         table = {ch: [0] * (rules.rule_rows * b) for ch in self._letters}
         for bi, parent in enumerate(self._letters):
@@ -167,34 +179,29 @@ class AncestrySearcher:
         self._layout = str.maketrans({_LAYOUT_MARK: "#",
                                       **dict.fromkeys(self._letters, _LAYOUT_MARK)})
         self._mask_options: dict[int, tuple[str, ...]] = {}
-        self._mask_unions: dict[int, list[int]] = {}
         self._parents: dict[Pattern, tuple[tuple[Pattern, tuple[int, int]], ...]] = {}
+        self._products: dict[Pattern, tuple[tuple[Pattern, str], ...]] = {}
         self._l1_index = GridIndex(l1) if l1 is not None else None
-        self._ungrounded: set[Pattern] = set()
 
     # -- parent enumeration -------------------------------------------------
 
     def _options(self, mask: int) -> tuple[str, ...]:
+        """The letters of ``mask``, also indexed as a set in the start grid,
+        if any, for the scans of the products that hold it."""
         opts = self._mask_options.get(mask)
         if opts is None:
             opts = tuple(
                 ch for i, ch in enumerate(self._letters) if mask >> i & 1
             )
             self._mask_options[mask] = opts
+            if self._l1_index is not None:
+                self._l1_index.index_set(opts)
         return opts
 
-    def _unions(self, mask: int) -> list[int]:
-        """Per block slot, the union of the parent-letter masks of every
-        letter in ``mask``."""
-        unions = self._mask_unions.get(mask)
-        if unions is None:
-            unions = [functools.reduce(operator.or_, slot) for slot in
-                      zip(*(self._table[ch] for ch in self._options(mask)))]
-            self._mask_unions[mask] = unions
-        return unions
-
     def parents(self, pattern: Pattern) -> tuple[tuple[Pattern, tuple[int, int]], ...]:
-        """All (parent, offset) pairs, deduplicated on the parent pattern.
+        """All (parent, offset) pairs, deduplicated on the parent pattern:
+        the members of each offset's parent product (:meth:`_walk`), in
+        order.
 
         The offset (dr, dc) locates the child's top-left corner inside
         the expansion of the parent's box.  For each offset the parent
@@ -203,41 +210,51 @@ class AncestrySearcher:
         whose block matches them all, and a cell overlapping only
         wildcards stays a wildcard.  Outputs are trimmed by construction
         (every border row/column of the box meets a concrete child cell).
-
-        The candidate masks come from the concrete cells alone: per
-        offset, each concrete cell ANDs the mask of its letter at its
-        block slot into its parent cell, and the offset dies on the first
-        empty intersection.  Wildcards are never visited.  Which parent
-        cell and slot each concrete cell meets depends only on the block
-        shape and the pattern's layout, so it is read from a plan cached
-        per layout (:func:`_offset_plan`), shared across calls and
-        searchers.
-
-        A searcher with a start grid settles a product of more patterns
-        than the plan has offsets as a whole (:meth:`_settle`), caching
-        both exact answers for its members, so no parentless member is
-        enumerated.  Every parent is a pattern whose cells are a string.
         """
         cached = self._parents.get(pattern)
         if cached is None:
-            cached = self._enumerate(pattern)
+            cached = self._parents[pattern] = self._walk(
+                pattern, pattern.cells.translate(self._layout), True)
         return cached
 
-    def _enumerate(self, pattern: Pattern) -> tuple[tuple[Pattern, tuple[int, int]], ...]:
-        """:meth:`parents` on a miss."""
+    def parent_products(self, product: Pattern,
+                        layout: str) -> tuple[tuple[Pattern, str], ...]:
+        """The parents of every member of a product (``layout`` as
+        :func:`_offset_plan` takes it), as one (product, layout) pair per
+        fitting offset, a product of one member kept as that pattern.  A
+        letter set's parent letters at a block slot are the union of its
+        letters' (``_table``), so each parent product is the union of the
+        members' parent products at that offset, and can pass
+        ``PRODUCT_CAP`` where none of theirs does."""
+        cached = self._products.get(product)
+        if cached is None:
+            table = self._table
+            for key in product.cells:
+                if key not in table and isinstance(key, tuple):
+                    table[key] = table[key[0]] if len(key) == 1 else [
+                        functools.reduce(operator.or_, slot)
+                        for slot in zip(*map(table.__getitem__, key))]
+            cached = self._products[product] = self._walk(product, layout, False)
+        return cached
+
+    def _walk(self, pattern: Pattern, layout: str, listed: bool) -> tuple:
+        """Each fitting offset's parent product, once its size passes
+        ``PRODUCT_CAP``: listed member by member (:meth:`parents`) or kept
+        whole (:meth:`parent_products`).  Per offset each concrete cell
+        ANDs the parent letters of its letter set at its block slot into
+        its parent cell, and the offset dies on the first empty
+        intersection; wildcards are never visited.  Which cell and slot
+        each concrete cell meets comes from a plan cached per layout
+        (:func:`_offset_plan`)."""
         rows, cols, cells = pattern
         table = self._table
-        plan = _offset_plan(self.rules.rule_rows, self.rules.b, rows, cols,
-                            cells.translate(self._layout))
+        plan = _offset_plan(self.rules.rule_rows, self.rules.b, rows, cols, layout)
         if plan is None:
             raise UnknownLetterError(
-                f"pattern {pattern.text()!r} uses letters outside the alphabet"
-            )
-        # Larger products are settled whole; a grid-free searcher settles none.
-        settle_over = len(plan) if self._l1_index is not None else PRODUCT_CAP
-        out: list[tuple[Pattern, tuple[int, int]]] = []
+                f"pattern {_text(pattern)!r} uses letters outside the alphabet")
+        out: list[tuple[Pattern, tuple[int, int] | str]] = []
         seen: set[Pattern] = set()
-        for off, pr, pc, steps in plan:
+        for off, pr, pc, steps, parent in plan:
             masks = [-1] * (pr * pc)
             for i, k, s in steps:
                 mask = masks[k] & table[cells[i]][s]
@@ -245,85 +262,59 @@ class AncestrySearcher:
                     break
                 masks[k] = mask
             else:
-                options = [WILDCARD if m == -1 else self._options(m)
-                           for m in masks]
+                options = [WILDCARD if m == -1 else self._options(m) for m in masks]
                 total = math.prod(map(len, options))
                 if total > PRODUCT_CAP:
                     raise ResourceLimitError(
                         f"parent product {total} exceeds cap {PRODUCT_CAP} "
-                        f"for pattern {pattern.text()!r} at offset {off}"
-                    )
-                if total > settle_over:
-                    self._settle(_new_pattern((pr, pc, tuple(options))),
-                                 masks, off, out, seen)
+                        f"for pattern {_text(pattern)!r} at offset {off}")
+                if not listed:
+                    out.append((_new_pattern((pr, pc, "".join([o[0] for o in options])
+                                              if total == 1 else tuple(options))), parent))
                     continue
                 for combo in itertools.product(*options):
                     q = _new_pattern((pr, pc, "".join(combo)))
                     if q not in seen:
                         seen.add(q)
                         out.append((q, off))
-        result = tuple(out)
-        self._parents[pattern] = result
-        return result
-
-    def _settle(self, product: Pattern, masks: list[int], off: tuple[int, int],
-                out: list[tuple[Pattern, tuple[int, int]]], seen: set[Pattern]) -> None:
-        """Place the members of a large product of parent letter sets (per
-        cell ``*`` or a tuple of letters; ``masks`` holds the same sets,
-        -1 for ``*``) that are new to an enumeration into its ``out``, and
-        cache both exact answers for them: no groundings if no start is
-        left (:meth:`GridIndex.starts_any`); no parents unless, at some
-        offset, the blocks of one fitting letter per parent cell spell
-        the member, a letter fitting if its block fits the product at
-        each concrete cell (:meth:`_unions`)."""
-        found = list(itertools.filterfalse(seen.__contains__, members(product)))
-        seen.update(found)
-        out.extend(zip(found, itertools.repeat(off)))
-        grounds = self._l1_index.starts_any(product)
-        if not grounds:
-            self._ungrounded.update(found)
-        layout = "".join(WILDCARD if m == -1 else _LAYOUT_MARK for m in masks)
-        alive: set[str] = set()
-        for _, pr, pc, steps in _offset_plan(self.rules.rule_rows, self.rules.b,
-                                             product.rows, product.cols, layout):
-            parent = [-1] * (pr * pc)
-            for i, k, s in steps:
-                mask = parent[k] & self._unions(masks[i])[s]
-                if not mask:
-                    break
-                parent[k] = mask
-            else:
-                by_cell: dict[int, list[tuple[int, int]]] = {}
-                for i, k, s in steps:
-                    by_cell.setdefault(k, []).append((i, s))
-                spellings = []
-                for k, pairs in by_cell.items():
-                    spell = operator.itemgetter(*(s for _, s in pairs))
-                    spellings.append({spell("".join(self.rules.rules[p]))
-                                      for p in self._options(parent[k])})
-                chars = [WILDCARD] * len(masks)
-                for combo in itertools.product(*spellings):
-                    for pairs, spelled in zip(by_cell.values(), combo):
-                        for (i, _), ch in zip(pairs, spelled):
-                            chars[i] = ch
-                    alive.add("".join(chars))
-        for q in found:
-            if q.cells not in alive:
-                self._parents[q] = ()
+        return tuple(out)
 
     # -- grounding -----------------------------------------------------------
 
     def ground_positions(self, pattern: Pattern) -> tuple[tuple[int, int], ...]:
         """1-indexed positions where the trimmed pattern occurs in the start
         grid, row-major; matched against the start grid's per-letter bit
-        masks (:class:`GridIndex`), built once per searcher.  A member of
-        a product that :meth:`parents` settled as ungrounded is answered
-        without a scan."""
+        masks (:class:`GridIndex`), built once per searcher."""
         if self._l1_index is None:
             raise ValueError("searcher was built without a start grid")
-        if pattern in self._ungrounded:
-            return ()
         return tuple(self._l1_index.positions(pattern))
+
+    def groundings(self, product: Pattern) -> list[tuple[tuple[int, int], Pattern]]:
+        """Every start of a product in the start grid, row-major
+        (:meth:`GridIndex.starts`), as :meth:`_grounded` reads it."""
+        if self._l1_index is None:
+            raise ValueError("searcher was built without a start grid")
+        found = self._l1_index.starts(product)
+        out = []
+        while found:
+            out.append(self._grounded(product, found))
+            found &= found - 1
+        return out
+
+    def _grounded(self, product: Pattern, found: int) -> tuple[tuple[int, int], Pattern]:
+        """The 1-indexed anchor of the lowest start in ``found``, and the
+        one member of the product that matches there: the grid's letters
+        under its concrete cells (a pattern is its own one member)."""
+        rows, cols, cells = product
+        width = self.l1.cols
+        r, c = divmod((found & -found).bit_length() - 1, width)
+        if type(cells) is not str:
+            letters = self.l1.cells
+            product = _new_pattern((rows, cols, "".join(
+                WILDCARD if cell == WILDCARD
+                else letters[(r + i // cols) * width + c + i % cols]
+                for i, cell in enumerate(cells))))
+        return (r + 1, c + 1), product
 
     # -- search ---------------------------------------------------------------
 
@@ -389,10 +380,13 @@ class LayeredSearch:
     puzzle solver gets the minimum level over directions without
     exhausting the losers, and a plain search is the one-run case.
 
-    ``links`` is the run's one record: each pattern met, in order, with
-    the (child, offset) it was met from.  Every pattern met is expanded
-    once; a member of a dead product is answered from the searcher's
-    cache, with no groundings and no parents.
+    The run walks products: ``layers[d]`` holds the (product, layout)
+    pairs of depth d, from the target alone at depth 0.  A parent
+    product joins the next layer only if it holds a member the run has
+    not met.  ``met`` maps each shape to the cells of every member met,
+    with the depth first met on, so the effort counts members and the
+    walk empties where a walk over the members does.  A member met
+    before never grounds: its own layer was checked.
     """
 
     def __init__(self, searcher: AncestrySearcher, word: str,
@@ -410,56 +404,100 @@ class LayeredSearch:
         self.word = word
         self.direction = direction
         self.target = target
-        self.links: dict[Pattern, tuple[Pattern, tuple[int, int]] | None] = {
-            target: None
-        }
-        self.frontier: list[Pattern] = [target]
+        self.layers: list[list[tuple[Pattern, str]]] = [
+            [(target, target.cells.translate(searcher._layout))]]
+        self.met: dict[tuple[int, int], dict[str, int]] = {target[:2]: {target.cells: 0}}
         self.depth = 0
+        self.open = 1           # members first met on the current layer
         self.nodes_expanded = 0
+        self.patterns_seen = 1
+
+    @property
+    def frontier(self) -> list[Pattern]:
+        """The products of the current layer."""
+        return [product for product, _ in self.layers[-1]]
 
     def check_grounding(self) -> tuple[tuple[int, int], Pattern] | None:
-        """Smallest (row, col, pattern text) grounding of the current
-        frontier in the start grid, or None."""
+        """Smallest (row, col, pattern text) grounding of a member of the
+        current layer in the start grid, or None: a product's first
+        start and the member grounded there."""
+        searcher = self.searcher
+        if searcher._l1_index is None:
+            raise ValueError("searcher was built without a start grid")
         best: tuple[tuple[int, int, str], tuple[int, int], Pattern] | None = None
-        for pat in self.frontier:
-            pos = self.searcher.ground_positions(pat)
-            if pos:
-                key = (pos[0][0], pos[0][1], pat.text())
+        for product, _ in self.layers[-1]:
+            found = searcher._l1_index.starts(product)
+            if found:
+                pos, pat = searcher._grounded(product, found)
+                key = (pos[0], pos[1], pat.text())
                 if best is None or key < best[0]:
-                    best = (key, pos[0], pat)
+                    best = (key, pos, pat)
         if best is None:
             return None
         return best[1], best[2]
 
     def advance(self) -> bool:
-        """Expand the frontier one level up; False once exhausted, which
-        leaves ``depth`` at the last non-empty layer."""
-        links = self.links
-        nxt: list[Pattern] = []
-        for pat in sorted(self.frontier):
-            for q, off in self.searcher.parents(pat):
-                if q not in links:
-                    links[q] = (pat, off)
-                    nxt.append(q)
-        self.nodes_expanded += len(self.frontier)
-        self.frontier = nxt
-        if not nxt:
+        """Expand the current layer one level up; False once exhausted,
+        which leaves ``depth`` at the last non-empty layer."""
+        depth = self.depth + 1
+        met = self.met
+        layer: list[tuple[Pattern, str]] = []
+        opened = 0
+        for product, layout in self.layers[-1]:
+            for parent, parent_layout in self.searcher.parent_products(product, layout):
+                seen = met.get(parent[:2])
+                if seen is None:
+                    seen = met[parent[:2]] = {}
+                if type(parent.cells) is str:   # one member, read as is
+                    new = () if parent.cells in seen else (parent.cells,)
+                else:
+                    new = set(map("".join, itertools.product(*parent.cells))).difference(seen)
+                if new:
+                    seen.update(dict.fromkeys(new, depth))
+                    opened += len(new)
+                    layer.append((parent, parent_layout))
+        self.nodes_expanded += self.open
+        self.patterns_seen += opened
+        self.open = opened
+        self.layers.append(layer)
+        if not layer:
             return False
-        self.depth += 1
+        self.depth = depth
         return True
 
-    def _chain(self, ancestor: Pattern) -> tuple[tuple[int, int], ...]:
+    def chain(self, member: Pattern, depth: int) -> tuple[tuple[int, int], ...]:
+        """Offsets from a member first met on layer ``depth`` down to the
+        target.  Each step goes to the smallest child (in ``Pattern``
+        order) first met one layer down that the ancestor's blocks spell
+        at some offset of the child's plan, at the first such offset in
+        plan order: the link a walk over the members, expanding each
+        layer in sorted order, would have recorded."""
+        if not depth:
+            return ()
+        rules, to_layout = self.searcher.rules, self.searcher._layout
+        rh, b = rules.rule_rows, rules.b
+        blocks = dict(zip(rules.rules, map("".join, rules.rules.values())))
         offsets: list[tuple[int, int]] = []
-        cur = ancestor
-        while True:
-            link = self.links[cur]
-            if link is None:
-                break
-            child, off = link
+        rows, cols, letters = member
+        for d in range(depth - 1, -1, -1):
+            box = (rows, cols, letters.translate(to_layout))
+            best = None
+            for child_rows, child_cols, child in {(*q[:2], lay) for q, lay in self.layers[d]}:
+                met = self.met[child_rows, child_cols]
+                # (dr, dc) offsets sort in plan order: the key keeps the first
+                for off, pr, pc, steps, parent in _offset_plan(
+                        rh, b, child_rows, child_cols, child):
+                    if (pr, pc, parent) == box:
+                        chars = list(child)
+                        for i, k, s in steps:
+                            chars[i] = blocks[letters[k]][s]
+                        key = (child_rows, child_cols, "".join(chars), off)
+                        if (best is None or key < best) and met.get(key[2]) == d:
+                            best = key
+            if best is None:
+                raise WitnessError("offset chain does not reach the target pattern")
+            rows, cols, letters, off = best
             offsets.append(off)
-            cur = child
-        if cur != self.target:
-            raise WitnessError("offset chain does not reach the target pattern")
         return tuple(offsets)
 
     def result(self, grounded: tuple[tuple[int, int], Pattern] | None = None,
@@ -472,7 +510,7 @@ class LayeredSearch:
         return SearchResult(
             word=self.word, direction=self.direction,
             ancestor=ancestor, anchor=anchor,
-            offsets=() if grounded is None else self._chain(ancestor),
+            offsets=() if grounded is None else self.chain(ancestor, self.depth),
             target=self.target, max_depth=self.depth,
             **_effort(runs or [self]),
         )
@@ -480,36 +518,46 @@ class LayeredSearch:
 
 def first_grounded(runs: list[LayeredSearch],
                    depth_cap: int | None = None) -> SearchResult:
+    """The winning run's result from :func:`lockstep` or, once every run
+    is exhausted, the first run's never-result; either way its effort is
+    summed over all the runs."""
+    run, grounded = lockstep(runs, depth_cap)
+    return run.result(grounded, runs)
+
+
+def lockstep(runs: list[LayeredSearch], depth_cap: int | None = None
+             ) -> tuple[LayeredSearch, tuple[tuple[int, int], Pattern] | None]:
     """Step the runs in lockstep until one grounds in the start grid:
     the one ending of every backward search.
 
     Every live run's frontier is checked before any run advances, so the
     first grounded layer is the minimum depth over all runs; ties at
     that depth go to the earlier run in the list.  A run whose frontier
-    empties stops advancing.  Returns the winning run's result or, once
-    every run is exhausted, the first run's never-result; either way its
-    effort is summed over all the runs.  Advancing past ``depth_cap``
-    raises UnresolvedSearchError with the same sums.
+    empties stops advancing.  Returns the winning run and its grounding,
+    or the first run and None once every run is exhausted.  Advancing
+    past ``depth_cap`` raises UnresolvedSearchError with the effort
+    summed over all the runs, counting as open the members first met on
+    the live runs' last layers.
     """
     live = list(runs)
     while live:
         for run in live:
             grounded = run.check_grounding()
             if grounded is not None:
-                return run.result(grounded, runs)
+                return run, grounded
         live = [run for run in live if run.advance()]
         if depth_cap is not None and live and live[0].depth > depth_cap:
             raise UnresolvedSearchError(
                 f"depth cap {depth_cap} reached with "
-                f"{sum(len(run.frontier) for run in live)} open patterns "
+                f"{sum(run.open for run in live)} open patterns "
                 f"for {runs[0].word!r}",
                 depth=live[0].depth, **_effort(runs))
-    return runs[0].result(runs=runs)
+    return runs[0], None
 
 
 def _effort(runs: list[LayeredSearch]) -> dict[str, int]:
     return {"nodes_expanded": sum(run.nodes_expanded for run in runs),
-            "patterns_seen": sum(len(run.links) for run in runs)}
+            "patterns_seen": sum(run.patterns_seen for run in runs)}
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from operator import itemgetter, or_
 from typing import ClassVar
 
 from . import bounds
-from .ancestry import AncestrySearcher, LayeredSearch, first_grounded, members
+from .ancestry import AncestrySearcher, LayeredSearch, lockstep, members
 from .core import Grid, RuleSet, check_letters
 from .errors import ResourceLimitError, WitnessError
 from .patterns import (
@@ -648,9 +648,10 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
     parents drift along the rows, so only the columns are bounded.
     """
     searcher = AncestrySearcher(rules, l1)
-    run = LayeredSearch(searcher, word, direction)
-    res = first_grounded([run])
-    horizon = max(max_level, res.level) if res.found else max_level
+    run, grounded = lockstep([LayeredSearch(searcher, word, direction)])
+    # the grounded depth gives the level: the witness chain goes unread
+    level = None if grounded is None else run.depth + 1
+    horizon = max(max_level, level or 0)
     fwd = forward_first_appearance(word, direction, l1, rules, horizon)
 
     def desc() -> str:      # built only for an issue: most instances have none
@@ -658,31 +659,46 @@ def check_instance(rules: RuleSet, l1: Grid, word: str, direction: Direction,
                 f"l1={l1.text()} word={word} dir={direction.name}")
 
     issues: dict[str, list[str]] = {kind: [] for kind in ISSUE_FIELDS}
-    if fwd != res.level:
+    if fwd != level:
         issues["mismatch"].append(
-            f"{desc()}: backward {res.level or 'never'}, forward {fwd}")
+            f"{desc()}: backward {level or 'never'}, forward {fwd}")
     outcome = "never"
-    if res.found:
-        outcome = "found" if res.level <= max_level else "beyond"
+    if level is not None:
+        outcome = "found" if level <= max_level else "beyond"
         limit = (bounds.w2(rules.b, rules.n, len(word)) if direction in DIAGONALS
                  else bounds.w1(rules.b, rules.n, len(word)))
-        if res.level > limit:
-            issues["bound"].append(f"{desc()}: level {res.level} > bound {limit}")
+        if level > limit:
+            issues["bound"].append(f"{desc()}: level {level} > bound {limit}")
     anti = direction in ANTIDIAGONALS
     banded = rules.dimension == 2 and direction in DIAGONALS
-    for pat in run.links:
-        max_rows = (bounds.max_parent_len(pat.rows, rules.b)
-                    if rules.dimension == 2 else pat.rows)
-        max_cols = bounds.max_parent_len(pat.cols, rules.b)
-        for q, _ in searcher.parents(pat):
-            if q.rows > max_rows or q.cols > max_cols:
-                issues["geometry"].append(
-                    f"{desc()}: parent {q.text()} of {pat.text()} too large")
-    if banded:
-        for pat in run.links:
-            if not two_diagonal_support(pat, anti=anti):
-                issues["confinement"].append(
-                    f"{desc()}: ancestor {pat.text()} off the diagonal band")
+    # Both rules read a pattern's shape and layout alone, so each is
+    # checked once per product the run walked; a product that breaks one
+    # gives lines for the members the run first met in it, each once.
+    reported: set[Pattern] = set()
+    for depth, layer in enumerate(run.layers):
+        for pat, layout in layer:
+            max_rows = (bounds.max_parent_len(pat.rows, rules.b)
+                        if rules.dimension == 2 else pat.rows)
+            max_cols = bounds.max_parent_len(pat.cols, rules.b)
+            oversized = False
+            for q, _ in searcher.parent_products(pat, layout):
+                oversized |= q.rows > max_rows or q.cols > max_cols
+            off_band = banded and not two_diagonal_support(pat, anti=anti)
+            if not (oversized or off_band):
+                continue
+            met = run.met[pat[:2]]
+            for member in members(pat):
+                if met[member.cells] != depth or member in reported:
+                    continue
+                reported.add(member)
+                if oversized:
+                    issues["geometry"].extend(
+                        f"{desc()}: parent {q.text()} of {member.text()} too large"
+                        for q, _ in searcher.parents(member)
+                        if q.rows > max_rows or q.cols > max_cols)
+                if off_band:
+                    issues["confinement"].append(
+                        f"{desc()}: ancestor {member.text()} off the diagonal band")
     return {"outcome": outcome, "issues": issues}
 
 

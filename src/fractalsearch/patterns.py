@@ -145,12 +145,12 @@ class GridIndex:
     the next, and a mismatch anywhere ends the scan at once.  The bits
     left, lowest first, are the starts in row-major order.
 
-    The same scan tests a whole product of patterns at once
-    (:meth:`starts_any`): a cell holding a tuple of letters ANDs in the
-    union of its letters' masks under the same shift, which keeps the
-    starts whose cell holds any of them.  A start survives exactly when
-    some member of the product, one letter from each tuple, matches
-    there, so an empty result proves that no member occurs in the grid.
+    The same scan tests a whole product of patterns at once: a cell
+    holding a tuple of letters ANDs in the union of its letters' masks
+    (:meth:`index_set`) under the same shift, which keeps the starts
+    whose cell holds any of them.  A start survives exactly when some
+    member of the product, one letter from each tuple, matches there,
+    so an empty result proves that no member occurs in the grid.
     """
 
     def __init__(self, grid: Grid | Pattern):
@@ -163,7 +163,9 @@ class GridIndex:
 
     def starts(self, pattern: Pattern) -> int:
         """Mask of the 0-indexed starts ``r * cols + c`` where the trimmed
-        pattern's box fits in the grid and every concrete cell matches."""
+        pattern's box fits in the grid and every concrete cell matches:
+        for a product, where some member matches, once each of its letter
+        sets is indexed (:meth:`index_set`)."""
         found = _fitting(self.rows, self.cols, pattern.rows, pattern.cols)
         if not found:
             return 0
@@ -176,20 +178,10 @@ class GridIndex:
                     return 0
         return found
 
-    def starts_any(self, pattern: Pattern) -> int:
-        """Mask of the starts where some member of a product matches:
-        ``pattern.cells`` holds, per cell, the wildcard or a tuple of
-        letters.  Each tuple's union is kept in the index under the tuple
-        itself, so :meth:`starts` scans the product as it scans a
-        pattern."""
-        bits = self._bits
-        for key in pattern.cells:
-            if key != WILDCARD and key not in bits:
-                union = 0
-                for ch in key:
-                    union |= bits.get(ch, 0)
-                bits[key] = union
-        return self.starts(pattern)
+    def index_set(self, letters: tuple[str, ...]) -> None:
+        """Index a tuple of letters as one more cell value, matching where
+        any of its letters sits: the union of their masks."""
+        self._bits[letters] = sum(self._bits.get(ch, 0) for ch in letters)
 
     def positions(self, pattern: Pattern) -> list[tuple[int, int]]:
         """All 1-indexed top-left positions where the trimmed pattern's box

@@ -209,9 +209,9 @@ def _place_word(searcher: AncestrySearcher, spec: PuzzleSpec, raw: str,
     if cross_all:
         # an exhausted run's frontier is empty
         for run in runs.values():
-            for pat in run.frontier:
-                for pos in searcher.ground_positions(pat):
-                    cross.append(_placement(spec, raw, run.result((pos, pat))))
+            cross.extend(_placement(spec, raw, run.result(grounded))
+                         for product in run.frontier
+                         for grounded in searcher.groundings(product))
     return placement, cross
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from unittest import mock
 
 import pytest
@@ -16,10 +17,12 @@ from fractalsearch.ancestry import (
     ancestor_tree,
     first_appearance,
     first_grounded,
+    members,
     tree_to_dot,
     tree_to_json,
     witness_coordinates,
 )
+from fractalsearch.ancestry import _text
 from fractalsearch.bounds import max_parent_len
 from fractalsearch.core import (
     Grid,
@@ -120,11 +123,12 @@ class TestEnumerateParents:
             assert parent.cols <= max_parent_len(child.cols, rules.b)
 
 
-def reference_parents(rules, pattern: Pattern):
-    """Reference enumerator: for each offset walk every cell of every
-    parent cell's box, wildcards included, and intersect one mask per
-    (block row, block col, letter) key.  Same output order, offsets and
-    cap message as ``AncestrySearcher.parents``."""
+def reference_boxes(rules, pattern: Pattern):
+    """Per fitting offset, in plan order, ``(offset, pr, pc, options)``:
+    the letter set of every parent cell from a walk over every cell of
+    every parent cell's box, wildcards included, intersecting one mask
+    per (block row, block col, letter) key.  A product over the cap
+    raises as ``AncestrySearcher.parents`` does."""
     letters = rules.letters
     if not (set(letters) | {WILDCARD}).issuperset(pattern.cells):
         raise UnknownLetterError(
@@ -136,8 +140,6 @@ def reference_parents(rules, pattern: Pattern):
                 table[br, bc, ch] = table.get((br, bc, ch), 0) | (1 << bi)
     rows, cols, cells = pattern
     rh, b = rules.rule_rows, rules.b
-    out = []
-    seen = set()
     for dr in range(rh):
         pr = (dr + rows + rh - 1) // rh
         for dc in range(b):
@@ -165,12 +167,42 @@ def reference_parents(rules, pattern: Pattern):
                 raise ResourceLimitError(
                     f"parent product {total} exceeds cap {ancestry.PRODUCT_CAP} "
                     f"for pattern {pattern.text()!r} at offset ({dr}, {dc})")
-            for combo in itertools.product(*options):
-                q = Pattern(pr, pc, "".join(combo))
-                if q not in seen:
-                    seen.add(q)
-                    out.append((q, (dr, dc)))
+            yield (dr, dc), pr, pc, options
+
+
+def reference_parents(rules, pattern: Pattern):
+    """Reference enumerator over :func:`reference_boxes`: same output
+    order, offsets and cap message as ``AncestrySearcher.parents``."""
+    out = []
+    seen = set()
+    for off, pr, pc, options in reference_boxes(rules, pattern):
+        for combo in itertools.product(*options):
+            q = Pattern(pr, pc, "".join(combo))
+            if q not in seen:
+                seen.add(q)
+                out.append((q, off))
     return tuple(out)
+
+
+def reference_parent_products(rules, product: Pattern):
+    """The parents of every member of a product, member by member: one
+    set per offset at which some member has parents, in plan order."""
+    by_offset: dict[tuple[int, int], set[Pattern]] = {}
+    for member in members(product):
+        for off, pr, pc, options in reference_boxes(rules, member):
+            by_offset.setdefault(off, set()).update(
+                Pattern(pr, pc, "".join(combo)) for combo in itertools.product(*options))
+    return [by_offset[off] for off in sorted(by_offset)]
+
+
+def parent_product_members(searcher, product, layout):
+    """The members of each of a product's parent products, in order."""
+    return [set(members(q)) for q, _ in searcher.parent_products(product, layout)]
+
+
+def layout_of(product: Pattern) -> str:
+    return "".join(WILDCARD if cell == WILDCARD else ancestry._LAYOUT_MARK
+                   for cell in product.cells)
 
 
 def reference_closure(searcher: AncestrySearcher, target: Pattern) -> dict[Pattern, int]:
@@ -256,6 +288,46 @@ def reference_search(rules, l1, cases, depth_cap=None, links=None):
     return result(runs[0])
 
 
+def reference_chains(links) -> dict[Pattern, tuple[tuple[int, int], ...]]:
+    """Each pattern of a reference link map with its offset chain down to
+    the target; the chain's length is the depth it was met on."""
+    chains: dict[Pattern, tuple[tuple[int, int], ...]] = {}
+    for q, link in links.items():       # a child is linked before its parents
+        chains[q] = () if link is None else (link[1], *chains[link[0]])
+    return chains
+
+
+def met_by_depth(run) -> dict[int, set[Pattern]]:
+    """The members a run met, grouped by the depth it first met each on."""
+    groups: dict[int, set[Pattern]] = {}
+    for (rows, cols), cells in run.met.items():
+        for text, depth in cells.items():
+            groups.setdefault(depth, set()).add(Pattern(rows, cols, text))
+    return groups
+
+
+def assert_walk_is_the_reference(run, links):
+    """A run met, depth by depth, exactly the patterns the member-by-member
+    reference linked; its effort counts them; each one's recovered chain
+    is its reference chain; and every product it expanded has, offset by
+    offset, its members' reference parents as parent products."""
+    chains = reference_chains(links)
+    want: dict[int, set[Pattern]] = {}
+    for q, chain in chains.items():
+        want.setdefault(len(chain), set()).add(q)
+    got = met_by_depth(run)
+    assert got == want
+    assert run.patterns_seen == len(links)
+    for depth, group in got.items():
+        for q in group:
+            assert run.chain(q, depth) == chains[q], q.text()
+    for layer in run.layers[:-1]:       # the last layer is not expanded
+        for product, layout in layer:
+            assert layout == layout_of(product)
+            assert parent_product_members(run.searcher, product, layout) == \
+                reference_parent_products(run.searcher.rules, product)
+
+
 @st.composite
 def rules_and_pattern(draw):
     """1D or 2D rules with b in {2, 3} over up to three letters, and a
@@ -321,27 +393,33 @@ class TestParentsMatchReference:
 class TestOffsetPlan:
     """The offset plan is cached per layout and shared across searchers,
     so it must hold for any alphabet: checked against the box walk on
-    every enumeration of a 26-letter solve and across two alphabets that
-    share a block shape."""
+    every product a 26-letter solve expands, and on every member of
+    them, and across two alphabets that share a block shape."""
 
     def test_every_enumeration_of_a_puzzle_solve(self, puzzle_path):
         spec = load_puzzle(puzzle_path)
-        enumerated = {}
-        real = AncestrySearcher.parents
+        expanded = {}
+        real = AncestrySearcher.parent_products
 
-        def spy(searcher, pattern):
-            got = real(searcher, pattern)
-            enumerated.setdefault(pattern, got)
+        def spy(searcher, product, layout):
+            got = real(searcher, product, layout)
+            expanded.setdefault(product, (layout, got))
             return got
 
-        with mock.patch.object(AncestrySearcher, "parents", spy):
+        with mock.patch.object(AncestrySearcher, "parent_products", spy):
             solve(spec)
         assert len(spec.rules.letters) == 26
-        assert len(enumerated) == 2193
+        patterns = {q for product in expanded for q in members(product)}
+        assert (len(expanded), len(patterns)) == (252, 2193)
         # 5 x 5 patterns: DIMENSION's depth-1 frontiers read NE and SW.
-        assert sum(p.rows == p.cols == 5 for p in enumerated) == 1200
-        for pattern, got in enumerated.items():
-            assert got == reference_parents(spec.rules, pattern), pattern.text()
+        assert sum(p.rows == p.cols == 5 for p in patterns) == 1200
+        searcher = AncestrySearcher(spec.rules, spec.l1)
+        for product, (layout, got) in expanded.items():
+            assert layout == layout_of(product)
+            assert [set(members(q)) for q, _ in got] == \
+                reference_parent_products(spec.rules, product), _text(product)
+        for pattern in patterns:
+            assert searcher.parents(pattern) == reference_parents(spec.rules, pattern)
 
     @pytest.mark.parametrize("first,second", [
         (RuleSet({"A": ("AB",), "B": ("AC",), "C": ("BB",)}),
@@ -485,14 +563,6 @@ class TestSharedLayers:
         assert closure_of(layers, 0) == closure_of(layers, 1) == closure
 
 
-def _answers_alone(rules, l1, pattern):
-    """(parents, groundings) of a pattern from a fresh searcher asked
-    about it alone, so no product settled it beforehand."""
-    fresh = AncestrySearcher(rules, l1)
-    grounded = fresh.ground_positions(pattern)
-    return fresh.parents(pattern), grounded
-
-
 @st.composite
 def crowded_rule_sets(draw):
     """1D or 2D rules with b in {2, 3} over up to four letters whose
@@ -508,16 +578,18 @@ def crowded_rule_sets(draw):
 
 
 class TestSettledProducts:
-    """A searcher with a start grid settles large parent products as a
-    whole; each member must still get the parents and groundings that a
-    fresh searcher gives it."""
+    """The grounded search walks parent products whole; each product must
+    still stand for exactly its members: its parent products hold its
+    members' parents, offset by offset, and its groundings are its
+    members' groundings."""
 
     @staticmethod
-    def _check(searcher, patterns):
-        for pat in patterns:
-            want = _answers_alone(searcher.rules, searcher.l1, pat)
-            got = searcher.parents(pat), searcher.ground_positions(pat)
-            assert got == want, pat.text()
+    def _check(searcher, pairs):
+        for product, layout in pairs:
+            assert parent_product_members(searcher, product, layout) == \
+                reference_parent_products(searcher.rules, product), _text(product)
+            assert searcher.groundings(product) == sorted(
+                (pos, q) for q in members(product) for pos in occurrences(q, searcher.l1))
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -528,23 +600,23 @@ class TestSettledProducts:
         directions = ((Direction.E, Direction.W) if rules.dimension == 1
                       else tuple(Direction))
         searcher = AncestrySearcher(rules, l1)
-        links = {}
+        pairs = set()
         for _ in range(data.draw(st.integers(1, 2))):
             word = data.draw(st.text(alphabet=rules.letters,
                                      min_size=1, max_size=4))
             run = LayeredSearch(searcher, word, data.draw(st.sampled_from(directions)))
             first_grounded([run])
-            links.update(run.links)
-        self._check(searcher, links)
-        # The last layer's parents are settled here for the first time.
-        self._check(searcher, {q for pat in links
-                               for q, _ in searcher.parents(pat)})
+            pairs.update(pair for layer in run.layers for pair in layer)
+        self._check(searcher, pairs)
+        # The last layer's parent products are built here for the first time.
+        self._check(searcher, {pair for product, layout in pairs
+                               for pair in searcher.parent_products(product, layout)})
 
     def test_dimension_diagonals_on_the_shipped_puzzle(self, puzzle_path):
         """DIMENSION read NE or SW has 592 parents, none grounded; every
-        SW parent is parentless.  Settling their products answers the
-        grounding of all 1,184 without one grid scan: the SW ones are the
-        members of dead products, cached with no parents."""
+        SW parent is parentless.  Each direction holds them as 2
+        products, which are grounded without a grid scan per member, and
+        the SW run is exhausted by expanding its 2 products."""
         spec = load_puzzle(puzzle_path)
         searcher = AncestrySearcher(spec.rules, spec.l1)
         runs = [LayeredSearch(searcher, "DIMENSION", d)
@@ -552,58 +624,69 @@ class TestSettledProducts:
         for run in runs:
             assert run.check_grounding() is None
             run.advance()
-        assert [len(run.frontier) for run in runs] == [592, 592]
+        assert [(run.open, len(run.frontier)) for run in runs] == [(592, 2), (592, 2)]
         with mock.patch.object(GridIndex, "positions",
                                side_effect=AssertionError("grid scanned")):
             assert all(run.check_grounding() is None for run in runs)
-        assert all(searcher.parents(q) == () for q in runs[1].frontier)
-        runs[0].advance()
-        self._check(searcher, {*runs[0].links, *runs[1].links})
+        assert all(searcher.parents(q) == ()
+                   for product in runs[1].frontier for q in members(product))
+        assert not runs[1].advance() and runs[1].open == 0
+        assert runs[0].advance()
+        self._check(searcher, {pair for run in runs for layer in run.layers
+                               for pair in layer})
 
     def test_every_parent_is_a_pattern(self, puzzle_path):
-        """A settled product never leaves its call: every parent that a
-        puzzle solve or 500 audit instances enumerate has a string of
-        cells, not a letter set per cell."""
-        kinds = set()
-        real = AncestrySearcher.parents
+        """``parents`` lists patterns, for the sweep's closures and the
+        trees, and the walk keeps products: a parent product is a pattern
+        exactly when it has one member, and otherwise holds a non-empty
+        tuple of letters or the wildcard per cell.  Checked on every
+        parent product that a puzzle solve or 500 audit instances build,
+        and on the parents of every member of the products they expand."""
+        kinds, expanded = set(), []
+        real = AncestrySearcher.parent_products
 
-        def spy(searcher, pattern):
-            got = real(searcher, pattern)
-            kinds.update(type(q.cells) for q, _ in got)
+        def spy(searcher, product, layout):
+            got = real(searcher, product, layout)
+            expanded.append((searcher.rules, product))
+            for q, _ in got:
+                one = math.prod(map(len, q.cells)) == 1
+                assert isinstance(q.cells, str) == one, _text(q)
+                assert one or all(cell == WILDCARD or isinstance(cell, tuple) and cell
+                                  for cell in q.cells), _text(q)
             return got
 
-        with mock.patch.object(AncestrySearcher, "parents", spy):
+        with mock.patch.object(AncestrySearcher, "parent_products", spy):
             solve(load_puzzle(puzzle_path))
             run_agreement(500)
+        for rules, product in expanded:
+            searcher = AncestrySearcher(rules)
+            for q in members(product):
+                kinds.update(type(parent.cells) for parent, _ in searcher.parents(q))
         assert kinds == {str}
 
     def test_no_parentless_member_is_enumerated(self, puzzle_path):
-        """Settling a product caches every parentless member's ``()``, so
-        of the 2,184 members a puzzle solve settles, it enumerates only
-        43, all of them among the 47 that have parents.  Each product
-        is handed over built, holding the letter sets of its masks."""
-        settled, enumerated = [], []
-        real_settle, real_enumerate = (AncestrySearcher._settle,
-                                       AncestrySearcher._enumerate)
+        """A solve lists no member's parents: a product whose members have
+        no parents has no parent products, so of the 252 products a
+        puzzle solve expands, the 95 with none hold 1,044 parentless
+        members, and none of them is enumerated."""
+        expanded = {}
+        real = AncestrySearcher.parent_products
 
-        def settle(searcher, product, masks, off, out, seen):
-            assert product.cells == tuple(
-                WILDCARD if m == -1 else searcher._options(m) for m in masks)
-            placed = len(out)
-            real_settle(searcher, product, masks, off, out, seen)
-            settled.extend((searcher, q) for q, _ in out[placed:])
+        def spy(searcher, product, layout):
+            got = real(searcher, product, layout)
+            expanded.setdefault(product, got)
+            return got
 
-        def enumerate_(searcher, pattern):
-            enumerated.append(pattern)
-            return real_enumerate(searcher, pattern)
-
-        with mock.patch.object(AncestrySearcher, "_settle", settle), \
-                mock.patch.object(AncestrySearcher, "_enumerate", enumerate_):
-            solve(load_puzzle(puzzle_path))
-        parentless = {q for searcher, q in settled if searcher.parents(q) == ()}
-        assert (len(settled), len(parentless)) == (2184, 2137)
-        assert parentless.isdisjoint(enumerated)
-        assert len({q for _, q in settled}.intersection(enumerated)) == 43
+        spec = load_puzzle(puzzle_path)
+        with mock.patch.object(AncestrySearcher, "parent_products", spy), \
+                mock.patch.object(AncestrySearcher, "parents",
+                                  side_effect=AssertionError("member enumerated")):
+            solve(spec)
+        dead = {q for product, got in expanded.items() if not got
+                for q in members(product)}
+        assert (len(expanded), sum(not got for got in expanded.values()),
+                len(dead)) == (252, 95, 1044)
+        assert all(reference_parents(spec.rules, q) == () for q in dead)
 
 
 def rules_from(text: str) -> RuleSet:
@@ -638,35 +721,36 @@ def _search_outcome(search):
         return str(err), err.depth, err.nodes_expanded, err.patterns_seen
 
 
-# Small searches, found by random search, whose counts or parent lists
-# depend on a dead product's members being placed, linked and expanded
-# like any other parents, each once.  Each is (rules, start grid,
-# target, direction or None for a raw pattern).
+# Small searches, found by random search while large parent products
+# were settled inside the enumeration, whose counts depend on members
+# shared between parent products being met, counted and expanded once
+# each.  Each is (rules, start grid, target, direction or None for a raw
+# pattern).
 DEDUPE_CASES = {
-    # A later offset's parent that an earlier dead product of the call
-    # placed is not placed again.
+    # A later offset's one-member product is a member of an earlier
+    # offset's product.
     "later-member-in-dead": ("A>DA;B>DD;C>CA;D>DA", "D", "DDD", Direction.E),
-    # A dead product sharing a member with an earlier built product of
-    # the call places only its new members.
+    # Two offsets' products of one child share a member.
     "dead-after-built": ("A>CC;B>BC;C>CB;D>CB", "AD", "C*C*C", None),
-    # ... and one sharing a member with an earlier dead product.
+    # ... and so do two parentless ones.
     "dead-after-dead": ("A>CA;B>AA;C>CA;D>AA", "C", "CACA", Direction.W),
-    # A dead product's member that another child's parents already
-    # linked is not new.
+    # A parentless product holds a member that another child's parents
+    # already met.
     "pattern-in-dead": ("A>AA;B>CC;C>AC;D>AA", "C", "C*A", None),
-    # Dead products of two children that share members: the later child
-    # links only the members the earlier one did not.
+    # The products of two children share members: the later child's
+    # product joins the layer only for the members the earlier one did
+    # not hold.
     "dead-meets-dead": ("A>CC;B>CA;C>AC;D>CA", "D", "C**C", None),
-    # A dead product with more members than the run had links.
+    # A parentless product with more members than the run had met.
     "counted-from-links": ("A>CA/CA;B>AA/CC;C>CC/AA;D>AA/AA;E>AC/CA;F>AC/AA",
                            "FD", "A*/CA/*A", None),
 }
 
 
 class TestSearchMatchesReference:
-    """``first_grounded`` walks parent lists whose large products were
-    settled whole; it must still give every ``SearchResult`` field, and
-    every depth-cap error, that the member-by-member reference gives."""
+    """``first_grounded`` walks letter-set products; it must still give
+    every ``SearchResult`` field, and every depth-cap error, that the
+    member-by-member reference gives, and meet the members it links."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -692,10 +776,31 @@ class TestSearchMatchesReference:
         links = []
         assert _search_outcome(lambda: first_grounded([run], 4)) == _search_outcome(
             lambda: reference_search(rules, l1, [case], 4, links))
-        assert list(run.links.items()) == list(links[0].items())
-        assert len(run.links) == run.result().patterns_seen
-        for pat in run.links:
-            assert searcher.parents(pat) == reference_parents(rules, pat)
+        assert_walk_is_the_reference(run, links[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_grounding_at_the_winning_depth(self, data):
+        """What ``solve --cross-all`` crosses out: each run's groundings at
+        the depth the lockstep stops on, read off its products' starts,
+        are the reference's, member by member, with each member's chain."""
+        rules = data.draw(st.one_of(rule_sets(bs=(2, 3)), crowded_rule_sets(),
+                                    st.builds(puzzle_rules)))
+        l1 = data.draw(grids_for(rules, max_side=3))
+        cases = data.draw(st.lists(search_cases(rules), min_size=1, max_size=2))
+        searcher = AncestrySearcher(rules, l1)
+        runs = [LayeredSearch(searcher, word, d) for word, d in cases]
+        links = []
+        res = first_grounded(runs)
+        assert res == reference_search(rules, l1, cases, links=links)
+        for run, run_links in zip(runs, links):
+            got = {(pos, q, run.chain(q, run.depth))
+                   for product in run.frontier
+                   for pos, q in searcher.groundings(product)}
+            want = {(pos, q, chain) for q, chain in reference_chains(run_links).items()
+                    if len(chain) == res.max_depth for pos in occurrences(q, l1)}
+            assert got == want
+            assert not got or res.found
 
     @pytest.mark.parametrize("case", DEDUPE_CASES.values(), ids=DEDUPE_CASES)
     def test_dedupe_case(self, case):
@@ -706,30 +811,34 @@ class TestSearchMatchesReference:
         links = []
         assert first_grounded([run]) == reference_search(rules, l1, [(word, direction)],
                                                          links=links)
-        assert list(run.links.items()) == list(links[0].items())
-        assert len(run.links) == run.result().patterns_seen
-        for pat in run.links:
-            assert searcher.parents(pat) == reference_parents(rules, pat)
+        assert_walk_is_the_reference(run, links[0])
 
     def test_a_dead_product_stands_for_its_members(self):
         """DDD read E never appears from D.  Its parents at offset 0 are
-        the members of the dead product B x {A, B, D}, each cached with no
-        parents and no groundings, and BB at offset 1 is one of them: 4
-        patterns seen and expanded, not 5."""
+        the product B x {A, B, D}, whose members have no parents and no
+        groundings, and BB at offset 1 is one of them: the walk keeps the
+        one product, and 4 patterns are seen and expanded, not 5."""
         rules = rules_from("A>DA;B>DD;C>CA;D>DA")
         searcher = AncestrySearcher(rules, Grid.from_text("D"))
-        target = word_to_pattern("DDD", Direction.E)
-        parents = searcher.parents(target)
-        assert [(q.text(), off) for q, off in parents] == [
-            ("BA", (0, 0)), ("BB", (0, 0)), ("BD", (0, 0))]
+        run = LayeredSearch(searcher, "DDD", Direction.E)
+        parents = searcher.parent_products(run.target, "xxx")
+        assert [(_text(q), layout) for q, layout in parents] == [
+            ("B[ABD]", "xx"), ("BB", "xx")]
+        assert [q.text() for q in members(parents[0][0])] == ["BA", "BB", "BD"]
+        assert run.check_grounding() is None and run.advance()
+        assert (run.frontier, run.open) == ([parents[0][0]], 3)
         with mock.patch.object(GridIndex, "positions",
                                side_effect=AssertionError("grid scanned")):
-            assert all(searcher.ground_positions(q) == () for q, _ in parents)
-        assert all(searcher.parents(q) == () for q, _ in parents)
+            assert run.check_grounding() is None
+        assert searcher.parent_products(*run.layers[1][0]) == ()
+        assert not run.advance()
         res = searcher.search("DDD", Direction.E)
         assert (res.found, res.nodes_expanded, res.patterns_seen) == (False, 4, 4)
+        assert (run.nodes_expanded, run.patterns_seen) == (4, 4)
 
     def test_depth_cap_counts_open_dead_members(self, puzzle_path):
+        """The error counts the members open on the last layer: BOUNDARY
+        read NE has 16 parents, held in one product."""
         spec = load_puzzle(puzzle_path)
         with pytest.raises(UnresolvedSearchError) as err:
             first_appearance("BOUNDARY", Direction.NE, spec.l1, spec.rules,
@@ -741,7 +850,8 @@ class TestSearchMatchesReference:
         run = LayeredSearch(AncestrySearcher(spec.rules, spec.l1), "BOUNDARY",
                             Direction.NE)
         run.advance()
-        assert len(run.frontier) == 16
+        assert (run.open, len(run.frontier)) == (16, 1)
+        assert sum(1 for _ in members(run.frontier[0])) == 16
 
 
 def _fills(pattern: Pattern, letters):
@@ -1005,7 +1115,10 @@ class TestGrounding:
         for direction in (Direction.NE, Direction.SW):
             run = LayeredSearch(searcher, "DIMENSION", direction)
             assert run.advance()
-            patterns += [p for p in run.frontier if (p.rows, p.cols) == (5, 5)]
+            patterns += {q for product in run.frontier for q in members(product)
+                         if (q.rows, q.cols) == (5, 5)}
+            # each product's starts are its members' occurrences
+            assert all(searcher.groundings(product) == [] for product in run.frontier)
         assert len(patterns) == 1184
         self.assert_scan(spec.rules, spec.l1, patterns)
 
@@ -1087,7 +1200,7 @@ class TestLockstep:
         assert (res.word, res.target, res.max_depth) == \
             ("CC", runs[0].target, runs[0].depth)
         assert res.nodes_expanded == sum(r.nodes_expanded for r in runs)
-        assert res.patterns_seen == sum(len(r.links) for r in runs)
+        assert res.patterns_seen == sum(len(met) for r in runs for met in r.met.values())
         assert res.nodes_expanded > runs[0].nodes_expanded
 
     def test_depth_cap_raises_with_the_search_effort(self, abc_1d):
@@ -1096,7 +1209,8 @@ class TestLockstep:
             first_grounded(runs, depth_cap=2)
         assert err.value.depth == 3
         assert err.value.nodes_expanded == sum(r.nodes_expanded for r in runs) > 0
-        assert err.value.patterns_seen == sum(len(r.links) for r in runs) > 0
+        assert err.value.patterns_seen == sum(
+            len(met) for r in runs for met in r.met.values()) > 0
         assert "depth cap 2" in str(err.value)
         assert "for 'CACABA'" in str(err.value)
 
@@ -1129,8 +1243,8 @@ class TestLockstep:
         res = searcher.search(word, Direction.E)
         assert res == direct
         assert (res.found, res.max_depth) == (found, max_depth)
-        assert next(iter(run.links)) == res.target
-        assert res.patterns_seen == len(run.links)
+        assert run.layers[0] == [(res.target, layout_of(res.target))]
+        assert res.patterns_seen == sum(map(len, run.met.values()))
         assert res.nodes_expanded == run.nodes_expanded
 
 class TestParentLevelShift:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -94,6 +95,35 @@ class TestSearch:
                            "--word", "CACABA", "--depth-cap", "1")
         assert code == 2
         assert "resource" in err
+
+    def test_a_parent_product_can_pass_the_cap_where_no_member_does(
+            self, capsys, tmp_path):
+        """The walk expands a product's members together, so their parent
+        products at one offset are one union, capped as a whole.  Under
+        these rules C***C***C***C***C has one parent product, [AB] in each
+        of its five letter cells.  Each of its 32 members has 11**5
+        parents at offset (0, 0): D to N expand to AZ, O to Y to BZ.
+        Their union, 22**5 patterns, is over PRODUCT_CAP, so the search
+        is refused (exit 2) where a walk over the members would list
+        5,153,632 patterns."""
+        blocks = {"A": "CZ", "B": "CY", "C": "ZZ", "Z": "ZZ",
+                  **dict.fromkeys("DEFGHIJKLMN", "AZ"),
+                  **dict.fromkeys("OPQRSTUVWXY", "BZ")}
+        path = tmp_path / "union.rules"
+        path.write_text("[alphabet]\n" + "".join(
+            f"{ch} = {block}\n" for ch, block in blocks.items()), encoding="utf-8")
+        code, out, err = run(capsys, "search", "--rules", str(path), "--l1", "Z",
+                             "--pattern", "C***C***C***C***C")
+        assert (code, out) == (2, "")
+        assert err == ("resource limit: parent product 5153632 exceeds cap 1000000 "
+                       "for pattern '[AB]*[AB]*[AB]*[AB]*[AB]' at offset (0, 0)\n")
+        searcher = ancestry.AncestrySearcher(load_rules(str(path)))
+        [(product, layout)] = searcher.parent_products(
+            ancestry.parse_pattern("C***C***C***C***C"), "x***x***x***x***x")
+        sizes = [[math.prod(map(len, q.cells))
+                  for q, _ in searcher.parent_products(member, layout)]
+                 for member in ancestry.members(product)]
+        assert sizes == [[11 ** 5]] * 32 and 11 ** 5 <= ancestry.PRODUCT_CAP
 
     def test_pattern_form(self, capsys):
         code, out, _ = run(capsys, "search", "--rules", RULES_2D, "--l1", "A",

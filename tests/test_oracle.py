@@ -851,12 +851,21 @@ class TestAgreementHarness:
             f"{desc}: level {level} > bound {level - 1}"]
         assert not got["issues"]["mismatch"]
 
+    @staticmethod
+    def parents_are(monkeypatch, parent):
+        """Every pattern's one parent, and every product's one parent
+        product, is ``parent``: the audit checks the shape of each parent
+        product and names the too-large parents of each member."""
+        layout = "".join("*" if ch == "*" else "x" for ch in parent.cells)
+        monkeypatch.setattr(AncestrySearcher, "parent_products",
+                            lambda self, product, product_layout: ((parent, layout),))
+        monkeypatch.setattr(AncestrySearcher, "parents",
+                            lambda self, pattern: ((parent, (0, 0)),))
+
     def test_oversized_parent_is_a_geometry_issue(self, abc_2d, monkeypatch):
         # AB is in the start grid, so the search stops at depth 0 and the
         # audit walks the target alone.
-        big = Pattern(3, 3, "A" * 9)
-        monkeypatch.setattr(AncestrySearcher, "parents",
-                            lambda self, pattern: ((big, (0, 0)),))
+        self.parents_are(monkeypatch, Pattern(3, 3, "A" * 9))
         got = check_instance(abc_2d, Grid.from_text("AB"), "AB", Direction.E)
         desc = f"dim=2 n=3 rules={abc_2d.text()} l1=AB word=AB dir=E"
         assert got["issues"] == {
@@ -869,8 +878,7 @@ class TestAgreementHarness:
         # max_parent_len(2, 2) == 2: a 1 x 3 parent of AB is one column
         # too wide, a 1 x 2 parent is not.
         parent = Pattern(1, cols, "A" * cols)
-        monkeypatch.setattr(AncestrySearcher, "parents",
-                            lambda self, pattern: ((parent, (0, 0)),))
+        self.parents_are(monkeypatch, parent)
         got = check_instance(abc_2d, Grid.from_text("AB"), "AB", Direction.E)
         desc = f"dim=2 n=3 rules={abc_2d.text()} l1=AB word=AB dir=E"
         assert got["issues"]["geometry"] == (
@@ -884,9 +892,7 @@ class TestAgreementHarness:
                                                       ancestor, issues):
         # Every pattern's only parent is the off-band one, so it is the
         # search's one ancestor; it cannot ground in a 1 x 1 start grid.
-        pattern = parse_pattern(ancestor)
-        monkeypatch.setattr(AncestrySearcher, "parents",
-                            lambda self, pat: ((pattern, (0, 0)),))
+        self.parents_are(monkeypatch, parse_pattern(ancestor))
         got = check_instance(abc_2d, Grid.from_text("A"), "ABA", Direction.SE)
         desc = f"dim=2 n=3 rules={abc_2d.text()} l1=A word=ABA dir=SE"
         assert got["issues"]["confinement"] == [f"{desc}: {issue}"
@@ -896,8 +902,8 @@ class TestAgreementHarness:
     @staticmethod
     def dead_ancestors():
         """BBBBB read NE never appears from A/B: the target's 192
-        parents are the members of three dead products, which the search
-        links and expands like any other pattern."""
+        parents are the members of three products, one per offset, none
+        of whose members has parents."""
         rules = RuleSet({"A": ("BB", "BB"), "B": ("BB", "AA"), "C": ("BB", "BB")})
         l1 = Grid.from_text("A/B")
         target = word_to_pattern("BBBBB", Direction.NE)
@@ -958,19 +964,21 @@ class TestAgreementHarness:
 
     def test_clean_on_the_puzzle_rules(self, puzzle_path, monkeypatch):
         """The random audit draws at most AUDIT_MAX_N letters; these
-        instances use the shipped puzzle's 26 letters, whose large parent
-        products the searcher settles as a whole."""
+        instances use the shipped puzzle's 26 letters, whose parent
+        products of many members the search walks and the audit checks
+        whole."""
         from fractalsearch.puzzle import load_puzzle
 
         rules = load_puzzle(puzzle_path).rules
         settled = []
-        real = AncestrySearcher._settle
+        real = AncestrySearcher.parent_products
 
-        def counted(self, *args):
-            settled.append(args)
-            return real(self, *args)
+        def counted(self, product, layout):
+            got = real(self, product, layout)
+            settled.extend(q for q, _ in got if not isinstance(q.cells, str))
+            return got
 
-        monkeypatch.setattr(AncestrySearcher, "_settle", counted)
+        monkeypatch.setattr(AncestrySearcher, "parent_products", counted)
         rng = seeded_rng(11)
         outcomes = Counter()
         for _ in range(150):

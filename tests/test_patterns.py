@@ -223,7 +223,9 @@ class TestOccurrences:
                 {ch} | set(data.draw(st.text(alphabet="ABCD", max_size=3)))))
             for ch in pattern.cells)
         index = GridIndex(grid)
-        got = index.starts_any(Pattern(pattern.rows, pattern.cols, sets))
+        for key in set(sets) - {WILDCARD}:
+            index.index_set(key)
+        got = index.starts(Pattern(pattern.rows, pattern.cols, sets))
         # A start matches some member exactly when every concrete cell's
         # grid letter is in that cell's set.
         lines = grid.lines()
